@@ -4,6 +4,7 @@
 
 #include "core/logging.h"
 #include "core/sha256.h"
+#include "core/sha256_kernel.h"
 #include "flare/aggregator.h"
 #include "flare/provision.h"
 #include "flare/secure_channel.h"
@@ -12,6 +13,15 @@
 namespace {
 
 using namespace cppflare;
+
+// Float bytes of the paper's BERT state dict (2,472,082 floats): the
+// payload every site seals and the server opens each round.
+constexpr std::int64_t kBertPayloadBytes = 2472082 * 4;
+
+void label_kernel(benchmark::State& state) {
+  state.SetLabel(std::string("sha256=") +
+                 core::sha256_kernel_name(core::sha256_active_kernel()));
+}
 
 nn::StateDict model_of_size(std::int64_t n) {
   nn::StateDict d;
@@ -56,8 +66,9 @@ void BM_Sha256(benchmark::State& state) {
     benchmark::DoNotOptimize(digest[0]);
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
+  label_kernel(state);
 }
-BENCHMARK(BM_Sha256)->Arg(1024)->Arg(1 << 20);
+BENCHMARK(BM_Sha256)->Arg(1024)->Arg(1 << 20)->Arg(kBertPayloadBytes);
 
 void BM_SealOpen(benchmark::State& state) {
   const std::vector<std::uint8_t> key(32, 0x7);
@@ -69,8 +80,9 @@ void BM_SealOpen(benchmark::State& state) {
     benchmark::DoNotOptimize(env.payload.data());
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
+  label_kernel(state);
 }
-BENCHMARK(BM_SealOpen)->Arg(1024)->Arg(5 << 20);
+BENCHMARK(BM_SealOpen)->Arg(1024)->Arg(5 << 20)->Arg(kBertPayloadBytes);
 
 void BM_FedAvgRound(benchmark::State& state) {
   core::LogConfig::instance().set_threshold(core::LogLevel::kOff);

@@ -3,26 +3,43 @@
 // Prints the paper's Table I alongside the values this reproduction uses,
 // then measures what the table's hardware rows imply here: provisioning
 // cost, the per-round protocol overhead of an 8-client federation with
-// no-op learners (pure framework cost), and the in-proc vs TCP transport
-// delta.
+// no-op learners shipping the paper's BERT state dict (pure framework
+// cost), and the in-proc vs TCP transport delta.
+#include <sched.h>
+
 #include <chrono>
 #include <cstdio>
 
 #include "bench_common.h"
+#include "core/sha256_kernel.h"
+#include "data/clinical_gen.h"
 #include "flare/simulator.h"
+#include "models/lstm_classifier.h"
 #include "train/experiment.h"
 
 namespace {
 
 using namespace cppflare;
 
-nn::StateDict dict_of_size(std::int64_t n) {
-  nn::StateDict d;
-  nn::ParamBlob blob;
-  blob.shape = {n};
-  blob.values.assign(static_cast<std::size_t>(n), 0.5f);
-  d.insert("w", std::move(blob));
-  return d;
+/// The paper's BERT (Table II) state dict at the default reproduction
+/// vocabulary and sequence length: real names and shapes, 2,472,082 floats.
+nn::StateDict bert_state_dict() {
+  const train::ExperimentScale defaults;
+  const data::ClinicalCohortGenerator generator(defaults.generator_config());
+  core::Rng rng(defaults.seed);
+  return models::make_classifier(
+             models::ModelConfig::bert(generator.build_vocabulary().size(),
+                                       defaults.max_seq_len),
+             rng)
+      ->state_dict();
+}
+
+std::string host_description() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  const int cores = sched_getaffinity(0, sizeof(set), &set) == 0 ? CPU_COUNT(&set) : 1;
+  const bool sha_ni = core::sha256_kernel_supported(core::Sha256Kernel::kShaNi);
+  return std::to_string(cores) + " CPU cores, sha_ni " + (sha_ni ? "yes" : "no");
 }
 
 class NoopLearner : public flare::Learner {
@@ -42,16 +59,15 @@ class NoopLearner : public flare::Learner {
 };
 
 double run_noop_federation(std::int64_t clients, std::int64_t rounds,
-                           std::int64_t model_params, bool use_tcp) {
+                           const nn::StateDict& model, bool use_tcp) {
   flare::SimulatorConfig config;
   config.num_clients = clients;
   config.num_rounds = rounds;
   config.use_tcp = use_tcp;
   flare::SimulatorRunner runner(
-      config, dict_of_size(model_params),
-      std::make_unique<flare::FedAvgAggregator>(true),
+      config, model, std::make_unique<flare::FedAvgAggregator>(true),
       [&](std::int64_t, const std::string& name) {
-        return std::make_shared<NoopLearner>(name, dict_of_size(model_params));
+        return std::make_shared<NoopLearner>(name, model);
       });
   return runner.run().wall_seconds;
 }
@@ -72,7 +88,7 @@ int main() {
               static_cast<long long>(scale.num_clients));
   std::printf("%-34s | %-28s | %s\n", "Hardware",
               "2x Xeon + 4x RTX 2080 Ti; AWS p3.8xlarge",
-              "single CPU core (simulated)");
+              host_description().c_str());
   std::printf("%-34s | %-28s | %s\n", "Software",
               "PyTorch, CUDA, NVFlare v2.2", "cppflare (this library)");
   std::printf("%-34s | %-28s | %lld\n", "# train data (pretraining)", "453377",
@@ -104,19 +120,20 @@ int main() {
               prov_ms);
   std::printf("  e.g. site-1 token: %s\n", registry.at("site-1").token.c_str());
 
-  // Pure framework overhead: no-op learners, BERT-sized payload (~1.3M f32).
-  constexpr std::int64_t kParams = 1300000;
+  // Pure framework overhead: no-op learners shipping the BERT state dict.
+  const nn::StateDict bert = bert_state_dict();
+  const long long params = static_cast<long long>(bert.total_numel());
   constexpr std::int64_t kRounds = 5;
-  const double inproc =
-      run_noop_federation(scale.num_clients, kRounds, kParams, false);
+  const double inproc = run_noop_federation(scale.num_clients, kRounds, bert, false);
   std::printf(
-      "\nfederation protocol overhead (no-op learners, %lld-param model, %lld "
-      "rounds, %lld clients):\n",
-      static_cast<long long>(kParams), static_cast<long long>(kRounds),
-      static_cast<long long>(scale.num_clients));
+      "\nfederation protocol overhead (no-op learners, %lld-param BERT, %lld "
+      "rounds, %lld clients, SHA-256 kernel %s):\n",
+      params, static_cast<long long>(kRounds),
+      static_cast<long long>(scale.num_clients),
+      core::sha256_kernel_name(core::sha256_active_kernel()));
   std::printf("  in-proc transport : %.3f s total, %.1f ms/round\n", inproc,
               1000.0 * inproc / kRounds);
-  const double tcp = run_noop_federation(scale.num_clients, kRounds, kParams, true);
+  const double tcp = run_noop_federation(scale.num_clients, kRounds, bert, true);
   std::printf("  TCP transport     : %.3f s total, %.1f ms/round\n", tcp,
               1000.0 * tcp / kRounds);
   std::printf("\n[table1] done\n");

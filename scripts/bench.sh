@@ -8,6 +8,10 @@
 #       (e.g. BM_GemmNN/512/4 = N=512 at 4 compute threads), so one run
 #       captures the 1..4-thread scaling curve: items_per_second is the
 #       ops/s figure, real_time the wall time per iteration.
+#   BENCH_protocol.json — google-benchmark output of bench_micro_flare:
+#       serialization, SHA-256 and seal+open throughput (up to the BERT
+#       payload's 9,888,328 float bytes; each crypto row is labelled with the
+#       SHA-256 kernel that ran), FedAvg and TCP round trips.
 #   BENCH_models.json — bench_table2_models latencies per model plus the
 #       effective thread budget and total wall seconds.
 #   BENCH_faults.json — bench_faults rounds/s of an 8-site TCP federation
@@ -54,11 +58,17 @@ step() { echo; echo "==== $* ===="; }
 step "release: build benches"
 cmake --preset release
 cmake --build --preset release -j "${JOBS}" \
-  --target bench_micro_tensor bench_table2_models bench_faults bench_crash bench_jobs bench_privacy bench_poison bench_trace bench_scale
+  --target bench_micro_tensor bench_micro_flare bench_table2_models bench_faults bench_crash bench_jobs bench_privacy bench_poison bench_trace bench_scale
 
 step "tensor microbenchmarks -> BENCH_tensor.json"
 ./build-release/bench/bench_micro_tensor \
   --benchmark_out="${REPO_ROOT}/BENCH_tensor.json" \
+  --benchmark_out_format=json \
+  --benchmark_min_time=0.2
+
+step "protocol microbenchmarks -> BENCH_protocol.json"
+./build-release/bench/bench_micro_flare \
+  --benchmark_out="${REPO_ROOT}/BENCH_protocol.json" \
   --benchmark_out_format=json \
   --benchmark_min_time=0.2
 
@@ -87,4 +97,4 @@ step "coordinator scaling -> BENCH_scale.json"
 ./build-release/bench/bench_scale --json "${REPO_ROOT}/BENCH_scale.json"
 
 step "bench complete"
-echo "wrote BENCH_tensor.json, BENCH_models.json, BENCH_faults.json, BENCH_crash.json, BENCH_jobs.json, BENCH_privacy.json, BENCH_robust.json, BENCH_obs.json and BENCH_scale.json"
+echo "wrote BENCH_tensor.json, BENCH_protocol.json, BENCH_models.json, BENCH_faults.json, BENCH_crash.json, BENCH_jobs.json, BENCH_privacy.json, BENCH_robust.json, BENCH_obs.json and BENCH_scale.json"

@@ -16,9 +16,12 @@ namespace cppflare::core {
 
 using Digest = std::array<std::uint8_t, 32>;
 
+enum class Sha256Kernel : std::uint8_t;  // core/sha256_kernel.h
+
 /// Incremental SHA-256 (FIPS 180-4).
 class Sha256 {
  public:
+  /// Hashes with the compression kernel picked for this CPU.
   Sha256();
 
   void update(const std::uint8_t* data, std::size_t len);
@@ -33,8 +36,18 @@ class Sha256 {
   static Digest hash(const std::string& s);
 
  private:
-  void process_block(const std::uint8_t* block);
+  /// Compresses `nblocks` whole 64-byte blocks into `state`.
+  using Compress = void (*)(std::uint32_t* state, const std::uint8_t* blocks,
+                            std::size_t nblocks);
 
+  explicit Sha256(Compress compress);
+  friend Sha256 sha256_with_kernel(Sha256Kernel kernel);
+
+  void process_blocks(const std::uint8_t* data, std::size_t nblocks) {
+    compress_(state_.data(), data, nblocks);
+  }
+
+  Compress compress_;
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;
   std::size_t buffered_ = 0;

@@ -491,8 +491,11 @@ void FederatedServer::drain_ready_replies() {
     ready.swap(ready_replies_);
   }
   for (ReadyReply& reply : ready) {
+    // Free each body once sealed: when a round opens, every parked site's
+    // task (a full model) is staged here at once.
+    const std::vector<std::uint8_t> body = std::move(reply.body);
     try {
-      reply.respond(seal_as_server(reply.sender, reply.key, reply.body));
+      reply.respond(seal_as_server(reply.sender, reply.key, body));
     } catch (const std::exception& e) {
       LOG_AS(kSag, warn)
           .msg("Dropping undeliverable parked reply")
@@ -590,7 +593,7 @@ std::map<std::string, std::int64_t> FederatedServer::round_rejects_locked() cons
 }
 
 std::vector<std::uint8_t> FederatedServer::on_submit(const std::string& sender,
-                                                     const SubmitUpdateRequest& req) {
+                                                     SubmitUpdateRequest req) {
   core::MutexLock lock(mu_);
   CF_TRACE_SPAN_SITE("server.submit", sender, round_);
   auto it = sessions_.find(sender);
@@ -640,7 +643,7 @@ std::vector<std::uint8_t> FederatedServer::on_submit(const std::string& sender,
                           RejectReason::kNotSampled});
   }
 
-  Dxo contribution = req.payload;
+  Dxo contribution = std::move(req.payload);
   const FLContext ctx = make_context_locked();
   inbound_filters_.process(contribution, ctx);
   record_site_metrics_locked(sender, contribution);
@@ -900,7 +903,7 @@ void FederatedServer::apply_journal_locked(const JournalReplay& replay) {
         }
         metrics_.gauge(metric_names::kServerRecoveryDropped)
             .set(static_cast<double>(recovery_dropped_.size()));
-        const std::int64_t required = min_required_locked();
+        const std::int64_t required = quorum_locked().min_required;
         if (static_cast<std::int64_t>(unmask_pending_.size()) < required) {
           abort_run_locked(
               "round " + std::to_string(round_) +
@@ -1099,7 +1102,8 @@ void FederatedServer::maybe_close_round_locked() {
   // A round closes when enough participants have *resolved* (accepted or
   // rejected), not just accepted: a rejected site will never submit again
   // this round, so waiting on it would stall until the deadline.
-  if (resolved_participant_count_locked() >= round_quorum_locked()) {
+  const Quorum quorum = quorum_locked();
+  if (quorum.resolved >= quorum.needed) {
     close_round_locked(/*deadline_fired=*/false);
     return;
   }
@@ -1109,13 +1113,13 @@ void FederatedServer::maybe_close_round_locked() {
                        std::chrono::steady_clock::now() - round_start_)
                        .count();
   if (age < config_.round_deadline_ms) return;
-  const std::int64_t required = min_required_locked();
+  const std::int64_t required = quorum.min_required;
   if (accepted >= required) {
     LOG_AS(kSag, warn)
         .msg("Round deadline exceeded; closing early")
         .kv("round", round_)
         .kv("accepted", accepted)
-        .kv("quorum", round_quorum_locked());
+        .kv("quorum", quorum.needed);
     close_round_locked(/*deadline_fired=*/true);
   } else {
     abort_run_locked("round " + std::to_string(round_) +
@@ -1231,7 +1235,7 @@ void FederatedServer::advance_recovery_locked() {
   }
   metrics_.gauge(metric_names::kServerRecoveryDropped)
       .set(static_cast<double>(recovery_dropped_.size()));
-  const std::int64_t required = min_required_locked();
+  const std::int64_t required = quorum_locked().min_required;
   if (static_cast<std::int64_t>(unmask_pending_.size()) < required) {
     abort_run_locked(
         "round " + std::to_string(round_) +
@@ -1384,46 +1388,27 @@ bool FederatedServer::resolved_locked(const std::string& site) const {
   return submitted_.count(site) != 0 || rejected_acks_.count(site) != 0;
 }
 
-// Quarantined sites are excluded from every quorum count below: they still
-// poll and are scored, but the round must not wait on them (and must not
-// shrink toward min_clients because of them) — an 8-site round with one
-// quarantined site closes exactly like a clean 7-site round.
-std::int64_t FederatedServer::participant_count_locked() const {
-  std::int64_t count = 0;
-  for (const auto& [site, session] : sessions_) {
-    if (participates_locked(site) && !reputation_.quarantined(site)) count += 1;
-  }
-  return count;
-}
-
-std::int64_t FederatedServer::live_participant_count_locked() const {
-  std::int64_t live = 0;
+// Quarantined sites are excluded from every quorum count: they still poll
+// and are scored, but the round must not wait on them (and must not shrink
+// toward min_clients because of them) — an 8-site round with one
+// quarantined site closes exactly like a clean 7-site round. One pass over
+// the sessions: every get_task and submit checks the quorum under mu_, so
+// with hundreds of sites this scan is most of the time the lock is held.
+FederatedServer::Quorum FederatedServer::quorum_locked() const {
+  std::int64_t participants = 0, live = 0;
+  Quorum q;
   for (const auto& [site, session] : sessions_) {
     if (!participates_locked(site) || reputation_.quarantined(site)) continue;
+    participants += 1;
     if (evicted_.count(site) == 0) live += 1;
+    if (resolved_locked(site)) q.resolved += 1;
   }
-  return live;
-}
-
-std::int64_t FederatedServer::resolved_participant_count_locked() const {
-  std::int64_t resolved = 0;
-  for (const auto& [site, session] : sessions_) {
-    if (!participates_locked(site) || reputation_.quarantined(site)) continue;
-    if (resolved_locked(site)) resolved += 1;
-  }
-  return resolved;
-}
-
-std::int64_t FederatedServer::min_required_locked() const {
   // min_clients cannot demand more sites than this round even has.
-  return std::max<std::int64_t>(
-      1, std::min(config_.min_clients, participant_count_locked()));
-}
-
-std::int64_t FederatedServer::round_quorum_locked() const {
+  q.min_required = std::max<std::int64_t>(1, std::min(config_.min_clients, participants));
   // Wait for every live participant, but never close below the
   // graceful-degradation floor even when eviction thinned the round out.
-  return std::max(min_required_locked(), live_participant_count_locked());
+  q.needed = std::max(q.min_required, live);
+  return q;
 }
 
 bool FederatedServer::finished() const {

@@ -245,7 +245,7 @@ class FederatedServer {
   std::vector<std::uint8_t> on_get_task(const std::string& sender,
                                         const GetTaskRequest& req);
   std::vector<std::uint8_t> on_submit(const std::string& sender,
-                                      const SubmitUpdateRequest& req);
+                                      SubmitUpdateRequest req);
   std::vector<std::uint8_t> on_unmask(const std::string& sender,
                                       const UnmaskResponse& req);
 
@@ -296,11 +296,16 @@ class FederatedServer {
   std::map<std::string, std::int64_t> round_rejects_locked() const CF_REQUIRES(mu_);
   bool participates_locked(const std::string& site) const CF_REQUIRES(mu_);
   bool resolved_locked(const std::string& site) const CF_REQUIRES(mu_);
-  std::int64_t participant_count_locked() const CF_REQUIRES(mu_);
-  std::int64_t live_participant_count_locked() const CF_REQUIRES(mu_);
-  std::int64_t resolved_participant_count_locked() const CF_REQUIRES(mu_);
-  std::int64_t min_required_locked() const CF_REQUIRES(mu_);
-  std::int64_t round_quorum_locked() const CF_REQUIRES(mu_);
+  /// The round's quorum state, counted over sampled, unquarantined sites.
+  struct Quorum {
+    /// min_clients, capped at this round's participant count (at least 1).
+    std::int64_t min_required = 1;
+    /// Resolved participants that close the round: every live one, and
+    /// never fewer than min_required.
+    std::int64_t needed = 1;
+    std::int64_t resolved = 0;
+  };
+  Quorum quorum_locked() const CF_REQUIRES(mu_);
 
   // config_ and registry_ are immutable after construction; inbound_filters_
   // and events_ are configured before the run starts and are internally

@@ -117,6 +117,9 @@ class SimSite : public std::enable_shared_from_this<SimSite> {
     }
     const std::vector<std::uint8_t> sealed_frame = seal(
         credential_.name, credential_.secret, seq_.next(), frame, job_id_);
+    // Free the unsealed frame before the exchange: the in-process server
+    // handles it on this thread.
+    std::vector<std::uint8_t>().swap(frame);
     auto self = shared_from_this();
     dispatch_(sealed_frame, [self](std::vector<std::uint8_t> response) {
       self->enqueue(std::move(response));

@@ -113,6 +113,48 @@ TEST(FuzzEnvelope, EverySingleBitFlipBreaksTheMac) {
   EXPECT_EQ(verified_differently, 0);
 }
 
+TEST(FuzzEnvelope, EveryTruncationFailsCleanly) {
+  const std::vector<std::uint8_t> key(32, 0x5a);
+  core::Rng rng(7);
+  const std::string sender = "site-2";
+  const std::string job = "job-a";
+  const auto payload = random_bytes(rng, 150);
+  const auto sealed = flare::seal(sender, key, 3, payload, job);
+
+  // Every strict prefix, including the empty frame.
+  for (std::size_t len = 0; len < sealed.size(); ++len) {
+    const std::vector<std::uint8_t> prefix(sealed.begin(),
+                                           sealed.begin() + static_cast<std::ptrdiff_t>(len));
+    EXPECT_THROW((void)flare::open(prefix, key), Error) << "len=" << len;
+  }
+
+  // The u64 payload length sits after magic, sender, job and sequence.
+  const std::size_t length_at = 4 + 4 + sender.size() + 4 + job.size() + 8;
+  const auto with_length = [&](std::uint64_t n) {
+    auto mutated = sealed;
+    for (int i = 0; i < 8; ++i) {
+      mutated[length_at + i] = static_cast<std::uint8_t>(n >> (8 * i));
+    }
+    return mutated;
+  };
+  ASSERT_NO_THROW((void)flare::open(with_length(payload.size()), key));
+  // Every value of every byte of the field, plus lengths that overflow a
+  // naive `n + 32` bounds check or land one off either side.
+  std::vector<std::uint64_t> lengths = {0, payload.size() - 1, payload.size() + 1,
+                                        payload.size() + 32, ~0ull, ~0ull - 31,
+                                        ~0ull - 32, 1ull << 63};
+  for (int byte = 0; byte < 8; ++byte) {
+    for (std::uint64_t v = 0; v < 256; ++v) {
+      const std::uint64_t n =
+          (payload.size() & ~(0xffull << (8 * byte))) | (v << (8 * byte));
+      if (n != payload.size()) lengths.push_back(n);
+    }
+  }
+  for (const std::uint64_t n : lengths) {
+    EXPECT_THROW((void)flare::open(with_length(n), key), Error) << "length=" << n;
+  }
+}
+
 TEST(FuzzEnvelope, RandomGarbageNeverVerifies) {
   const std::vector<std::uint8_t> key(32, 0x24);
   core::Rng rng(5);

@@ -19,6 +19,34 @@ TEST(SecureChannel, SealOpenRoundTrip) {
   EXPECT_EQ(env.payload, payload);
 }
 
+// The sealed bytes for fixed inputs, pinned so that no change to the
+// envelope code or the SHA-256 kernels can alter the wire format. The MAC
+// input (sender through payload) spans three SHA-256 blocks.
+TEST(SecureChannel, GoldenFrameIsStable) {
+  std::vector<std::uint8_t> secret(32), payload(77);
+  for (int i = 0; i < 32; ++i) secret[i] = static_cast<std::uint8_t>(0xa0 + i);
+  for (int i = 0; i < 77; ++i) payload[i] = static_cast<std::uint8_t>(i * 7 + 3);
+  const auto sealed =
+      seal("site-3", secret, 0x0102030405060708ull, payload, "adr-bert");
+  static const char* kHex = "0123456789abcdef";
+  std::string hex;
+  for (const std::uint8_t b : sealed) {
+    hex.push_back(kHex[b >> 4]);
+    hex.push_back(kHex[b & 0xf]);
+  }
+  EXPECT_EQ(hex,
+            "564e454606000000736974652d33080000006164722d626572740807060504030201"
+            "4d00000000000000030a11181f262d343b424950575e656c737a81888f969da4ab"
+            "b2b9c0c7ced5dce3eaf1f8ff060d141b222930373e454c535a61686f767d848b92"
+            "99a0a7aeb5bcc3cad1d8dfe6edf4fb020910175e99db9b7c81e04554ab21b87b80"
+            "43a15cfc7d3dd3b688ec42f60585e0c8f0ae");
+  const Envelope env = open(sealed, secret);
+  EXPECT_EQ(env.sender, "site-3");
+  EXPECT_EQ(env.job_id, "adr-bert");
+  EXPECT_EQ(env.sequence, 0x0102030405060708ull);
+  EXPECT_EQ(env.payload, payload);
+}
+
 TEST(SecureChannel, EmptyPayloadAllowed) {
   const auto sealed = seal("s", key_a(), 1, {});
   EXPECT_TRUE(open(sealed, key_a()).payload.empty());
