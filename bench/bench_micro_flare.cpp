@@ -6,6 +6,7 @@
 #include "core/sha256.h"
 #include "core/sha256_kernel.h"
 #include "flare/aggregator.h"
+#include "flare/messages.h"
 #include "flare/provision.h"
 #include "flare/secure_channel.h"
 #include "flare/tcp.h"
@@ -83,6 +84,28 @@ void BM_SealOpen(benchmark::State& state) {
   label_kernel(state);
 }
 BENCHMARK(BM_SealOpen)->Arg(1024)->Arg(5 << 20)->Arg(kBertPayloadBytes);
+
+// One server-to-site task frame end to end: pack the round's kTrain
+// TaskMessage, seal it for one site, open it there and decode the model.
+// The argument is the model's float bytes.
+void BM_TaskFrame(benchmark::State& state) {
+  const std::vector<std::uint8_t> key(32, 0x7);
+  flare::TaskMessage task{flare::TaskKind::kTrain, 3, 10,
+                          flare::Dxo(flare::DxoKind::kWeights,
+                                     model_of_size(state.range(0) / 4))};
+  task.payload.set_meta_int(flare::Dxo::kMetaRound, 3);
+  std::uint64_t seq = 0;
+  for (auto _ : state) {
+    const std::vector<std::uint8_t> body = flare::pack(task);
+    const auto sealed = flare::seal("server", key, ++seq, body, "job");
+    const flare::Envelope env = flare::open(sealed, key);
+    const flare::TaskMessage back = flare::decode_task(env.payload);
+    benchmark::DoNotOptimize(back.payload.data().at("w").values.data());
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+  label_kernel(state);
+}
+BENCHMARK(BM_TaskFrame)->Arg(kBertPayloadBytes);
 
 void BM_FedAvgRound(benchmark::State& state) {
   core::LogConfig::instance().set_threshold(core::LogLevel::kOff);

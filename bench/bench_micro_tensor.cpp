@@ -2,8 +2,13 @@
 //
 // The GEMM and model benches take the compute-thread budget as their last
 // range argument, so one run sweeps 1..N threads and `scripts/bench.sh` can
-// record the scaling curve in a single JSON file.
+// record the scaling curve in a single JSON file. A budget above the host's
+// cores would measure oversubscription, not scaling: such rows are skipped
+// and say so in their error message.
 #include <benchmark/benchmark.h>
+#include <sched.h>
+
+#include <string>
 
 #include "core/parallel.h"
 #include "models/lstm_classifier.h"
@@ -17,12 +22,28 @@ namespace {
 using namespace cppflare;
 using tensor::Tensor;
 
-void set_threads_from_arg(benchmark::State& state) {
-  core::set_compute_threads(static_cast<std::size_t>(state.range(1)));
+/// CPUs this process may run on.
+std::int64_t host_cores() {
+  cpu_set_t set;
+  return sched_getaffinity(0, sizeof(set), &set) == 0 ? CPU_COUNT(&set) : 1;
+}
+
+/// Sets the compute budget and labels the row with it, or skips the row
+/// (returning false) when the budget exceeds the host's cores.
+bool use_threads(benchmark::State& state, std::int64_t threads) {
+  const std::string budget = std::to_string(threads) + " threads on " +
+                             std::to_string(host_cores()) + " cores";
+  if (threads > host_cores()) {
+    state.SkipWithError(("skipped: " + budget).c_str());
+    return false;
+  }
+  core::set_compute_threads(static_cast<std::size_t>(threads));
+  state.SetLabel(budget);
+  return true;
 }
 
 void BM_GemmNN(benchmark::State& state) {
-  set_threads_from_arg(state);
+  if (!use_threads(state, state.range(1))) return;
   const std::int64_t n = state.range(0);
   std::vector<float> a(512 * 128), b(128 * n), c(512 * n);
   for (auto& x : a) x = 0.5f;
@@ -40,7 +61,7 @@ BENCHMARK(BM_GemmNN)
     ->Args({512, 4});
 
 void BM_GemmNT(benchmark::State& state) {
-  set_threads_from_arg(state);
+  if (!use_threads(state, state.range(1))) return;
   const std::int64_t n = state.range(0);
   std::vector<float> a(512 * 128), b(n * 128), c(512 * n);
   for (auto& x : a) x = 0.5f;
@@ -58,7 +79,7 @@ BENCHMARK(BM_GemmNT)
     ->Args({512, 4});
 
 void BM_GemmTN(benchmark::State& state) {
-  set_threads_from_arg(state);
+  if (!use_threads(state, state.range(1))) return;
   const std::int64_t n = state.range(0);
   std::vector<float> a(512 * 128), b(512 * n), c(128 * n);
   for (auto& x : a) x = 0.5f;
@@ -100,7 +121,7 @@ void BM_LayerNorm(benchmark::State& state) {
 BENCHMARK(BM_LayerNorm);
 
 void BM_AttentionForward(benchmark::State& state) {
-  core::set_compute_threads(static_cast<std::size_t>(state.range(0)));
+  if (!use_threads(state, state.range(0))) return;
   core::Rng rng(3);
   nn::MultiHeadSelfAttention attn(128, 6, 22, 0.0f, rng);
   attn.set_training(false);
@@ -115,7 +136,7 @@ void BM_AttentionForward(benchmark::State& state) {
 BENCHMARK(BM_AttentionForward)->Arg(1)->Arg(4);
 
 void BM_LstmForward(benchmark::State& state) {
-  core::set_compute_threads(static_cast<std::size_t>(state.range(0)));
+  if (!use_threads(state, state.range(0))) return;
   core::Rng rng(5);
   nn::Lstm lstm(128, 128, 3, 0.0f, rng);
   lstm.set_training(false);
@@ -156,7 +177,7 @@ void BM_CrossEntropy(benchmark::State& state) {
 BENCHMARK(BM_CrossEntropy);
 
 void BM_BertMiniTrainStep(benchmark::State& state) {
-  core::set_compute_threads(static_cast<std::size_t>(state.range(0)));
+  if (!use_threads(state, state.range(0))) return;
   core::Rng rng(9);
   models::ModelConfig config = models::ModelConfig::bert_mini(400, 32);
   auto model = models::make_classifier(config, rng);

@@ -1,5 +1,7 @@
 #include "core/bytes.h"
 
+#include <iterator>
+
 namespace cppflare::core {
 
 namespace {
@@ -7,6 +9,47 @@ namespace {
 // Sanity bound on decoded container lengths: rejects absurd sizes coming
 // from corrupt or hostile payloads before we try to allocate them.
 constexpr std::uint64_t kMaxContainerElems = 1ull << 32;
+
+/// Random-access iterator yielding the little-endian floats stored at an
+/// arbitrary (possibly unaligned) byte address. Handing a pair of these to
+/// std::vector's range constructor sizes the vector once and constructs
+/// every element straight from the input bytes.
+class F32Cursor {
+ public:
+  using iterator_category = std::random_access_iterator_tag;
+  using value_type = float;
+  using difference_type = std::ptrdiff_t;
+  using pointer = const float*;
+  using reference = float;
+
+  explicit F32Cursor(const std::uint8_t* p) : p_(p) {}
+  float operator*() const {
+    float v;
+    std::memcpy(&v, p_, sizeof(v));
+    return v;
+  }
+  float operator[](difference_type i) const { return *(*this + i); }
+  F32Cursor& operator++() { p_ += sizeof(float); return *this; }
+  F32Cursor operator++(int) { F32Cursor t = *this; ++*this; return t; }
+  F32Cursor& operator--() { p_ -= sizeof(float); return *this; }
+  F32Cursor operator--(int) { F32Cursor t = *this; --*this; return t; }
+  F32Cursor& operator+=(difference_type n) {
+    p_ += n * static_cast<difference_type>(sizeof(float));
+    return *this;
+  }
+  F32Cursor& operator-=(difference_type n) { return *this += -n; }
+  friend F32Cursor operator+(F32Cursor c, difference_type n) { return c += n; }
+  friend F32Cursor operator+(difference_type n, F32Cursor c) { return c += n; }
+  friend F32Cursor operator-(F32Cursor c, difference_type n) { return c -= n; }
+  friend difference_type operator-(F32Cursor a, F32Cursor b) {
+    return (a.p_ - b.p_) / static_cast<difference_type>(sizeof(float));
+  }
+  friend bool operator==(F32Cursor a, F32Cursor b) { return a.p_ == b.p_; }
+  friend auto operator<=>(F32Cursor a, F32Cursor b) { return a.p_ <=> b.p_; }
+
+ private:
+  const std::uint8_t* p_;
+};
 
 }  // namespace
 
@@ -42,13 +85,10 @@ void ByteWriter::write_string(const std::string& s) {
 
 void ByteWriter::write_f32_vector(const std::vector<float>& v) {
   write_u64(v.size());
-  if (v.empty()) return;  // empty vector: v.data() may be null, and memcpy
-                          // arguments are declared nonnull even for n == 0
-  const std::size_t off = buf_.size();
-  buf_.resize(off + v.size() * sizeof(float));
-  // Little-endian hosts can bulk-copy; the per-element path below is the
-  // portable fallback and produces identical bytes on such hosts.
-  std::memcpy(buf_.data() + off, v.data(), v.size() * sizeof(float));
+  if (v.empty()) return;  // v.data() may be null
+  // Little-endian hosts append the floats' bytes as they are in memory.
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(v.data());
+  buf_.insert(buf_.end(), bytes, bytes + v.size() * sizeof(float));
 }
 
 void ByteWriter::write_i64_vector(const std::vector<std::int64_t>& v) {
@@ -115,10 +155,8 @@ std::vector<float> ByteReader::read_f32_vector() {
   std::uint64_t n = read_u64();
   if (n > kMaxContainerElems) throw SerializationError("f32 vector too large");
   require(n * sizeof(float));
-  std::vector<float> v(n);
-  if (n > 0) {  // empty: v.data() may be null (memcpy args are nonnull)
-    std::memcpy(v.data(), data_ + pos_, n * sizeof(float));
-  }
+  const std::uint8_t* at = data_ + pos_;
+  std::vector<float> v(F32Cursor(at), F32Cursor(at + n * sizeof(float)));
   pos_ += n * sizeof(float);
   return v;
 }
@@ -126,6 +164,7 @@ std::vector<float> ByteReader::read_f32_vector() {
 std::vector<std::int64_t> ByteReader::read_i64_vector() {
   std::uint64_t n = read_u64();
   if (n > kMaxContainerElems) throw SerializationError("i64 vector too large");
+  require(n * sizeof(std::int64_t));  // before reserving for a hostile count
   std::vector<std::int64_t> v;
   v.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) v.push_back(read_i64());

@@ -8,12 +8,23 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/error.h"
 
 namespace cppflare::core {
+
+/// Exact encoded sizes of the length-prefixed writes below, for callers
+/// that reserve a buffer once before encoding into it.
+inline std::size_t encoded_size(const std::string& s) { return 4 + s.size(); }
+inline std::size_t encoded_size(const std::vector<float>& v) {
+  return 8 + v.size() * sizeof(float);
+}
+inline std::size_t encoded_size(const std::vector<std::int64_t>& v) {
+  return 8 + v.size() * sizeof(std::int64_t);
+}
 
 /// Append-only binary encoder.
 class ByteWriter {
@@ -31,6 +42,7 @@ class ByteWriter {
   void write_string(const std::string& s);
 
   /// Length-prefixed (u64) float payload; the hot path for model weights.
+  /// Appends the bytes once (no zero-filled staging).
   void write_f32_vector(const std::vector<float>& v);
   void write_i64_vector(const std::vector<std::int64_t>& v);
 
@@ -49,13 +61,15 @@ class ByteWriter {
 };
 
 /// Sequential binary decoder over a borrowed byte range. Throws
-/// `SerializationError` on truncated input; never reads past the end.
+/// `SerializationError` on truncated input; never reads past the end. The
+/// range may start at any byte offset: multi-byte values are copied out,
+/// never dereferenced in place.
 class ByteReader {
  public:
   ByteReader(const std::uint8_t* data, std::size_t size)
       : data_(data), size_(size) {}
-  explicit ByteReader(const std::vector<std::uint8_t>& buf)
-      : ByteReader(buf.data(), buf.size()) {}
+  explicit ByteReader(std::span<const std::uint8_t> bytes)
+      : ByteReader(bytes.data(), bytes.size()) {}
 
   std::uint8_t read_u8();
   std::uint16_t read_u16();
@@ -66,6 +80,8 @@ class ByteReader {
   double read_f64();
   bool read_bool() { return read_u8() != 0; }
   std::string read_string();
+  /// Builds the vector straight from the input bytes: each float is written
+  /// once, with no zero-initialized staging.
   std::vector<float> read_f32_vector();
   std::vector<std::int64_t> read_i64_vector();
   /// Copies out `n` raw bytes.

@@ -63,19 +63,14 @@ void FederatedClient::ensure_connection() {
   }
 }
 
-std::vector<std::uint8_t> FederatedClient::call_once(
-    const std::vector<std::uint8_t>& frame) {
+FederatedClient::Reply FederatedClient::call_once(
+    const std::vector<std::uint8_t>& sealed) {
   ensure_connection();
-  // Every attempt is re-sealed with a fresh sequence number, so a resend
-  // never trips the server's replay protection. The envelope is bound to
-  // our job so the multi-job router can dispatch it (and a cross-job replay
-  // fails the MAC on the other job's channel).
-  const std::vector<std::uint8_t> sealed = seal(
-      credential_.name, credential_.secret, seq_.next(), frame, config_.job_id);
-  const std::vector<std::uint8_t> sealed_response = connection_->call(sealed);
+  Reply reply;
+  reply.sealed = connection_->call(sealed);
   Envelope env;
   try {
-    env = open(sealed_response, credential_.secret);
+    env = open(reply.sealed, credential_.secret);
   } catch (const Error& e) {
     // The response failed verification: corrupted in flight, or the server
     // could not even identify us (its error was sealed under an empty
@@ -107,16 +102,22 @@ std::vector<std::uint8_t> FederatedClient::call_once(
     }
     throw ProtocolError("server error: " + err.message);
   }
-  return env.payload;
+  reply.payload_at = static_cast<std::size_t>(env.payload.data() - reply.sealed.data());
+  reply.payload_size = env.payload.size();
+  return reply;
 }
 
-std::vector<std::uint8_t> FederatedClient::call(const FrameBuilder& build_frame) {
+FederatedClient::Reply FederatedClient::call(const FrameSealer& seal_frame) {
   core::Backoff backoff(config_.retry,
                         config_.retry_seed ^ fnv1a(credential_.name));
   std::int64_t session_recoveries = 0;
   for (;;) {
     try {
-      return call_once(build_frame());
+      // Every attempt is re-sealed with a fresh sequence number, so a
+      // resend never trips the server's replay protection. The envelope is
+      // bound to our job so the multi-job router can dispatch it (and a
+      // cross-job replay fails the MAC on the other job's channel).
+      return call_once(seal_frame(seq_.next()));
     } catch (const TransportError& e) {
       transport_failures_ += 1;
       if (!backoff.try_again()) {
@@ -157,8 +158,10 @@ std::vector<std::uint8_t> FederatedClient::call(const FrameBuilder& build_frame)
 void FederatedClient::register_session() {
   registering_ = true;
   try {
-    const RegisterAck ack = decode_register_ack(call(
-        [this] { return pack(RegisterRequest{credential_.name, credential_.token}); }));
+    const RegisterAck ack = decode_register_ack(
+        call([this](std::uint64_t seq) {
+          return seal_request(RegisterRequest{credential_.name, credential_.token}, seq);
+        }).payload());
     registering_ = false;
     if (!ack.accepted) {
       throw ProtocolError("registration rejected for " + credential_.name +
@@ -187,29 +190,31 @@ void FederatedClient::run() {
   auto last_progress = std::chrono::steady_clock::now();
   for (;;) {
     const auto poll_started = std::chrono::steady_clock::now();
-    const std::vector<std::uint8_t> reply =
-        call([this, wait_ms] { return pack(GetTaskRequest{session_id_, wait_ms}); });
-    if (peek_type(reply) == MsgType::kUnmaskRequest) {
+    const Reply reply = call([this, wait_ms](std::uint64_t seq) {
+      return seal_request(GetTaskRequest{session_id_, wait_ms}, seq);
+    });
+    if (peek_type(reply.payload()) == MsgType::kUnmaskRequest) {
       // Mask-recovery phase (DESIGN.md §14): the server lost sites after
       // masked submissions landed and asks us to reveal the sum of our
       // pairwise masks against the dropped set. call() already retries
       // transport failures under backoff, so recovery traffic survives the
       // same fault injection as ordinary exchanges.
-      const UnmaskRequest req = decode_unmask_request(reply);
+      const UnmaskRequest req = decode_unmask_request(reply.payload());
       if (!unmask_provider_) {
         throw ProtocolError(credential_.name +
                             ": server asked for mask shares but no unmask "
                             "provider is installed");
       }
-      Dxo share;
+      UnmaskResponse response{"", req.round, req.wave, {}};
       {
         CF_TRACE_SPAN_SITE("client.unmask", credential_.name, req.round);
-        share = unmask_provider_(req.dropped, req.round, req.skeleton.data());
+        response.share = unmask_provider_(req.dropped, req.round, req.skeleton.data());
       }
       const SubmitAck ack =
-          decode_submit_ack(call([this, &req, &share] {
-            return pack(UnmaskResponse{session_id_, req.round, req.wave, share});
-          }));
+          decode_submit_ack(call([this, &response](std::uint64_t seq) {
+            response.session_id = session_id_;
+            return seal_request(response, seq);
+          }).payload());
       if (ack.accepted) {
         unmask_answers_ += 1;
       } else {
@@ -225,7 +230,7 @@ void FederatedClient::run() {
       last_progress = std::chrono::steady_clock::now();
       continue;
     }
-    const TaskMessage task = decode_task(reply);
+    const TaskMessage task = decode_task(reply.payload());
     if (task.task == TaskKind::kStop) {
       LOG(info).msg("received stop; shutting down").kv("site", credential_.name);
       return;
@@ -254,7 +259,8 @@ void FederatedClient::run() {
     ctx.current_round = task.round;
     ctx.total_rounds = task.total_rounds;
 
-    Dxo update;
+    SubmitUpdateRequest submit{"", task.round, {}};
+    Dxo& update = submit.payload;
     {
       CF_TRACE_SPAN_SITE("client.train", credential_.name, task.round);
       update = learner_->train(task.payload, ctx);
@@ -270,9 +276,10 @@ void FederatedClient::run() {
     SubmitAck submit_ack;
     {
       CF_TRACE_SPAN_SITE("client.submit", credential_.name, task.round);
-      submit_ack = decode_submit_ack(call([this, &task, &update] {
-        return pack(SubmitUpdateRequest{session_id_, task.round, update});
-      }));
+      submit_ack = decode_submit_ack(call([this, &submit](std::uint64_t seq) {
+                                       submit.session_id = session_id_;
+                                       return seal_request(submit, seq);
+                                     }).payload());
     }
     if (submit_ack.accepted || submit_ack.message == kDuplicateContribution) {
       // A duplicate ack means an earlier attempt landed but its response

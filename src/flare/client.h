@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -108,17 +109,37 @@ class FederatedClient {
   const std::string& site_name() const { return credential_.name; }
 
  private:
-  /// Rebuilds the frame for each attempt (a re-registration mid-retry can
-  /// change the session id baked into it).
-  using FrameBuilder = std::function<std::vector<std::uint8_t>()>;
+  /// Seals the request for each attempt under that attempt's sequence
+  /// number (a re-registration mid-retry can change the session id baked
+  /// into it).
+  using FrameSealer = std::function<std::vector<std::uint8_t>(std::uint64_t)>;
+
+  /// A verified response. The payload is a view into the sealed bytes the
+  /// reply owns, so it lives exactly as long as the reply.
+  struct Reply {
+    std::vector<std::uint8_t> sealed;
+    std::size_t payload_at = 0;
+    std::size_t payload_size = 0;
+    std::span<const std::uint8_t> payload() const {
+      return std::span<const std::uint8_t>(sealed).subspan(payload_at, payload_size);
+    }
+  };
+
+  /// Encodes `request` straight into the envelope of one attempt.
+  template <class Request>
+  std::vector<std::uint8_t> seal_request(const Request& request,
+                                         std::uint64_t sequence) const {
+    return seal_message(credential_.name, credential_.secret, sequence, request,
+                        config_.job_id);
+  }
 
   /// Resilient exchange: retries transport failures with backoff,
   /// re-registers on kUnknownSession, throws on fatal errors.
-  std::vector<std::uint8_t> call(const FrameBuilder& build_frame);
+  Reply call(const FrameSealer& seal_frame);
 
-  /// One authenticated round trip: seal, call, open, verify, classify
-  /// errors into retryable (TransportError) vs fatal (ProtocolError).
-  std::vector<std::uint8_t> call_once(const std::vector<std::uint8_t>& frame);
+  /// One authenticated round trip: call, open, verify, classify errors into
+  /// retryable (TransportError) vs fatal (ProtocolError).
+  Reply call_once(const std::vector<std::uint8_t>& sealed);
 
   void ensure_connection();
   void register_session();

@@ -67,6 +67,12 @@ void Dxo::serialize(core::ByteWriter& writer) const {
   data_.serialize(writer);
 }
 
+std::size_t Dxo::encoded_size() const {
+  std::size_t n = 1 + 4;  // kind + meta count
+  for (const auto& [k, v] : meta_) n += core::encoded_size(k) + core::encoded_size(v);
+  return n + data_.encoded_size();
+}
+
 Dxo Dxo::deserialize(core::ByteReader& reader) {
   Dxo dxo;
   const std::uint8_t kind = reader.read_u8();

@@ -49,6 +49,8 @@ class Dxo {
 
   // ---- wire --------------------------------------------------------------
   void serialize(core::ByteWriter& writer) const;
+  /// Exact byte count serialize() appends.
+  std::size_t encoded_size() const;
   static Dxo deserialize(core::ByteReader& reader);
 
   /// Well-known meta keys.

@@ -1,5 +1,6 @@
 #include "flare/journal.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "core/bytes.h"
@@ -31,10 +32,24 @@ void write_names(core::ByteWriter& w, const std::vector<std::string>& names) {
   for (const std::string& name : names) w.write_string(name);
 }
 
+/// A kAccepted / kUnmaskShare frame, encoded from a borrowed DXO (the
+/// journal never copies the contribution it records).
+std::vector<std::uint8_t> encode_payload_event(JournalEventType type,
+                                               const std::string& site,
+                                               const Dxo& payload) {
+  core::ByteWriter w;
+  w.reserve(1 + core::encoded_size(site) + payload.encoded_size());
+  w.write_u8(static_cast<std::uint8_t>(type));
+  w.write_string(site);
+  payload.serialize(w);
+  return w.take();
+}
+
 std::vector<std::string> read_names(core::ByteReader& r) {
   const std::uint32_t count = r.read_u32();
   std::vector<std::string> names;
-  names.reserve(count);
+  // Bounded by what the record can hold (4 length bytes per name).
+  names.reserve(std::min<std::size_t>(count, r.remaining() / 4));
   for (std::uint32_t i = 0; i < count; ++i) names.push_back(r.read_string());
   return names;
 }
@@ -42,6 +57,10 @@ std::vector<std::string> read_names(core::ByteReader& r) {
 }  // namespace
 
 std::vector<std::uint8_t> JournalEvent::encode() const {
+  if (type == JournalEventType::kAccepted ||
+      type == JournalEventType::kUnmaskShare) {
+    return encode_payload_event(type, site, *payload);
+  }
   core::ByteWriter w;
   w.write_u8(static_cast<std::uint8_t>(type));
   switch (type) {
@@ -54,9 +73,7 @@ std::vector<std::uint8_t> JournalEvent::encode() const {
       break;
     case JournalEventType::kAccepted:
     case JournalEventType::kUnmaskShare:
-      w.write_string(site);
-      payload->serialize(w);
-      break;
+      break;  // encoded above
     case JournalEventType::kRejected:
       w.write_string(site);
       w.write_u8(reason);
@@ -206,11 +223,7 @@ void RoundJournal::round_open(std::int64_t round,
 }
 
 void RoundJournal::accepted(const std::string& site, const Dxo& update) {
-  JournalEvent ev;
-  ev.type = JournalEventType::kAccepted;
-  ev.site = site;
-  ev.payload = update;
-  append(ev);
+  wal_.append(encode_payload_event(JournalEventType::kAccepted, site, update));
 }
 
 void RoundJournal::rejected(const std::string& site, std::uint8_t reason,
@@ -254,11 +267,7 @@ void RoundJournal::recovery_begin(std::int64_t round,
 }
 
 void RoundJournal::unmask_share(const std::string& site, const Dxo& share) {
-  JournalEvent ev;
-  ev.type = JournalEventType::kUnmaskShare;
-  ev.site = site;
-  ev.payload = share;
-  append(ev);
+  wal_.append(encode_payload_event(JournalEventType::kUnmaskShare, site, share));
 }
 
 void RoundJournal::recovery_wave(std::int64_t wave,

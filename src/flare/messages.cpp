@@ -1,18 +1,23 @@
 #include "flare/messages.h"
 
+#include <algorithm>
+
 #include "core/error.h"
 
 namespace cppflare::flare {
 
 namespace {
 
-core::ByteWriter begin(MsgType type) {
-  core::ByteWriter w;
+void write_tag(core::ByteWriter& w, MsgType type) {
   w.write_u8(static_cast<std::uint8_t>(type));
-  return w;
 }
 
-core::ByteReader expect(const std::vector<std::uint8_t>& frame, MsgType type) {
+// Fixed-width field sizes, named for the encoded_size sums below.
+constexpr std::size_t kU8 = 1;
+constexpr std::size_t kU32 = 4;
+constexpr std::size_t kI64 = 8;
+
+core::ByteReader expect(std::span<const std::uint8_t> frame, MsgType type) {
   core::ByteReader r(frame);
   const std::uint8_t tag = r.read_u8();
   if (tag != static_cast<std::uint8_t>(type)) {
@@ -25,43 +30,38 @@ core::ByteReader expect(const std::vector<std::uint8_t>& frame, MsgType type) {
 
 }  // namespace
 
-std::vector<std::uint8_t> pack(const RegisterRequest& m) {
-  core::ByteWriter w = begin(MsgType::kRegister);
+void encode(const RegisterRequest& m, core::ByteWriter& w) {
+  write_tag(w, MsgType::kRegister);
   w.write_string(m.site_name);
   w.write_string(m.token);
-  return w.take();
 }
 
-std::vector<std::uint8_t> pack(const RegisterAck& m) {
-  core::ByteWriter w = begin(MsgType::kRegisterAck);
+void encode(const RegisterAck& m, core::ByteWriter& w) {
+  write_tag(w, MsgType::kRegisterAck);
   w.write_bool(m.accepted);
   w.write_string(m.session_id);
   w.write_string(m.message);
-  return w.take();
 }
 
-std::vector<std::uint8_t> pack(const GetTaskRequest& m) {
-  core::ByteWriter w = begin(MsgType::kGetTask);
+void encode(const GetTaskRequest& m, core::ByteWriter& w) {
+  write_tag(w, MsgType::kGetTask);
   w.write_string(m.session_id);
   w.write_i64(m.wait_ms);
-  return w.take();
 }
 
-std::vector<std::uint8_t> pack(const TaskMessage& m) {
-  core::ByteWriter w = begin(MsgType::kTask);
+void encode(const TaskMessage& m, core::ByteWriter& w) {
+  write_tag(w, MsgType::kTask);
   w.write_u8(static_cast<std::uint8_t>(m.task));
   w.write_i64(m.round);
   w.write_i64(m.total_rounds);
   m.payload.serialize(w);
-  return w.take();
 }
 
-std::vector<std::uint8_t> pack(const SubmitUpdateRequest& m) {
-  core::ByteWriter w = begin(MsgType::kSubmitUpdate);
+void encode(const SubmitUpdateRequest& m, core::ByteWriter& w) {
+  write_tag(w, MsgType::kSubmitUpdate);
   w.write_string(m.session_id);
   w.write_i64(m.round);
   m.payload.serialize(w);
-  return w.take();
 }
 
 const char* reject_reason_name(RejectReason reason) {
@@ -82,41 +82,77 @@ const char* reject_reason_name(RejectReason reason) {
   return "unknown";
 }
 
-std::vector<std::uint8_t> pack(const SubmitAck& m) {
-  core::ByteWriter w = begin(MsgType::kSubmitAck);
+void encode(const SubmitAck& m, core::ByteWriter& w) {
+  write_tag(w, MsgType::kSubmitAck);
   w.write_bool(m.accepted);
   w.write_string(m.message);
   w.write_u8(static_cast<std::uint8_t>(m.reason));
-  return w.take();
 }
 
-std::vector<std::uint8_t> pack(const ErrorMessage& m) {
-  core::ByteWriter w = begin(MsgType::kError);
+void encode(const ErrorMessage& m, core::ByteWriter& w) {
+  write_tag(w, MsgType::kError);
   w.write_string(m.message);
   w.write_u8(static_cast<std::uint8_t>(m.code));
-  return w.take();
 }
 
-std::vector<std::uint8_t> pack(const UnmaskRequest& m) {
-  core::ByteWriter w = begin(MsgType::kUnmaskRequest);
+void encode(const UnmaskRequest& m, core::ByteWriter& w) {
+  write_tag(w, MsgType::kUnmaskRequest);
   w.write_i64(m.round);
   w.write_i64(m.wave);
   w.write_u32(static_cast<std::uint32_t>(m.dropped.size()));
   for (const std::string& site : m.dropped) w.write_string(site);
   m.skeleton.serialize(w);
-  return w.take();
 }
 
-std::vector<std::uint8_t> pack(const UnmaskResponse& m) {
-  core::ByteWriter w = begin(MsgType::kUnmaskResponse);
+void encode(const UnmaskResponse& m, core::ByteWriter& w) {
+  write_tag(w, MsgType::kUnmaskResponse);
   w.write_string(m.session_id);
   w.write_i64(m.round);
   w.write_i64(m.wave);
   m.share.serialize(w);
-  return w.take();
 }
 
-MsgType peek_type(const std::vector<std::uint8_t>& frame) {
+std::size_t encoded_size(const RegisterRequest& m) {
+  return kU8 + core::encoded_size(m.site_name) + core::encoded_size(m.token);
+}
+
+std::size_t encoded_size(const RegisterAck& m) {
+  return kU8 + kU8 + core::encoded_size(m.session_id) +
+         core::encoded_size(m.message);
+}
+
+std::size_t encoded_size(const GetTaskRequest& m) {
+  return kU8 + core::encoded_size(m.session_id) + kI64;
+}
+
+std::size_t encoded_size(const TaskMessage& m) {
+  return kU8 + kU8 + kI64 + kI64 + m.payload.encoded_size();
+}
+
+std::size_t encoded_size(const SubmitUpdateRequest& m) {
+  return kU8 + core::encoded_size(m.session_id) + kI64 + m.payload.encoded_size();
+}
+
+std::size_t encoded_size(const SubmitAck& m) {
+  return kU8 + kU8 + core::encoded_size(m.message) + kU8;
+}
+
+std::size_t encoded_size(const ErrorMessage& m) {
+  return kU8 + core::encoded_size(m.message) + kU8;
+}
+
+std::size_t encoded_size(const UnmaskRequest& m) {
+  std::size_t n = kU8 + kI64 + kI64 + kU32;
+  for (const std::string& site : m.dropped) n += core::encoded_size(site);
+  return n + m.skeleton.encoded_size();
+}
+
+std::size_t encoded_size(const UnmaskResponse& m) {
+  return kU8 + core::encoded_size(m.session_id) + kI64 + kI64 +
+         m.share.encoded_size();
+}
+
+MsgType peek_type(std::span<const std::uint8_t> frame) {
   if (frame.empty()) throw ProtocolError("empty frame");
   const std::uint8_t tag = frame[0];
   if (tag < static_cast<std::uint8_t>(MsgType::kRegister) ||
@@ -126,7 +162,7 @@ MsgType peek_type(const std::vector<std::uint8_t>& frame) {
   return static_cast<MsgType>(tag);
 }
 
-RegisterRequest decode_register(const std::vector<std::uint8_t>& frame) {
+RegisterRequest decode_register(std::span<const std::uint8_t> frame) {
   core::ByteReader r = expect(frame, MsgType::kRegister);
   RegisterRequest m;
   m.site_name = r.read_string();
@@ -134,7 +170,7 @@ RegisterRequest decode_register(const std::vector<std::uint8_t>& frame) {
   return m;
 }
 
-RegisterAck decode_register_ack(const std::vector<std::uint8_t>& frame) {
+RegisterAck decode_register_ack(std::span<const std::uint8_t> frame) {
   core::ByteReader r = expect(frame, MsgType::kRegisterAck);
   RegisterAck m;
   m.accepted = r.read_bool();
@@ -143,7 +179,7 @@ RegisterAck decode_register_ack(const std::vector<std::uint8_t>& frame) {
   return m;
 }
 
-GetTaskRequest decode_get_task(const std::vector<std::uint8_t>& frame) {
+GetTaskRequest decode_get_task(std::span<const std::uint8_t> frame) {
   core::ByteReader r = expect(frame, MsgType::kGetTask);
   GetTaskRequest m;
   m.session_id = r.read_string();
@@ -152,7 +188,7 @@ GetTaskRequest decode_get_task(const std::vector<std::uint8_t>& frame) {
   return m;
 }
 
-TaskMessage decode_task(const std::vector<std::uint8_t>& frame) {
+TaskMessage decode_task(std::span<const std::uint8_t> frame) {
   core::ByteReader r = expect(frame, MsgType::kTask);
   TaskMessage m;
   const std::uint8_t kind = r.read_u8();
@@ -166,7 +202,7 @@ TaskMessage decode_task(const std::vector<std::uint8_t>& frame) {
   return m;
 }
 
-SubmitUpdateRequest decode_submit(const std::vector<std::uint8_t>& frame) {
+SubmitUpdateRequest decode_submit(std::span<const std::uint8_t> frame) {
   core::ByteReader r = expect(frame, MsgType::kSubmitUpdate);
   SubmitUpdateRequest m;
   m.session_id = r.read_string();
@@ -175,7 +211,7 @@ SubmitUpdateRequest decode_submit(const std::vector<std::uint8_t>& frame) {
   return m;
 }
 
-SubmitAck decode_submit_ack(const std::vector<std::uint8_t>& frame) {
+SubmitAck decode_submit_ack(std::span<const std::uint8_t> frame) {
   core::ByteReader r = expect(frame, MsgType::kSubmitAck);
   SubmitAck m;
   m.accepted = r.read_bool();
@@ -188,7 +224,7 @@ SubmitAck decode_submit_ack(const std::vector<std::uint8_t>& frame) {
   return m;
 }
 
-ErrorMessage decode_error(const std::vector<std::uint8_t>& frame) {
+ErrorMessage decode_error(std::span<const std::uint8_t> frame) {
   core::ByteReader r = expect(frame, MsgType::kError);
   ErrorMessage m;
   m.message = r.read_string();
@@ -200,20 +236,22 @@ ErrorMessage decode_error(const std::vector<std::uint8_t>& frame) {
   return m;
 }
 
-UnmaskRequest decode_unmask_request(const std::vector<std::uint8_t>& frame) {
+UnmaskRequest decode_unmask_request(std::span<const std::uint8_t> frame) {
   core::ByteReader r = expect(frame, MsgType::kUnmaskRequest);
   UnmaskRequest m;
   m.round = r.read_i64();
   m.wave = r.read_i64();
   const std::uint32_t count = r.read_u32();
-  m.dropped.reserve(count);
+  // Each name takes at least its 4-byte length: a hostile count must not
+  // reserve more than the frame could possibly hold.
+  m.dropped.reserve(std::min<std::size_t>(count, r.remaining() / 4));
   for (std::uint32_t i = 0; i < count; ++i) m.dropped.push_back(r.read_string());
   // Trailing share skeleton, absent in pre-durability frames.
   if (r.remaining() > 0) m.skeleton = Dxo::deserialize(r);
   return m;
 }
 
-UnmaskResponse decode_unmask_response(const std::vector<std::uint8_t>& frame) {
+UnmaskResponse decode_unmask_response(std::span<const std::uint8_t> frame) {
   core::ByteReader r = expect(frame, MsgType::kUnmaskResponse);
   UnmaskResponse m;
   m.session_id = r.read_string();

@@ -7,11 +7,13 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/bytes.h"
 #include "flare/dxo.h"
+#include "flare/secure_channel.h"
 
 namespace cppflare::flare {
 
@@ -158,29 +160,62 @@ struct UnmaskResponse {
 inline constexpr const char* kDuplicateContribution = "duplicate contribution";
 
 // ---- encoding -----------------------------------------------------------
-// pack_* produce a full tagged frame; `peek_type` reads the tag; decode_*
-// expect the matching tag and throw ProtocolError otherwise.
+// `encode` appends a message's full tagged frame to a writer and
+// `encoded_size` is that frame's exact byte count. `pack` puts the frame in
+// one exactly reserved buffer; `seal_message` encodes it straight into the
+// envelope buffer instead (the same wire bytes as seal(..., pack(m), job),
+// without the separate frame buffer). `peek_type` reads the tag; decode_*
+// read a borrowed view (a buffer or an opened envelope's payload), expect
+// the matching tag and throw ProtocolError otherwise.
 
-std::vector<std::uint8_t> pack(const RegisterRequest& m);
-std::vector<std::uint8_t> pack(const RegisterAck& m);
-std::vector<std::uint8_t> pack(const GetTaskRequest& m);
-std::vector<std::uint8_t> pack(const TaskMessage& m);
-std::vector<std::uint8_t> pack(const SubmitUpdateRequest& m);
-std::vector<std::uint8_t> pack(const SubmitAck& m);
-std::vector<std::uint8_t> pack(const ErrorMessage& m);
-std::vector<std::uint8_t> pack(const UnmaskRequest& m);
-std::vector<std::uint8_t> pack(const UnmaskResponse& m);
+void encode(const RegisterRequest& m, core::ByteWriter& w);
+void encode(const RegisterAck& m, core::ByteWriter& w);
+void encode(const GetTaskRequest& m, core::ByteWriter& w);
+void encode(const TaskMessage& m, core::ByteWriter& w);
+void encode(const SubmitUpdateRequest& m, core::ByteWriter& w);
+void encode(const SubmitAck& m, core::ByteWriter& w);
+void encode(const ErrorMessage& m, core::ByteWriter& w);
+void encode(const UnmaskRequest& m, core::ByteWriter& w);
+void encode(const UnmaskResponse& m, core::ByteWriter& w);
 
-MsgType peek_type(const std::vector<std::uint8_t>& frame);
+std::size_t encoded_size(const RegisterRequest& m);
+std::size_t encoded_size(const RegisterAck& m);
+std::size_t encoded_size(const GetTaskRequest& m);
+std::size_t encoded_size(const TaskMessage& m);
+std::size_t encoded_size(const SubmitUpdateRequest& m);
+std::size_t encoded_size(const SubmitAck& m);
+std::size_t encoded_size(const ErrorMessage& m);
+std::size_t encoded_size(const UnmaskRequest& m);
+std::size_t encoded_size(const UnmaskResponse& m);
 
-RegisterRequest decode_register(const std::vector<std::uint8_t>& frame);
-RegisterAck decode_register_ack(const std::vector<std::uint8_t>& frame);
-GetTaskRequest decode_get_task(const std::vector<std::uint8_t>& frame);
-TaskMessage decode_task(const std::vector<std::uint8_t>& frame);
-SubmitUpdateRequest decode_submit(const std::vector<std::uint8_t>& frame);
-SubmitAck decode_submit_ack(const std::vector<std::uint8_t>& frame);
-ErrorMessage decode_error(const std::vector<std::uint8_t>& frame);
-UnmaskRequest decode_unmask_request(const std::vector<std::uint8_t>& frame);
-UnmaskResponse decode_unmask_response(const std::vector<std::uint8_t>& frame);
+template <class Message>
+std::vector<std::uint8_t> pack(const Message& m) {
+  core::ByteWriter w;
+  w.reserve(encoded_size(m));
+  encode(m, w);
+  return w.take();
+}
+
+template <class Message>
+std::vector<std::uint8_t> seal_message(const std::string& sender,
+                                       const std::vector<std::uint8_t>& secret,
+                                       std::uint64_t sequence, const Message& m,
+                                       const std::string& job_id = {}) {
+  return seal_encoded(
+      sender, secret, sequence, encoded_size(m),
+      [&m](core::ByteWriter& w) { encode(m, w); }, job_id);
+}
+
+MsgType peek_type(std::span<const std::uint8_t> frame);
+
+RegisterRequest decode_register(std::span<const std::uint8_t> frame);
+RegisterAck decode_register_ack(std::span<const std::uint8_t> frame);
+GetTaskRequest decode_get_task(std::span<const std::uint8_t> frame);
+TaskMessage decode_task(std::span<const std::uint8_t> frame);
+SubmitUpdateRequest decode_submit(std::span<const std::uint8_t> frame);
+SubmitAck decode_submit_ack(std::span<const std::uint8_t> frame);
+ErrorMessage decode_error(std::span<const std::uint8_t> frame);
+UnmaskRequest decode_unmask_request(std::span<const std::uint8_t> frame);
+UnmaskResponse decode_unmask_response(std::span<const std::uint8_t> frame);
 
 }  // namespace cppflare::flare

@@ -1,5 +1,6 @@
 #include "flare/persistor.h"
 
+#include <algorithm>
 #include <fstream>
 
 #include "core/bytes.h"
@@ -143,7 +144,8 @@ std::optional<Checkpoint> ModelPersistor::load() const {
   if (magic != kCheckpointMagicV1) {
     const bool v3 = magic == kCheckpointMagicV3;
     const std::uint32_t count = r.read_u32();
-    cp.history.reserve(count);
+    // Every record takes bytes: never reserve past what the file holds.
+    cp.history.reserve(std::min<std::size_t>(count, r.remaining()));
     for (std::uint32_t i = 0; i < count; ++i) {
       cp.history.push_back(read_metrics(r, v3));
     }

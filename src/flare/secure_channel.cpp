@@ -17,24 +17,42 @@ constexpr std::size_t kMacBytes = std::tuple_size_v<core::Digest>;
 // Wire layout: magic | sender | job_id | sequence | u64 length | payload |
 // MAC. The MAC covers everything between the magic and the MAC itself, so
 // both ends hash the envelope bytes in place.
+std::vector<std::uint8_t> seal_encoded(const std::string& sender,
+                                       const std::vector<std::uint8_t>& secret,
+                                       std::uint64_t sequence,
+                                       std::size_t payload_size,
+                                       const PayloadEncoder& encode,
+                                       const std::string& job_id) {
+  core::ByteWriter w;
+  w.reserve(kMagicBytes + core::encoded_size(sender) +
+            core::encoded_size(job_id) + 8 + 8 + payload_size + kMacBytes);
+  w.write_u32(kEnvelopeMagic);
+  w.write_string(sender);
+  w.write_string(job_id);
+  w.write_u64(sequence);
+  w.write_u64(payload_size);
+  const std::size_t payload_at = w.size();
+  encode(w);
+  if (w.size() - payload_at != payload_size) {
+    throw Error("seal: payload encoder wrote " +
+                std::to_string(w.size() - payload_at) + " bytes, sized for " +
+                std::to_string(payload_size));
+  }
+  const core::Digest mac = core::hmac_sha256(
+      secret, w.bytes().data() + kMagicBytes, w.size() - kMagicBytes);
+  w.write_raw(mac.data(), mac.size());
+  return w.take();
+}
+
 std::vector<std::uint8_t> seal(const std::string& sender,
                                const std::vector<std::uint8_t>& secret,
                                std::uint64_t sequence,
                                const std::vector<std::uint8_t>& payload,
                                const std::string& job_id) {
-  core::ByteWriter w;
-  w.reserve(kMagicBytes + 4 + sender.size() + 4 + job_id.size() + 8 + 8 +
-            payload.size() + kMacBytes);
-  w.write_u32(kEnvelopeMagic);
-  w.write_string(sender);
-  w.write_string(job_id);
-  w.write_u64(sequence);
-  w.write_u64(payload.size());
-  w.write_raw(payload.data(), payload.size());
-  const core::Digest mac = core::hmac_sha256(
-      secret, w.bytes().data() + kMagicBytes, w.size() - kMagicBytes);
-  w.write_raw(mac.data(), mac.size());
-  return w.take();
+  return seal_encoded(
+      sender, secret, sequence, payload.size(),
+      [&payload](core::ByteWriter& w) { w.write_raw(payload.data(), payload.size()); },
+      job_id);
 }
 
 Envelope open(const std::vector<std::uint8_t>& sealed,
@@ -54,17 +72,17 @@ Envelope open(const std::vector<std::uint8_t>& sealed,
   if (r.remaining() - kMacBytes != n) throw ProtocolError("envelope: trailing bytes");
   const std::size_t payload_at = r.position();
   const std::size_t mac_at = payload_at + static_cast<std::size_t>(n);
+  const core::Digest expect = core::hmac_sha256(
+      secret, sealed.data() + kMagicBytes, mac_at - kMagicBytes);
   core::Digest mac;
   std::copy_n(sealed.begin() + static_cast<std::ptrdiff_t>(mac_at), kMacBytes,
               mac.begin());
-  const core::Digest expect = core::hmac_sha256(
-      secret, sealed.data() + kMagicBytes, mac_at - kMagicBytes);
   if (!core::digests_equal(mac, expect)) {
     throw ProtocolError("envelope: MAC verification failed for sender '" +
                         env.sender + "'");
   }
-  env.payload.assign(sealed.begin() + static_cast<std::ptrdiff_t>(payload_at),
-                     sealed.begin() + static_cast<std::ptrdiff_t>(mac_at));
+  env.payload = std::span<const std::uint8_t>(sealed).subspan(
+      payload_at, static_cast<std::size_t>(n));
   return env;
 }
 

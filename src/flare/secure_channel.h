@@ -9,10 +9,13 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "core/bytes.h"
 #include "core/thread_annotations.h"
 #include "flare/provision.h"
 
@@ -26,8 +29,24 @@ struct Envelope {
   /// job router whenever more than one job is live.
   std::string job_id;
   std::uint64_t sequence = 0;
-  std::vector<std::uint8_t> payload;
+  /// View into the sealed bytes `open` verified: valid while they live.
+  std::span<const std::uint8_t> payload;
 };
+
+/// Appends exactly the payload bytes it was sized for to the envelope
+/// under construction.
+using PayloadEncoder = std::function<void(core::ByteWriter&)>;
+
+/// The sealing path: writes the envelope header into one buffer reserved
+/// for the whole frame, lets `encode` append the `payload_size` payload
+/// bytes in place, then MACs the buffer in place. Throws Error when
+/// `encode` writes a different number of bytes.
+std::vector<std::uint8_t> seal_encoded(const std::string& sender,
+                                       const std::vector<std::uint8_t>& secret,
+                                       std::uint64_t sequence,
+                                       std::size_t payload_size,
+                                       const PayloadEncoder& encode,
+                                       const std::string& job_id = {});
 
 /// Wraps `payload` in a MAC'd envelope as `sender` with `sequence`, bound
 /// to `job_id` (empty = unbound, the single-job wire shape).
@@ -37,11 +56,15 @@ std::vector<std::uint8_t> seal(const std::string& sender,
                                const std::vector<std::uint8_t>& payload,
                                const std::string& job_id = {});
 
-/// Parses and verifies an envelope against `secret`. Throws ProtocolError on
-/// malformed input or MAC mismatch. Does NOT check the sequence; callers
-/// with per-sender state use `SequenceTracker`.
+/// Parses and verifies an envelope against `secret` without copying it:
+/// the MAC is checked in place and `Envelope::payload` views `sealed`.
+/// Throws ProtocolError on malformed input or MAC mismatch. Does NOT check
+/// the sequence; callers with per-sender state use `SequenceTracker`.
 Envelope open(const std::vector<std::uint8_t>& sealed,
               const std::vector<std::uint8_t>& secret);
+/// The payload would view a temporary that dies with the full expression.
+Envelope open(std::vector<std::uint8_t>&& sealed,
+              const std::vector<std::uint8_t>& secret) = delete;
 
 /// Parses only the sender name (needed to look up the right secret before
 /// verification).

@@ -152,7 +152,7 @@ FederatedServer::~FederatedServer() {
     // ended, kNone otherwise) so no transport continuation outlives us.
     for (auto& [sender, park] : parked_) {
       ready_replies_.push_back(ReadyReply{sender, std::move(park.key),
-                                          build_poll_reply_locked(sender).body,
+                                          poll_reply_locked(sender),
                                           std::move(park.respond)});
     }
     parked_.clear();
@@ -227,8 +227,8 @@ std::vector<std::uint8_t> FederatedServer::handle_sealed(
           sender, key, pack(ErrorMessage{e.what(), ErrorCode::kRetryable}));
     }
     record_liveness(sender);
-    const std::vector<std::uint8_t> response = handle_frame(sender, env.payload);
-    const std::vector<std::uint8_t> sealed = seal_as_server(sender, key, response);
+    const Body response = handle_frame(sender, env.payload);
+    std::vector<std::uint8_t> sealed = seal_as_server(sender, key, *response);
     // The request may have advanced the round and released parked polls;
     // deliver them now that mu_ is free.
     drain_ready_replies();
@@ -296,7 +296,7 @@ void FederatedServer::handle_sealed_async(
         return;
       }
     }
-    respond(seal_as_server(sender, key, handle_frame(sender, env.payload)));
+    respond(seal_as_server(sender, key, *handle_frame(sender, env.payload)));
   } catch (const UnknownSessionError& e) {
     respond(seal_as_server(
         sender, key, pack(ErrorMessage{e.what(), ErrorCode::kUnknownSession})));
@@ -322,8 +322,7 @@ void FederatedServer::park_or_reply_get_task(const std::string& sender,
   }
   maybe_close_round_locked();
   service_parked_locked();
-  PollReply reply = build_poll_reply_locked(sender);
-  if (reply.parkable) {
+  if (poll_parks_locked(sender)) {
     // Park until the answer changes (round opens/advances/stops, or mask
     // recovery wants a share) or the clamped wait expires. One park per
     // site: a newer poll means the old connection is gone, so complete its
@@ -332,7 +331,7 @@ void FederatedServer::park_or_reply_get_task(const std::string& sender,
     if (existing != parked_.end()) {
       ready_replies_.push_back(ReadyReply{sender,
                                           std::move(existing->second.key),
-                                          reply.body,
+                                          poll_reply_locked(sender),
                                           std::move(existing->second.respond)});
       parked_.erase(existing);
     }
@@ -349,20 +348,20 @@ void FederatedServer::park_or_reply_get_task(const std::string& sender,
     return;
   }
   ready_replies_.push_back(
-      ReadyReply{sender, key, std::move(reply.body), std::move(respond)});
+      ReadyReply{sender, key, poll_reply_locked(sender), std::move(respond)});
 }
 
-std::vector<std::uint8_t> FederatedServer::handle_frame(
-    const std::string& sender, const std::vector<std::uint8_t>& frame) {
+FederatedServer::Body FederatedServer::handle_frame(
+    const std::string& sender, std::span<const std::uint8_t> frame) {
   switch (peek_type(frame)) {
     case MsgType::kRegister:
-      return on_register(sender, decode_register(frame));
+      return body_of(on_register(sender, decode_register(frame)));
     case MsgType::kGetTask:
       return on_get_task(sender, decode_get_task(frame));
     case MsgType::kSubmitUpdate:
-      return on_submit(sender, decode_submit(frame));
+      return body_of(on_submit(sender, decode_submit(frame)));
     case MsgType::kUnmaskResponse:
-      return on_unmask(sender, decode_unmask_response(frame));
+      return body_of(on_unmask(sender, decode_unmask_response(frame)));
     default:
       throw ProtocolError("unexpected message type from '" + sender + "'");
   }
@@ -423,52 +422,64 @@ std::vector<std::uint8_t> FederatedServer::on_register(const std::string& sender
           config_.job_id + ". Token:" + cred.token});
 }
 
-FederatedServer::PollReply FederatedServer::build_poll_reply_locked(
-    const std::string& sender) {
+TaskKind FederatedServer::task_kind_locked(const std::string& sender) const {
+  if (finished_ || aborted_) return TaskKind::kStop;
+  if (!started_ || resolved_locked(sender) || !participates_locked(sender)) {
+    return TaskKind::kNone;
+  }
+  return TaskKind::kTrain;
+}
+
+bool FederatedServer::poll_parks_locked(const std::string& sender) const {
+  if (finished_ || aborted_) return false;
+  // A round frozen in mask recovery has work only for share-owing survivors.
+  if (phase_ == RoundPhase::kRecovering) return unmask_pending_.count(sender) == 0;
+  return task_kind_locked(sender) == TaskKind::kNone;
+}
+
+FederatedServer::Body FederatedServer::poll_reply_locked(const std::string& sender) {
+  TaskMessage task;
+  task.round = round_;
+  task.total_rounds = config_.num_rounds;
   if (phase_ == RoundPhase::kRecovering && !finished_ && !aborted_) {
     if (unmask_pending_.count(sender) != 0) {
       // The skeleton lets a survivor restarted after a coordinator crash
       // (its mask filter's upload-time state gone) still derive its share.
-      return PollReply{
+      return body_of(
           pack(UnmaskRequest{round_, recovery_wave_, recovery_dropped_,
-                             Dxo(DxoKind::kWeights, global_.zeros_like())}),
-          /*parkable=*/false};
+                             Dxo(DxoKind::kWeights, global_.zeros_like())}));
     }
     // The round is frozen: nobody else gets work until recovery resolves.
-    TaskMessage none;
-    none.round = round_;
-    none.total_rounds = config_.num_rounds;
-    return PollReply{pack(none), /*parkable=*/true};
+    return body_of(pack(task));
   }
-  TaskMessage task = build_task_locked(sender);
-  const bool parkable =
-      task.task == TaskKind::kNone && !finished_ && !aborted_;
-  return PollReply{pack(task), parkable};
+  task.task = task_kind_locked(sender);
+  if (task.task == TaskKind::kTrain) return train_task_locked();
+  return body_of(pack(task));
 }
 
-TaskMessage FederatedServer::build_task_locked(const std::string& sender) {
-  TaskMessage task;
-  task.total_rounds = config_.num_rounds;
-  task.round = round_;
-  if (finished_ || aborted_) {
-    task.task = TaskKind::kStop;
-  } else if (!started_ || resolved_locked(sender) ||
-             !participates_locked(sender)) {
-    task.task = TaskKind::kNone;
-  } else {
-    task.task = TaskKind::kTrain;
-    task.payload = Dxo(DxoKind::kWeights, global_);
+FederatedServer::Body FederatedServer::train_task_locked() {
+  if (task_body_ != nullptr && task_body_round_ == round_) return task_body_;
+  // global_ is lent to the message rather than copied, and moved back
+  // whether or not packing succeeds.
+  TaskMessage task{TaskKind::kTrain, round_, config_.num_rounds,
+                   Dxo(DxoKind::kWeights, std::move(global_))};
+  try {
     task.payload.set_meta_int(Dxo::kMetaRound, round_);
+    task_body_ = body_of(pack(task));
+  } catch (...) {
+    global_ = std::move(task.payload.data());
+    throw;
   }
-  return task;
+  global_ = std::move(task.payload.data());
+  task_body_round_ = round_;
+  return task_body_;
 }
 
 void FederatedServer::service_parked_locked() {
   if (parked_.empty()) return;
   const auto now = std::chrono::steady_clock::now();
   for (auto it = parked_.begin(); it != parked_.end();) {
-    PollReply reply = build_poll_reply_locked(it->first);
-    if (reply.parkable && now < it->second.deadline) {
+    if (now < it->second.deadline && poll_parks_locked(it->first)) {
       ++it;
       continue;
     }
@@ -476,7 +487,7 @@ void FederatedServer::service_parked_locked() {
     // client was waiting on us, not silent — refresh its liveness clock.
     last_seen_[it->first] = now;
     ready_replies_.push_back(ReadyReply{it->first, std::move(it->second.key),
-                                        std::move(reply.body),
+                                        poll_reply_locked(it->first),
                                         std::move(it->second.respond)});
     it = parked_.erase(it);
   }
@@ -491,11 +502,8 @@ void FederatedServer::drain_ready_replies() {
     ready.swap(ready_replies_);
   }
   for (ReadyReply& reply : ready) {
-    // Free each body once sealed: when a round opens, every parked site's
-    // task (a full model) is staged here at once.
-    const std::vector<std::uint8_t> body = std::move(reply.body);
     try {
-      reply.respond(seal_as_server(reply.sender, reply.key, body));
+      reply.respond(seal_as_server(reply.sender, reply.key, *reply.body));
     } catch (const std::exception& e) {
       LOG_AS(kSag, warn)
           .msg("Dropping undeliverable parked reply")
@@ -538,8 +546,8 @@ void FederatedServer::ticker_loop() {
   }
 }
 
-std::vector<std::uint8_t> FederatedServer::on_get_task(const std::string& sender,
-                                                       const GetTaskRequest& req) {
+FederatedServer::Body FederatedServer::on_get_task(const std::string& sender,
+                                                   const GetTaskRequest& req) {
   core::MutexLock lock(mu_);
   CF_TRACE_SPAN_SITE("server.get_task", sender, round_);
   auto it = sessions_.find(sender);
@@ -548,7 +556,7 @@ std::vector<std::uint8_t> FederatedServer::on_get_task(const std::string& sender
   }
   maybe_close_round_locked();
   service_parked_locked();
-  return build_poll_reply_locked(sender).body;
+  return poll_reply_locked(sender);
 }
 
 void FederatedServer::record_rejection_locked(RejectReason reason) {
@@ -1078,6 +1086,7 @@ void FederatedServer::finish_round_locked(bool deadline_fired) {
   submitted_.clear();
   rejected_acks_.clear();
   scored_quarantined_.clear();
+  task_body_.reset();  // the next round's task carries the new global model
   round_ += 1;
   if (round_ >= config_.num_rounds) {
     finished_ = true;

@@ -20,6 +20,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -224,11 +225,18 @@ class FederatedServer {
   }
 
  private:
+  /// A packed reply body. Shared because every site polling round r gets
+  /// the same kTrain body, encoded once per round (train_task_locked).
+  using Body = std::shared_ptr<const std::vector<std::uint8_t>>;
+  static Body body_of(std::vector<std::uint8_t> bytes) {
+    return std::make_shared<const std::vector<std::uint8_t>>(std::move(bytes));
+  }
+
   std::vector<std::uint8_t> handle_sealed(const std::vector<std::uint8_t>& request);
   void handle_sealed_async(const std::vector<std::uint8_t>& request,
                            RespondFn respond);
-  std::vector<std::uint8_t> handle_frame(const std::string& sender,
-                                         const std::vector<std::uint8_t>& frame);
+  Body handle_frame(const std::string& sender,
+                    std::span<const std::uint8_t> frame);
   std::vector<std::uint8_t> seal_as_server(const std::string& sender,
                                            const std::vector<std::uint8_t>& key,
                                            const std::vector<std::uint8_t>& body);
@@ -242,27 +250,30 @@ class FederatedServer {
 
   std::vector<std::uint8_t> on_register(const std::string& sender,
                                         const RegisterRequest& req);
-  std::vector<std::uint8_t> on_get_task(const std::string& sender,
-                                        const GetTaskRequest& req);
+  Body on_get_task(const std::string& sender, const GetTaskRequest& req);
   std::vector<std::uint8_t> on_submit(const std::string& sender,
                                       SubmitUpdateRequest req);
   std::vector<std::uint8_t> on_unmask(const std::string& sender,
                                       const UnmaskResponse& req);
 
   FLContext make_context_locked() const CF_REQUIRES(mu_);
-  TaskMessage build_task_locked(const std::string& sender) CF_REQUIRES(mu_);
+  /// What `sender`'s task is outside mask recovery: kStop once the run is
+  /// over, kTrain while it owes this round a contribution, else kNone.
+  TaskKind task_kind_locked(const std::string& sender) const CF_REQUIRES(mu_);
+  /// True when a poll from `sender` would only get the do-nothing kNone
+  /// answer, which a long-poll holds instead of delivering. Decided from
+  /// round state alone; nothing is packed.
+  bool poll_parks_locked(const std::string& sender) const CF_REQUIRES(mu_);
   /// What a poll from `sender` should receive *now*: during mask recovery a
   /// survivor that owes its share gets an UnmaskRequest, everyone else a
-  /// TaskMessage. `parkable` marks the do-nothing kNone answer a long-poll
-  /// may hold instead of delivering.
-  struct PollReply {
-    std::vector<std::uint8_t> body;
-    bool parkable = false;
-  };
-  PollReply build_poll_reply_locked(const std::string& sender) CF_REQUIRES(mu_);
-  /// Completes every parked poll whose task is no longer kNone (or whose
-  /// deadline passed) by staging it on ready_replies_. Called after any
-  /// state change that can change build_task_locked's answer.
+  /// TaskMessage.
+  Body poll_reply_locked(const std::string& sender) CF_REQUIRES(mu_);
+  /// This round's kTrain TaskMessage body, packed on first use and shared
+  /// by every site the round hands it to.
+  Body train_task_locked() CF_REQUIRES(mu_);
+  /// Completes every parked poll that no longer parks (or whose deadline
+  /// passed) by staging its reply on ready_replies_. Called after any state
+  /// change that can change poll_parks_locked's answer.
   void service_parked_locked() CF_REQUIRES(mu_);
   /// Seals and delivers everything staged on ready_replies_. Must be called
   /// with mu_ RELEASED (respond may wake a client that immediately calls
@@ -360,6 +371,10 @@ class FederatedServer {
   std::set<std::string> evicted_
       CF_GUARDED_BY(mu_);                        // unseen past the timeout
   std::int64_t round_ CF_GUARDED_BY(mu_) = 0;
+  /// train_task_locked's cache: the packed kTrain body of round
+  /// `task_body_round_` (dropped when that round closes).
+  Body task_body_ CF_GUARDED_BY(mu_);
+  std::int64_t task_body_round_ CF_GUARDED_BY(mu_) = -1;
   /// True between a ctor journal replay and that round's close: the next
   /// start_round_locked must not resample or re-journal a round that is
   /// already open in the journal.
@@ -415,7 +430,7 @@ class FederatedServer {
   struct ReadyReply {
     std::string sender;
     std::vector<std::uint8_t> key;
-    std::vector<std::uint8_t> body;  // packed, not yet sealed
+    Body body;  // packed, not yet sealed
     RespondFn respond;
   };
   std::map<std::string, ParkedPoll> parked_ CF_GUARDED_BY(mu_);

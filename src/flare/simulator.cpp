@@ -95,31 +95,27 @@ class SimSite : public std::enable_shared_from_this<SimSite> {
  private:
   enum class Step { kRegister, kPoll, kSubmit, kUnmask };
 
-  /// Seals and dispatches the frame for the current step. The respond
-  /// callback only enqueues; all real work happens on a pool worker.
+  /// Seals and dispatches the frame for the current step, encoding the
+  /// request straight into the envelope. The respond callback only
+  /// enqueues; all real work happens on a pool worker.
   void send_step() {
-    std::vector<std::uint8_t> frame;
+    std::vector<std::uint8_t> sealed_frame;
     switch (step_) {
       case Step::kRegister:
-        frame = pack(RegisterRequest{credential_.name, credential_.token});
+        sealed_frame = seal_request(RegisterRequest{credential_.name, credential_.token});
         break;
       case Step::kPoll:
-        frame = pack(GetTaskRequest{session_id_, long_poll_ms_});
+        sealed_frame = seal_request(GetTaskRequest{session_id_, long_poll_ms_});
         break;
       case Step::kSubmit:
-        frame = pack(
-            SubmitUpdateRequest{session_id_, pending_round_, pending_update_});
+        submit_.session_id = session_id_;
+        sealed_frame = seal_request(submit_);
         break;
       case Step::kUnmask:
-        frame = pack(UnmaskResponse{session_id_, unmask_round_, unmask_wave_,
-                                    unmask_share_});
+        unmask_.session_id = session_id_;
+        sealed_frame = seal_request(unmask_);
         break;
     }
-    const std::vector<std::uint8_t> sealed_frame = seal(
-        credential_.name, credential_.secret, seq_.next(), frame, job_id_);
-    // Free the unsealed frame before the exchange: the in-process server
-    // handles it on this thread.
-    std::vector<std::uint8_t>().swap(frame);
     auto self = shared_from_this();
     dispatch_(sealed_frame, [self](std::vector<std::uint8_t> response) {
       self->enqueue(std::move(response));
@@ -133,9 +129,16 @@ class SimSite : public std::enable_shared_from_this<SimSite> {
     core::MutexLock lock(run_->mu);
     if (run_->stopping) return;  // runner gave up on us; pool may be dying
     auto self = shared_from_this();
-    // std::function needs a copyable callable, so the buffer is captured by
-    // value (moved in; the pool's enqueue copies once).
-    pool_->post([self, buf = std::move(response)] { self->resume(buf); });
+    // std::function needs a copyable callable: share the buffer so the
+    // pool's copies of the closure never copy the frame.
+    auto buf = std::make_shared<const std::vector<std::uint8_t>>(std::move(response));
+    pool_->post([self, buf] { self->resume(*buf); });
+  }
+
+  template <class Request>
+  std::vector<std::uint8_t> seal_request(const Request& request) {
+    return seal_message(credential_.name, credential_.secret, seq_.next(),
+                        request, job_id_);
   }
 
   void resume(const std::vector<std::uint8_t>& response) {
@@ -174,11 +177,11 @@ class SimSite : public std::enable_shared_from_this<SimSite> {
             }
             {
               CF_TRACE_SPAN_SITE("client.unmask", credential_.name, req.round);
-              unmask_share_ = masker_->unmask_share(req.dropped, req.round,
+              unmask_.share = masker_->unmask_share(req.dropped, req.round,
                                                     req.skeleton.data());
             }
-            unmask_round_ = req.round;
-            unmask_wave_ = req.wave;
+            unmask_.round = req.round;
+            unmask_.wave = req.wave;
             step_ = Step::kUnmask;
             break;
           }
@@ -204,6 +207,7 @@ class SimSite : public std::enable_shared_from_this<SimSite> {
                 .kv("site", credential_.name)
                 .kv("reason", reject_reason_name(ack.reason));
           }
+          submit_.payload = Dxo();  // acknowledged: no resend needs it
           step_ = Step::kPoll;
           break;
         }
@@ -215,9 +219,10 @@ class SimSite : public std::enable_shared_from_this<SimSite> {
                 .msg("unmask share not accepted:")
                 .msg(ack.message)
                 .kv("site", credential_.name)
-                .kv("round", unmask_round_)
-                .kv("wave", unmask_wave_);
+                .kv("round", unmask_.round)
+                .kv("wave", unmask_.wave);
           }
+          unmask_.share = Dxo();
           step_ = Step::kPoll;
           break;
         }
@@ -252,17 +257,18 @@ class SimSite : public std::enable_shared_from_this<SimSite> {
     ctx.site_name = credential_.name;
     ctx.current_round = task.round;
     ctx.total_rounds = task.total_rounds;
+    Dxo& update = submit_.payload;
     {
       CF_TRACE_SPAN_SITE("client.train", credential_.name, task.round);
-      pending_update_ = learner_->train(task.payload, ctx);
+      update = learner_->train(task.payload, ctx);
     }
-    if (!pending_update_.has_meta(Dxo::kMetaRound)) {
-      pending_update_.set_meta_int(Dxo::kMetaRound, task.round);
+    if (!update.has_meta(Dxo::kMetaRound)) {
+      update.set_meta_int(Dxo::kMetaRound, task.round);
     }
     // Same order as FederatedClient::run(): stamp the round, then the
     // outbound privacy chain (DP noise, pre-scaling, masking last).
-    filters_.process(pending_update_, ctx);
-    pending_round_ = task.round;
+    filters_.process(update, ctx);
+    submit_.round = task.round;
   }
 
   void finish(const std::string& error) {
@@ -290,11 +296,8 @@ class SimSite : public std::enable_shared_from_this<SimSite> {
   SequenceSource seq_;
   SequenceTracker server_seq_;
   std::string session_id_;
-  std::int64_t pending_round_ = 0;
-  Dxo pending_update_;
-  std::int64_t unmask_round_ = 0;
-  std::int64_t unmask_wave_ = 0;
-  Dxo unmask_share_;
+  SubmitUpdateRequest submit_;  // the trained update awaiting its ack
+  UnmaskResponse unmask_;       // the mask share awaiting its ack
   std::int64_t retries_ = 0;
   std::int64_t reregistrations_ = 0;
 };

@@ -81,6 +81,15 @@ void StateDict::serialize(core::ByteWriter& writer) const {
   }
 }
 
+std::size_t StateDict::encoded_size() const {
+  std::size_t n = 4 + 4;  // magic + entry count
+  for (const auto& [name, blob] : entries_) {
+    n += core::encoded_size(name) + core::encoded_size(blob.shape) +
+         core::encoded_size(blob.values);
+  }
+  return n;
+}
+
 StateDict StateDict::deserialize(core::ByteReader& reader) {
   if (reader.read_u32() != kStateDictMagic) {
     throw SerializationError("StateDict: bad magic");

@@ -56,6 +56,8 @@ class StateDict {
 
   // ---- wire format -------------------------------------------------------
   void serialize(core::ByteWriter& writer) const;
+  /// Exact byte count serialize() appends.
+  std::size_t encoded_size() const;
   static StateDict deserialize(core::ByteReader& reader);
 
   bool operator==(const StateDict& other) const = default;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "core/error.h"
@@ -109,6 +110,13 @@ TEST(ByteReader, AbsurdVectorLengthRejected) {
   EXPECT_THROW(r2.read_i64_vector(), SerializationError);
 }
 
+TEST(ByteReader, HostileI64CountFailsBeforeAllocating) {
+  ByteWriter w;
+  w.write_u64(1ULL << 31);  // 16 GiB worth of i64s, none provided
+  ByteReader r(w.bytes());
+  EXPECT_THROW(r.read_i64_vector(), SerializationError);
+}
+
 TEST(ByteReader, PositionTracking) {
   ByteWriter w;
   w.write_u32(1);
@@ -141,6 +149,54 @@ TEST(ByteRoundTrip, SpecialFloats) {
   EXPECT_TRUE(std::isinf(r.read_f32()));
   EXPECT_EQ(r.read_f32(), 0.0f);
   EXPECT_TRUE(std::isnan(r.read_f64()));
+}
+
+/// Floats whose bit patterns a value-based copy could alter: a quiet NaN
+/// with payload bits, a signalling NaN, -0, the smallest denormal, the
+/// largest denormal and the infinities.
+std::vector<std::uint32_t> tricky_f32_bits() {
+  return {0x7fc12345u, 0xffc00001u, 0x7f800001u, 0x80000000u, 0x00000001u,
+          0x007fffffu, 0x7f800000u, 0xff800000u, 0x3f800000u};
+}
+
+std::vector<float> floats_of(const std::vector<std::uint32_t>& bits) {
+  std::vector<float> v(bits.size());
+  std::memcpy(v.data(), bits.data(), bits.size() * sizeof(float));
+  return v;
+}
+
+// read_f32_vector builds its vector straight from the input bytes, which
+// may sit at any offset in a received frame: every bit must survive at
+// every alignment.
+TEST(ByteRoundTrip, F32VectorBitsSurviveEveryByteOffset) {
+  const std::vector<std::uint32_t> bits = tricky_f32_bits();
+  ByteWriter w;
+  w.write_f32_vector(floats_of(bits));
+  const std::vector<std::uint8_t> encoded = w.take();
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    std::vector<std::uint8_t> framed(offset, 0xee);
+    framed.insert(framed.end(), encoded.begin(), encoded.end());
+    ByteReader r(std::span<const std::uint8_t>(framed).subspan(offset));
+    const std::vector<float> back = r.read_f32_vector();
+    ASSERT_EQ(back.size(), bits.size()) << "offset " << offset;
+    std::vector<std::uint32_t> back_bits(back.size());
+    std::memcpy(back_bits.data(), back.data(), back.size() * sizeof(float));
+    EXPECT_EQ(back_bits, bits) << "offset " << offset;
+    EXPECT_TRUE(r.exhausted());
+  }
+}
+
+TEST(ByteWriter, EncodedSizesMatchWrites) {
+  const std::string s = "layer.0.weight";
+  const std::vector<float> f(13, 1.0f);
+  const std::vector<std::int64_t> i = {4, 5, 6};
+  ByteWriter w;
+  w.write_string(s);
+  EXPECT_EQ(w.size(), encoded_size(s));
+  w.write_f32_vector(f);
+  EXPECT_EQ(w.size(), encoded_size(s) + encoded_size(f));
+  w.write_i64_vector(i);
+  EXPECT_EQ(w.size(), encoded_size(s) + encoded_size(f) + encoded_size(i));
 }
 
 }  // namespace

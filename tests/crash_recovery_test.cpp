@@ -199,7 +199,8 @@ int run_wave(const std::string& dir, const std::string&) {
     const Credential& cred = registry.at(site);
     const auto response =
         dispatcher(seal(cred.name, cred.secret, seq[site].next(), frame));
-    return open(response, cred.secret).payload;
+    const Envelope env = open(response, cred.secret);
+    return std::vector<std::uint8_t>(env.payload.begin(), env.payload.end());
   };
   for (const std::string& site : names) {
     const RegisterAck ack = decode_register_ack(

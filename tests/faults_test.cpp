@@ -310,7 +310,8 @@ class ManualFederation {
     const Credential& cred = registry_.at(site);
     const auto response =
         dispatcher_(seal(cred.name, cred.secret, seq_[site].next(), frame));
-    return open(response, cred.secret).payload;
+    const Envelope env = open(response, cred.secret);
+    return {env.payload.begin(), env.payload.end()};
   }
 
   std::string register_site(const std::string& site) {

@@ -3,6 +3,9 @@
 // never a crash, hang, or silent misread of authenticated content.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <span>
+
 #include "core/rng.h"
 #include "flare/dxo.h"
 #include "flare/messages.h"
@@ -23,6 +26,25 @@ nn::StateDict sample_dict() {
   d.insert("layer.w", {{2, 3}, {1, 2, 3, 4, 5, 6}});
   d.insert("layer.b", {{3}, {0.5f, -0.5f, 0.25f}});
   return d;
+}
+
+/// Decodes `frame` as whatever message type its tag names.
+void decode_any(std::span<const std::uint8_t> frame) {
+  switch (flare::peek_type(frame)) {
+    case flare::MsgType::kRegister: (void)flare::decode_register(frame); break;
+    case flare::MsgType::kRegisterAck: (void)flare::decode_register_ack(frame); break;
+    case flare::MsgType::kGetTask: (void)flare::decode_get_task(frame); break;
+    case flare::MsgType::kTask: (void)flare::decode_task(frame); break;
+    case flare::MsgType::kSubmitUpdate: (void)flare::decode_submit(frame); break;
+    case flare::MsgType::kSubmitAck: (void)flare::decode_submit_ack(frame); break;
+    case flare::MsgType::kError: (void)flare::decode_error(frame); break;
+    case flare::MsgType::kUnmaskRequest:
+      (void)flare::decode_unmask_request(frame);
+      break;
+    case flare::MsgType::kUnmaskResponse:
+      (void)flare::decode_unmask_response(frame);
+      break;
+  }
 }
 
 TEST(FuzzStateDict, RandomBuffersNeverCrash) {
@@ -70,24 +92,64 @@ TEST(FuzzDxo, RandomBuffersNeverCrash) {
 TEST(FuzzMessages, RandomFramesNeverCrash) {
   core::Rng rng(3);
   for (int trial = 0; trial < 1000; ++trial) {
-    const auto frame = random_bytes(rng, static_cast<std::size_t>(
-                                             rng.uniform_int(0, 120)));
+    // Decoders read views that start anywhere inside a received envelope,
+    // so the random frame sits at a random offset of a larger buffer.
+    const auto offset = static_cast<std::size_t>(rng.uniform_int(0, 7));
+    const auto buffer = random_bytes(
+        rng, offset + static_cast<std::size_t>(rng.uniform_int(0, 120)));
     try {
-      switch (flare::peek_type(frame)) {
-        case flare::MsgType::kRegister: (void)flare::decode_register(frame); break;
-        case flare::MsgType::kRegisterAck:
-          (void)flare::decode_register_ack(frame);
-          break;
-        case flare::MsgType::kGetTask: (void)flare::decode_get_task(frame); break;
-        case flare::MsgType::kTask: (void)flare::decode_task(frame); break;
-        case flare::MsgType::kSubmitUpdate: (void)flare::decode_submit(frame); break;
-        case flare::MsgType::kSubmitAck: (void)flare::decode_submit_ack(frame); break;
-        case flare::MsgType::kError: (void)flare::decode_error(frame); break;
-      }
+      decode_any(std::span<const std::uint8_t>(buffer).subspan(offset));
     } catch (const Error&) {
     }
   }
   SUCCEED();
+}
+
+/// One valid frame of every message type, each with the prefix lengths at
+/// which its decoder legitimately accepts a shorter frame (the optional
+/// trailing fields of GetTaskRequest and UnmaskRequest).
+std::vector<std::pair<std::vector<std::uint8_t>, std::set<std::size_t>>>
+every_message_frame() {
+  flare::Dxo dxo(flare::DxoKind::kWeights, sample_dict());
+  dxo.set_meta_int(flare::Dxo::kMetaNumSamples, 7);
+  std::vector<std::pair<std::vector<std::uint8_t>, std::set<std::size_t>>> out;
+  const auto add = [&](std::vector<std::uint8_t> frame, std::set<std::size_t> ok) {
+    out.emplace_back(std::move(frame), std::move(ok));
+  };
+  add(flare::pack(flare::RegisterRequest{"site-1", "tok"}), {});
+  add(flare::pack(flare::RegisterAck{true, "sess-1", "hi"}), {});
+  const auto poll = flare::pack(flare::GetTaskRequest{"sess-1", 500});
+  add(poll, {poll.size() - 8});
+  add(flare::pack(flare::TaskMessage{flare::TaskKind::kTrain, 1, 3, dxo}), {});
+  add(flare::pack(flare::SubmitUpdateRequest{"sess-1", 1, dxo}), {});
+  add(flare::pack(flare::SubmitAck{false, "stale", flare::RejectReason::kStaleRound}),
+      {});
+  add(flare::pack(flare::ErrorMessage{"bad", flare::ErrorCode::kRetryable}), {});
+  const auto unmask = flare::pack(flare::UnmaskRequest{2, 0, {"site-3"}, dxo});
+  add(unmask, {unmask.size() - dxo.encoded_size()});
+  add(flare::pack(flare::UnmaskResponse{"sess-1", 2, 0, dxo}), {});
+  return out;
+}
+
+// The view an opened envelope hands out is followed in memory by the MAC,
+// so a decoder that overran its view would read real bytes instead of
+// faulting. Every proper prefix of every frame, viewed in place, must
+// therefore be refused (except the documented optional-field cut points).
+TEST(FuzzMessages, EveryTruncationOfAnOpenedViewFailsCleanly) {
+  const std::vector<std::uint8_t> key(32, 0x31);
+  for (const auto& [frame, accepted_prefixes] : every_message_frame()) {
+    const auto sealed = flare::seal("site-1", key, 1, frame, "job");
+    const flare::Envelope env = flare::open(sealed, key);
+    ASSERT_NO_THROW(decode_any(env.payload));
+    for (std::size_t len = 0; len < env.payload.size(); ++len) {
+      const auto view = env.payload.first(len);
+      if (accepted_prefixes.count(len) != 0) {
+        EXPECT_NO_THROW(decode_any(view)) << "tag " << int(frame[0]) << " len " << len;
+      } else {
+        EXPECT_THROW(decode_any(view), Error) << "tag " << int(frame[0]) << " len " << len;
+      }
+    }
+  }
 }
 
 TEST(FuzzEnvelope, EverySingleBitFlipBreaksTheMac) {
@@ -137,7 +199,8 @@ TEST(FuzzEnvelope, EveryTruncationFailsCleanly) {
     }
     return mutated;
   };
-  ASSERT_NO_THROW((void)flare::open(with_length(payload.size()), key));
+  const auto intact = with_length(payload.size());
+  ASSERT_NO_THROW((void)flare::open(intact, key));
   // Every value of every byte of the field, plus lengths that overflow a
   // naive `n + 32` bounds check or land one off either side.
   std::vector<std::uint64_t> lengths = {0, payload.size() - 1, payload.size() + 1,
@@ -151,8 +214,30 @@ TEST(FuzzEnvelope, EveryTruncationFailsCleanly) {
     }
   }
   for (const std::uint64_t n : lengths) {
-    EXPECT_THROW((void)flare::open(with_length(n), key), Error) << "length=" << n;
+    const auto mutated = with_length(n);
+    EXPECT_THROW((void)flare::open(mutated, key), Error) << "length=" << n;
   }
+}
+
+// A correctly MACed envelope only proves who sent it: an authenticated but
+// hostile peer can still seal garbage. Decoding the opened view (and every
+// truncation of it) must parse or throw a typed error.
+TEST(FuzzEnvelope, VerifiedGarbagePayloadsDecodeOrThrow) {
+  const std::vector<std::uint8_t> key(32, 0x52);
+  core::Rng rng(7);
+  for (int trial = 0; trial < 300; ++trial) {
+    auto payload = random_bytes(rng, static_cast<std::size_t>(rng.uniform_int(1, 90)));
+    payload[0] = static_cast<std::uint8_t>(rng.uniform_int(1, 9));  // a real tag
+    const auto sealed = flare::seal("site-1", key, 1, payload);
+    const flare::Envelope env = flare::open(sealed, key);
+    for (std::size_t len = 0; len <= env.payload.size(); ++len) {
+      try {
+        decode_any(env.payload.first(len));
+      } catch (const Error&) {
+      }
+    }
+  }
+  SUCCEED();
 }
 
 TEST(FuzzEnvelope, RandomGarbageNeverVerifies) {

@@ -517,15 +517,16 @@ TEST_F(JobsTest, CrossJobReplayDoesNotPoisonTheReplayTracker) {
   const std::vector<std::uint8_t> replayed =
       seal("site-1", site.secret, 1000,
            pack(RegisterRequest{"site-1", site.token}), "job-a");
-  Envelope reply = open(dispatch(replayed), site.secret);
-  EXPECT_EQ(decode_error(reply.payload).code, ErrorCode::kWrongJob);
+  const auto replayed_reply = dispatch(replayed);
+  EXPECT_EQ(decode_error(open(replayed_reply, site.secret).payload).code,
+            ErrorCode::kWrongJob);
 
   // The site's first legitimate job-b frame (sequence 1) still goes through.
   const std::vector<std::uint8_t> legit =
       seal("site-1", site.secret, 1,
            pack(RegisterRequest{"site-1", site.token}), "job-b");
-  reply = open(dispatch(legit), site.secret);
-  EXPECT_TRUE(decode_register_ack(reply.payload).accepted);
+  const auto legit_reply = dispatch(legit);
+  EXPECT_TRUE(decode_register_ack(open(legit_reply, site.secret).payload).accepted);
 
   EXPECT_TRUE(runner.abort("job-a", "test teardown"));
   EXPECT_TRUE(runner.abort("job-b", "test teardown"));
@@ -546,8 +547,8 @@ TEST_F(JobsTest, UnknownSendersCannotEnumerateHostedJobIds) {
   const auto probe = [&](const std::string& job_id) {
     const std::vector<std::uint8_t> frame =
         seal("mallory", empty_key, 1, pack(GetTaskRequest{"s", 0}), job_id);
-    const Envelope reply = open(dispatch(frame), empty_key);
-    return decode_error(reply.payload);
+    const auto reply = dispatch(frame);
+    return decode_error(open(reply, empty_key).payload);
   };
   const ErrorMessage hosted = probe("job-a");     // hosted here
   const ErrorMessage unhosted = probe("job-zz");  // not hosted anywhere

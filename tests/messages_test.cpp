@@ -147,10 +147,61 @@ TEST(Messages, SubmitAckRejectsUnknownReasonByte) {
   EXPECT_THROW(decode_submit_ack(frame), ProtocolError);
 }
 
+Dxo sample_dxo() {
+  nn::StateDict d;
+  d.insert("a.w", {{2, 3}, {1, 2, 3, 4, 5, 6}});
+  d.insert("b", {{1}, {-0.5f}});
+  Dxo dxo(DxoKind::kWeightDiff, d);
+  dxo.set_meta_int(Dxo::kMetaNumSamples, 12);
+  dxo.set_meta_double(Dxo::kMetaTrainLoss, 0.25);
+  return dxo;
+}
+
+// encoded_size is what pack and seal_message reserve, and seal_message
+// writes the length prefix from it before encoding: it must be exact.
+TEST(Messages, EncodedSizeIsExactForEveryMessage) {
+  const auto check = [](const auto& m) {
+    EXPECT_EQ(encoded_size(m), pack(m).size());
+  };
+  check(RegisterRequest{"site-1", "tok"});
+  check(RegisterAck{true, "sess-1", "welcome"});
+  check(GetTaskRequest{"sess-1", 250});
+  check(TaskMessage{TaskKind::kTrain, 2, 5, sample_dxo()});
+  check(TaskMessage{});
+  check(SubmitUpdateRequest{"sess-2", 4, sample_dxo()});
+  check(SubmitAck{false, "stale", RejectReason::kStaleRound});
+  check(ErrorMessage{"bad", ErrorCode::kRetryable});
+  check(UnmaskRequest{3, 1, {"site-2", "site-5"}, sample_dxo()});
+  check(UnmaskResponse{"sess-3", 3, 1, sample_dxo()});
+}
+
+TEST(Messages, SealMessageEqualsSealOfPack) {
+  const std::vector<std::uint8_t> key(32, 0x5a);
+  const SubmitUpdateRequest m{"sess-2", 4, sample_dxo()};
+  EXPECT_EQ(seal_message("site-1", key, 9, m, "job-a"),
+            seal("site-1", key, 9, pack(m), "job-a"));
+  const auto sealed = seal_message("site-1", key, 9, m, "job-a");
+  const SubmitUpdateRequest back = decode_submit(open(sealed, key).payload);
+  EXPECT_EQ(back.payload.data(), m.payload.data());
+  EXPECT_EQ(back.payload.meta_entries(), m.payload.meta_entries());
+}
+
+// Found by FuzzMessages: the dropped-site count used to size a reserve()
+// before any name was read, so a 7-byte frame claiming 2^32-1 names threw
+// std::bad_alloc instead of a typed error.
+TEST(Messages, UnmaskRequestHostileNameCountIsATypedError) {
+  core::ByteWriter w;
+  w.write_u8(static_cast<std::uint8_t>(MsgType::kUnmaskRequest));
+  w.write_i64(1);
+  w.write_i64(0);
+  w.write_u32(0xffffffffu);
+  EXPECT_THROW(decode_unmask_request(w.bytes()), SerializationError);
+}
+
 TEST(Messages, PeekTypeRejectsGarbage) {
   EXPECT_THROW(peek_type({}), ProtocolError);
-  EXPECT_THROW(peek_type({0}), ProtocolError);
-  EXPECT_THROW(peek_type({200}), ProtocolError);
+  EXPECT_THROW(peek_type(std::vector<std::uint8_t>{0}), ProtocolError);
+  EXPECT_THROW(peek_type(std::vector<std::uint8_t>{200}), ProtocolError);
 }
 
 TEST(Messages, DecodeWrongTypeThrows) {

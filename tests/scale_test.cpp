@@ -11,6 +11,7 @@
 
 #include "core/logging.h"
 #include "flare/hierarchy.h"
+#include "flare/secure_agg.h"
 #include "flare/simulator.h"
 
 namespace cppflare::flare {
@@ -174,7 +175,8 @@ class RawSite {
     const std::vector<std::uint8_t> secret = cred_.secret;
     dispatch_(sealed_frame, [prom, secret](std::vector<std::uint8_t> resp) {
       try {
-        prom->set_value(open(resp, secret).payload);
+        const Envelope env = open(resp, secret);
+        prom->set_value({env.payload.begin(), env.payload.end()});
       } catch (...) {
         prom->set_exception(std::current_exception());
       }
@@ -262,6 +264,143 @@ TEST_F(ScaleTest, ParkedPollExpiresWithNoneAtDeadline) {
                           .count();
   EXPECT_EQ(expired.task, TaskKind::kNone);
   EXPECT_GE(waited, 50);  // genuinely parked, not answered immediately
+}
+
+// ---- the round's shared task body ----------------------------------------
+
+/// The kTrain body every site polling `round` must receive, packed from
+/// scratch the way a per-site encode would.
+std::vector<std::uint8_t> expected_train_body(const nn::StateDict& global,
+                                              std::int64_t round,
+                                              std::int64_t rounds) {
+  TaskMessage task{TaskKind::kTrain, round, rounds, Dxo(DxoKind::kWeights, global)};
+  task.payload.set_meta_int(Dxo::kMetaRound, round);
+  return pack(task);
+}
+
+std::vector<std::unique_ptr<RawSite>> raw_sites(
+    const std::map<std::string, Credential>& registry, FederatedServer& server) {
+  std::vector<std::unique_ptr<RawSite>> sites;
+  for (const auto& [name, cred] : registry) {
+    // The registry also holds the server's own identity, which is not a site.
+    if (name.rfind("site-", 0) != 0) continue;
+    sites.push_back(std::make_unique<RawSite>(cred, server.async_dispatcher()));
+  }
+  return sites;
+}
+
+// The server encodes a round's kTrain body once and shares it between every
+// site. Parked polls the round's opening releases and polls answered inline
+// must all carry exactly the bytes of a fresh pack of the round's task, the
+// body must change once the round closes, and parked polls must get kStop
+// when the run finishes.
+TEST_F(ScaleTest, TrainTaskBodyIsSharedAndExactEveryRound) {
+  for (const bool masked : {false, true}) {
+    SCOPED_TRACE(masked ? "masked" : "unmasked");
+    constexpr std::int64_t kRounds = 2;
+    const auto registry = Provisioner("scale-task", 7).provision_sites(8);
+    ServerConfig config;
+    config.job_id = "scale-task";
+    config.num_rounds = kRounds;
+    config.min_clients = 8;
+    config.expected_clients = 8;
+    config.secure_agg.enabled = masked;
+    std::unique_ptr<Aggregator> aggregator;
+    if (masked) {
+      aggregator = std::make_unique<MaskedFedAvgAggregator>();
+    } else {
+      aggregator = std::make_unique<FedAvgAggregator>(true);
+    }
+    const nn::StateDict initial = lcg_contribution(99, 1).data();
+    FederatedServer server(config, registry, initial, std::move(aggregator));
+    // The global model each round trains on. Observers run on the submitting
+    // site's dispatch, which completes before its submit future is ready.
+    std::vector<nn::StateDict> globals{initial};
+    server.add_round_observer(
+        [&globals](std::int64_t, const nn::StateDict& global, const RoundMetrics&) {
+          globals.push_back(global);
+        });
+
+    auto sites = raw_sites(registry, server);
+    // Seven sites register and park their polls; the eighth opens round 0
+    // and its own poll is answered inline.
+    std::vector<std::future<std::vector<std::uint8_t>>> polls;
+    for (std::size_t i = 0; i + 1 < sites.size(); ++i) {
+      sites[i]->register_site();
+      polls.push_back(sites[i]->get_task(10000));
+    }
+    sites.back()->register_site();
+    polls.push_back(sites.back()->get_task(10000));
+
+    std::vector<std::uint8_t> previous;
+    for (std::int64_t round = 0; round < kRounds; ++round) {
+      ASSERT_EQ(globals.size(), static_cast<std::size_t>(round + 1));
+      const std::vector<std::uint8_t> expected =
+          expected_train_body(globals.back(), round, kRounds);
+      EXPECT_NE(expected, previous) << "round " << round;
+      for (auto& poll : polls) {
+        ASSERT_EQ(poll.wait_for(std::chrono::seconds(5)), std::future_status::ready);
+        EXPECT_EQ(poll.get(), expected) << "round " << round;
+      }
+      previous = expected;
+      // Every site submits and polls again: it parks (resolved) until the
+      // last submit closes the round and releases the next round's task.
+      polls.clear();
+      for (auto& site : sites) {
+        site->submit(round);
+        polls.push_back(site->get_task(10000));
+      }
+    }
+    for (auto& poll : polls) {
+      ASSERT_EQ(poll.wait_for(std::chrono::seconds(5)), std::future_status::ready);
+      EXPECT_EQ(decode_task(poll.get()).task, TaskKind::kStop);
+    }
+    EXPECT_TRUE(server.wait_until_finished(1000));
+  }
+}
+
+// Sampled-out sites get kNone (inline, and by parking); when the run is
+// aborted, every parked poll completes with kStop.
+TEST_F(ScaleTest, SampledOutSitesGetNoneAndParkedPollsStopOnAbort) {
+  const auto registry = Provisioner("scale-sample-abort", 8).provision_sites(8);
+  ServerConfig config;
+  config.job_id = "scale-sample-abort";
+  config.num_rounds = 3;
+  config.min_clients = 5;
+  config.expected_clients = 8;
+  config.clients_per_round = 5;
+  const nn::StateDict initial = lcg_contribution(42, 1).data();
+  FederatedServer server(config, registry, initial,
+                         std::make_unique<FedAvgAggregator>(true));
+  auto sites = raw_sites(registry, server);
+  for (auto& site : sites) site->register_site();
+
+  const std::vector<std::uint8_t> train = expected_train_body(initial, 0, 3);
+  std::vector<RawSite*> sampled_out;
+  for (auto& site : sites) {
+    const std::vector<std::uint8_t> body = site->get_task(0).get();
+    const TaskMessage task = decode_task(body);
+    if (task.task == TaskKind::kTrain) {
+      EXPECT_EQ(body, train);
+    } else {
+      EXPECT_EQ(task.task, TaskKind::kNone);
+      EXPECT_EQ(task.round, 0);
+      sampled_out.push_back(site.get());
+    }
+  }
+  ASSERT_EQ(sampled_out.size(), 3u);
+
+  std::vector<std::future<std::vector<std::uint8_t>>> parked;
+  for (RawSite* site : sampled_out) parked.push_back(site->get_task(10000));
+  for (auto& poll : parked) {
+    EXPECT_EQ(poll.wait_for(std::chrono::milliseconds(50)),
+              std::future_status::timeout);
+  }
+  EXPECT_TRUE(server.abort("operator abort"));
+  for (auto& poll : parked) {
+    ASSERT_EQ(poll.wait_for(std::chrono::seconds(5)), std::future_status::ready);
+    EXPECT_EQ(decode_task(poll.get()).task, TaskKind::kStop);
+  }
 }
 
 // ---- seeded sampling determinism ----------------------------------------

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/error.h"
 
 namespace cppflare::flare {
@@ -16,7 +18,7 @@ TEST(SecureChannel, SealOpenRoundTrip) {
   const Envelope env = open(sealed, key_a());
   EXPECT_EQ(env.sender, "site-1");
   EXPECT_EQ(env.sequence, 7u);
-  EXPECT_EQ(env.payload, payload);
+  EXPECT_TRUE(std::ranges::equal(env.payload, payload));
 }
 
 // The sealed bytes for fixed inputs, pinned so that no change to the
@@ -44,7 +46,29 @@ TEST(SecureChannel, GoldenFrameIsStable) {
   EXPECT_EQ(env.sender, "site-3");
   EXPECT_EQ(env.job_id, "adr-bert");
   EXPECT_EQ(env.sequence, 0x0102030405060708ull);
-  EXPECT_EQ(env.payload, payload);
+  EXPECT_TRUE(std::ranges::equal(env.payload, payload));
+}
+
+TEST(SecureChannel, OpenViewsThePayloadInPlace) {
+  const std::vector<std::uint8_t> payload = {4, 5, 6};
+  const auto sealed = seal("site-1", key_a(), 3, payload, "job");
+  const Envelope env = open(sealed, key_a());
+  // No copy: the payload is the three bytes before the 32-byte MAC.
+  EXPECT_EQ(env.payload.data(), sealed.data() + sealed.size() - 32 - 3);
+  EXPECT_EQ(env.payload.size(), 3u);
+}
+
+TEST(SecureChannel, SealEncodedMatchesSealAndChecksTheDeclaredSize) {
+  const std::vector<std::uint8_t> payload = {9, 8, 7, 6};
+  const auto write = [&](core::ByteWriter& w) {
+    w.write_raw(payload.data(), payload.size());
+  };
+  EXPECT_EQ(seal_encoded("site-2", key_a(), 5, payload.size(), write, "job"),
+            seal("site-2", key_a(), 5, payload, "job"));
+  // A payload size that disagrees with what the encoder writes would put a
+  // wrong length on the wire: refused before anything is MACed.
+  EXPECT_THROW((void)seal_encoded("site-2", key_a(), 5, 3, write), Error);
+  EXPECT_THROW((void)seal_encoded("site-2", key_a(), 5, 5, write), Error);
 }
 
 TEST(SecureChannel, EmptyPayloadAllowed) {
@@ -85,7 +109,8 @@ TEST(SecureChannel, TamperedSenderDetected) {
 }
 
 TEST(SecureChannel, MalformedEnvelopeRejected) {
-  EXPECT_THROW(open({1, 2, 3}, key_a()), Error);
+  const std::vector<std::uint8_t> short_frame = {1, 2, 3};
+  EXPECT_THROW(open(short_frame, key_a()), Error);
   std::vector<std::uint8_t> bad(64, 0);
   EXPECT_THROW(open(bad, key_a()), ProtocolError);
 }

@@ -152,7 +152,8 @@ TEST_F(ServerClientTest, GetTaskWithoutSessionFails) {
   auto dispatcher = server->dispatcher();
   const Credential& cred = registry_.at("site-1");
   const auto sealed = seal(cred.name, cred.secret, 1, pack(GetTaskRequest{"bogus"}));
-  const Envelope env = open(dispatcher(sealed), cred.secret);
+  const auto response = dispatcher(sealed);
+  const Envelope env = open(response, cred.secret);
   EXPECT_EQ(peek_type(env.payload), MsgType::kError);
 }
 
@@ -167,7 +168,8 @@ TEST_F(ServerClientTest, StaleRoundSubmissionRejected) {
                   const std::vector<std::uint8_t>& frame) {
     const auto resp =
         dispatcher(seal(cred.name, cred.secret, seq.next(), frame));
-    return open(resp, cred.secret).payload;
+    const Envelope env = open(resp, cred.secret);
+    return std::vector<std::uint8_t>(env.payload.begin(), env.payload.end());
   };
 
   const RegisterAck a1 = decode_register_ack(
@@ -201,9 +203,9 @@ TEST_F(ServerClientTest, DuplicateSubmissionRejected) {
   SequenceSource seq1, seq2;
   auto call = [&](const Credential& cred, SequenceSource& seq,
                   const std::vector<std::uint8_t>& frame) {
-    return open(dispatcher(seal(cred.name, cred.secret, seq.next(), frame)),
-                cred.secret)
-        .payload;
+    const auto response = dispatcher(seal(cred.name, cred.secret, seq.next(), frame));
+    const Envelope env = open(response, cred.secret);
+    return std::vector<std::uint8_t>(env.payload.begin(), env.payload.end());
   };
   const RegisterAck a1 = decode_register_ack(
       call(c1, seq1, pack(RegisterRequest{c1.name, c1.token})));
@@ -224,8 +226,9 @@ TEST_F(ServerClientTest, TaskNoneBeforeAllRegistered) {
   const Credential& c1 = registry_.at("site-1");
   SequenceSource seq1;
   auto call = [&](const std::vector<std::uint8_t>& frame) {
-    return open(dispatcher(seal(c1.name, c1.secret, seq1.next(), frame)), c1.secret)
-        .payload;
+    const auto response = dispatcher(seal(c1.name, c1.secret, seq1.next(), frame));
+    const Envelope env = open(response, c1.secret);
+    return std::vector<std::uint8_t>(env.payload.begin(), env.payload.end());
   };
   const RegisterAck ack = decode_register_ack(
       call(pack(RegisterRequest{c1.name, c1.token})));
@@ -239,9 +242,11 @@ TEST_F(ServerClientTest, ReplayedEnvelopeRejected) {
   const Credential& c1 = registry_.at("site-1");
   const auto sealed = seal(c1.name, c1.secret, 1,
                            pack(RegisterRequest{c1.name, c1.token}));
-  const Envelope first = open(dispatcher(sealed), c1.secret);
+  const auto first_response = dispatcher(sealed);
+  const Envelope first = open(first_response, c1.secret);
   EXPECT_EQ(peek_type(first.payload), MsgType::kRegisterAck);
-  const Envelope replay = open(dispatcher(sealed), c1.secret);
+  const auto replay_response = dispatcher(sealed);
+  const Envelope replay = open(replay_response, c1.secret);
   EXPECT_EQ(peek_type(replay.payload), MsgType::kError);
 }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <span>
+
 #include "core/error.h"
 
 namespace cppflare::nn {
@@ -111,6 +115,35 @@ TEST(StateDict, EmptyDictRoundTrip) {
   a.serialize(w);
   core::ByteReader r(w.bytes());
   EXPECT_EQ(StateDict::deserialize(r).size(), 0u);
+}
+
+// A state dict inside a received frame starts wherever the headers before
+// it end. Deserializing at every byte offset must reproduce every float bit
+// (NaN payloads, -0, denormals), and encoded_size must be what serialize
+// writes.
+TEST(StateDict, RoundTripKeepsFloatBitsAtOddOffsets) {
+  const std::vector<std::uint32_t> bits = {0x7fc0beefu, 0xffa00001u, 0x80000000u,
+                                           0x00000001u, 0x807fffffu, 0x00400000u};
+  std::vector<float> values(bits.size());
+  std::memcpy(values.data(), bits.data(), bits.size() * sizeof(float));
+  StateDict a;
+  a.insert("odd", ParamBlob{{2, 3}, values});
+  a.insert("scalar", ParamBlob{{1}, {-0.0f}});
+  core::ByteWriter w;
+  a.serialize(w);
+  EXPECT_EQ(w.size(), a.encoded_size());
+  for (std::size_t offset : {1u, 2u, 3u, 5u, 7u}) {
+    std::vector<std::uint8_t> framed(offset, 0x11);
+    framed.insert(framed.end(), w.bytes().begin(), w.bytes().end());
+    core::ByteReader r(std::span<const std::uint8_t>(framed).subspan(offset));
+    const StateDict b = StateDict::deserialize(r);
+    EXPECT_TRUE(r.exhausted());
+    const std::vector<float>& got = b.at("odd").values;
+    ASSERT_EQ(got.size(), bits.size());
+    EXPECT_EQ(std::memcmp(got.data(), bits.data(), bits.size() * sizeof(float)), 0)
+        << "offset " << offset;
+    EXPECT_TRUE(std::signbit(b.at("scalar").values[0])) << "offset " << offset;
+  }
 }
 
 }  // namespace
