@@ -92,7 +92,7 @@ void drive_job(flare::JobRunner& runner,
       config.max_idle_ms = 60000;
       flare::FederatedClient client(
           config, pool.at(name),
-          std::make_unique<flare::AsyncInProcConnection>(
+          std::make_unique<flare::InProcConnection>(
               runner.async_router()),
           std::make_shared<NudgeLearner>(
               name, static_cast<float>(i + 10 * job_index)));
@@ -192,7 +192,7 @@ int main(int argc, char** argv) {
   }
   for (std::thread& t : drivers) t.join();
   flare::AdminClient admin(
-      std::make_unique<flare::AsyncInProcConnection>(runner.async_router()),
+      std::make_unique<flare::InProcConnection>(runner.async_router()),
       pool.at("admin"));
   const double status_us = admin_mean_us(admin, "status job-0");
   const double metrics_us = admin_mean_us(admin, "metrics job-0");

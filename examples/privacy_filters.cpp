@@ -46,6 +46,6 @@ int main(int argc, char** argv) {
   std::printf(
       "\nlarger sigma -> stronger per-update privacy but lower utility.\n"
       "NormClipFilter and ExcludeVarsFilter compose the same way through\n"
-      "FederatedClient::outbound_filters() (see flare/filters.h).\n");
+      "SiteSession::outbound_filters() (see flare/filters.h).\n");
   return 0;
 }

@@ -73,7 +73,7 @@ int run_server(std::uint16_t port, std::int64_t clients, std::int64_t rounds) {
   config.expected_clients = clients;
   flare::FederatedServer server(config, registry, initial->state_dict(),
                                 std::make_unique<flare::FedAvgAggregator>(true));
-  flare::TcpServer transport(port, server.dispatcher());
+  flare::TcpServer transport(port, server.async_dispatcher());
   std::printf("server listening on 127.0.0.1:%u for %lld clients, %lld rounds\n",
               transport.port(), static_cast<long long>(clients),
               static_cast<long long>(rounds));

@@ -8,8 +8,9 @@
 #   3. tsa           Clang -Wthread-safety over the CF_GUARDED_BY/CF_REQUIRES
 #                    annotations (compile-only; skipped loudly without clang++)
 #   4. tidy          clang-tidy over src/ (skipped loudly when not installed)
-#   5. tests         full suite under ASan+UBSan, then the threaded subset
-#                    under TSan
+#   5. tests         full suite under ASan+UBSan, the served TCP path
+#                    (scripts/tcp_smoke.sh) under ASan+UBSan, then the
+#                    threaded subset under TSan
 #
 # A subset of scripts/check_all.sh sized for every-push latency.
 #
@@ -61,6 +62,9 @@ fi
 
 step "asan-ubsan: full ctest"
 ctest --preset asan-ubsan -j "${JOBS}"
+
+step "asan-ubsan: served TCP path (tcp_federation server + 2 clients)"
+"${SCRIPT_DIR}/tcp_smoke.sh" build-asan-ubsan
 
 step "tsan: build + threaded/stress ctest"
 cmake --preset tsan

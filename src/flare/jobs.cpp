@@ -522,8 +522,7 @@ JobRunner::Route JobRunner::resolve(const std::vector<std::uint8_t>& request) {
             pack(ErrorMessage{"job '" + job->id + "' is starting",
                               ErrorCode::kRetryable}));
       } else {
-        route.sync_dispatch = job->server->dispatcher();
-        route.async_dispatch = job->server->async_dispatcher();
+        route.dispatch = job->server->async_dispatcher();
       }
       return route;
     }
@@ -532,19 +531,11 @@ JobRunner::Route JobRunner::resolve(const std::vector<std::uint8_t>& request) {
   return route;
 }
 
-Dispatcher JobRunner::router() {
-  return [this](const std::vector<std::uint8_t>& request) {
-    Route route = resolve(request);
-    if (route.sync_dispatch) return route.sync_dispatch(request);
-    return route.reply;
-  };
-}
-
 AsyncDispatcher JobRunner::async_router() {
   return [this](const std::vector<std::uint8_t>& request, RespondFn respond) {
     Route route = resolve(request);
-    if (route.async_dispatch) {
-      route.async_dispatch(request, std::move(respond));
+    if (route.dispatch) {
+      route.dispatch(request, std::move(respond));
       return;
     }
     respond(std::move(route.reply));

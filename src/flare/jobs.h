@@ -151,12 +151,11 @@ class JobRunner {
   /// timeout.
   bool wait_all(std::int64_t timeout_ms);
 
-  /// Transport entry points: route each sealed frame to the job its
+  /// Transport entry point: routes each sealed frame to the job its
   /// envelope names (admin frames to the admin handler). Unknown or
   /// unbound-but-ambiguous jobs are rejected with the typed
   /// ErrorCode::kWrongJob; frames for a queued job get kRetryable until it
-  /// is admitted. The callables must not outlive the runner.
-  Dispatcher router();
+  /// is admitted. The callable must not outlive the runner.
   AsyncDispatcher async_router();
 
   /// Parses and executes one admin command line; returns the reply text.
@@ -202,9 +201,8 @@ class JobRunner {
   /// Routing decision resolved under mu_, executed outside it (dispatching
   /// into a server takes that server's lock; see lock-order note above).
   struct Route {
-    Dispatcher sync_dispatch;            // set: forward (synchronous path)
-    AsyncDispatcher async_dispatch;      // set: forward (long-poll path)
-    std::vector<std::uint8_t> reply;     // set: answer directly (errors)
+    AsyncDispatcher dispatch;         // set: forward to the job's server
+    std::vector<std::uint8_t> reply;  // set: answer directly (errors)
   };
   Route resolve(const std::vector<std::uint8_t>& request);
   std::vector<std::uint8_t> handle_admin(const std::vector<std::uint8_t>& request);

@@ -183,8 +183,7 @@ GetTaskRequest decode_get_task(std::span<const std::uint8_t> frame) {
   core::ByteReader r = expect(frame, MsgType::kGetTask);
   GetTaskRequest m;
   m.session_id = r.read_string();
-  // Trailing long-poll budget, absent in pre-long-poll frames.
-  if (r.remaining() > 0) m.wait_ms = r.read_i64();
+  m.wait_ms = r.read_i64();
   return m;
 }
 
@@ -246,8 +245,7 @@ UnmaskRequest decode_unmask_request(std::span<const std::uint8_t> frame) {
   // reserve more than the frame could possibly hold.
   m.dropped.reserve(std::min<std::size_t>(count, r.remaining() / 4));
   for (std::uint32_t i = 0; i < count; ++i) m.dropped.push_back(r.read_string());
-  // Trailing share skeleton, absent in pre-durability frames.
-  if (r.remaining() > 0) m.skeleton = Dxo::deserialize(r);
+  m.skeleton = Dxo::deserialize(r);
   return m;
 }
 

@@ -50,10 +50,8 @@ struct RegisterAck {
 struct GetTaskRequest {
   std::string session_id;
   /// Long-poll budget: the server may park this call for up to `wait_ms`
-  /// before answering kNone (0 = answer immediately; the pre-long-poll wire
-  /// shape). Servers clamp it (kMaxGetTaskWaitMs) and only park on the
-  /// async dispatch path. Decoded leniently so old frames without the
-  /// trailing field still parse as wait_ms = 0.
+  /// before answering kNone (0 = answer immediately). Servers clamp it
+  /// (kMaxGetTaskWaitMs).
   std::int64_t wait_ms = 0;
 };
 
@@ -141,7 +139,7 @@ struct UnmaskRequest {
   /// nothing the honest-but-curious server doesn't already publish). A
   /// survivor restarted after a coordinator crash lost the skeleton its
   /// mask filter recorded at upload time; this field lets it answer anyway
-  /// (DESIGN.md §15). Absent in pre-durability frames (lenient decode).
+  /// (DESIGN.md §15).
   Dxo skeleton;
 };
 

@@ -163,15 +163,9 @@ FederatedServer::~FederatedServer() {
   drain_ready_replies();
 }
 
-Dispatcher FederatedServer::dispatcher() {
-  return [this](const std::vector<std::uint8_t>& request) {
-    return handle_sealed(request);
-  };
-}
-
 AsyncDispatcher FederatedServer::async_dispatcher() {
   return [this](const std::vector<std::uint8_t>& request, RespondFn respond) {
-    handle_sealed_async(request, std::move(respond));
+    dispatch(request, std::move(respond));
   };
 }
 
@@ -184,8 +178,8 @@ std::vector<std::uint8_t> FederatedServer::seal_as_server(
               config_.job_id);
 }
 
-std::vector<std::uint8_t> FederatedServer::handle_sealed(
-    const std::vector<std::uint8_t>& request) {
+void FederatedServer::dispatch(const std::vector<std::uint8_t>& request,
+                               RespondFn respond) {
   std::string sender;
   std::vector<std::uint8_t> key;
   try {
@@ -202,8 +196,9 @@ std::vector<std::uint8_t> FederatedServer::handle_sealed(
       // The frame failed verification *before* it was trusted: a corrupted
       // or truncated envelope. That is damage in flight, not a misbehaving
       // application — tell the client to re-seal and resend.
-      return seal_as_server(
-          sender, key, pack(ErrorMessage{e.what(), ErrorCode::kRetryable}));
+      respond(seal_as_server(
+          sender, key, pack(ErrorMessage{e.what(), ErrorCode::kRetryable})));
+      return;
     }
     if (!env.job_id.empty() && env.job_id != config_.job_id) {
       // Authenticated but bound to another job: a misrouted or cross-job
@@ -212,67 +207,6 @@ std::vector<std::uint8_t> FederatedServer::handle_sealed(
       // credential across jobs, so a replayed high-sequence frame from
       // another job must not poison this job's per-sender sequence state
       // (it would wedge the site's legitimate client as a false replay).
-      return seal_as_server(
-          sender, key,
-          pack(ErrorMessage{"frame bound to job '" + env.job_id +
-                                "' reached job '" + config_.job_id + "'",
-                            ErrorCode::kWrongJob}));
-    }
-    try {
-      inbound_seq_.check_and_advance(sender, env.sequence);
-    } catch (const std::exception& e) {
-      // Replayed envelope: retryable, the client re-seals with a fresh
-      // sequence and resends.
-      return seal_as_server(
-          sender, key, pack(ErrorMessage{e.what(), ErrorCode::kRetryable}));
-    }
-    record_liveness(sender);
-    const Body response = handle_frame(sender, env.payload);
-    std::vector<std::uint8_t> sealed = seal_as_server(sender, key, *response);
-    // The request may have advanced the round and released parked polls;
-    // deliver them now that mu_ is free.
-    drain_ready_replies();
-    return sealed;
-  } catch (const UnknownSessionError& e) {
-    return seal_as_server(sender, key,
-                          pack(ErrorMessage{e.what(), ErrorCode::kUnknownSession}));
-  } catch (const TransportError& e) {
-    return seal_as_server(sender, key,
-                          pack(ErrorMessage{e.what(), ErrorCode::kRetryable}));
-  } catch (const std::exception& e) {
-    // Errors to authenticated-but-misbehaving peers are sealed too when we
-    // know the key; otherwise send a plain error envelope under an empty
-    // key (the client will fail verification, which is the right outcome
-    // for an unknown sender).
-    return seal_as_server(sender, key,
-                          pack(ErrorMessage{e.what(), ErrorCode::kFatal}));
-  }
-}
-
-void FederatedServer::handle_sealed_async(
-    const std::vector<std::uint8_t>& request, RespondFn respond) {
-  // Same authentication skeleton as handle_sealed; the difference is the
-  // get_task fork, which may park `respond` instead of answering inline.
-  std::string sender;
-  std::vector<std::uint8_t> key;
-  try {
-    sender = peek_sender(request);
-    auto cred_it = registry_.find(sender);
-    if (cred_it == registry_.end()) {
-      throw ProtocolError("unknown participant '" + sender + "'");
-    }
-    key = cred_it->second.secret;
-    Envelope env;
-    try {
-      env = open(request, key);
-    } catch (const std::exception& e) {
-      respond(seal_as_server(
-          sender, key, pack(ErrorMessage{e.what(), ErrorCode::kRetryable})));
-      return;
-    }
-    // Job binding before the replay tracker, for the same reason as in
-    // handle_sealed: cross-job frames must not mutate sequence state.
-    if (!env.job_id.empty() && env.job_id != config_.job_id) {
       respond(seal_as_server(
           sender, key,
           pack(ErrorMessage{"frame bound to job '" + env.job_id +
@@ -283,20 +217,18 @@ void FederatedServer::handle_sealed_async(
     try {
       inbound_seq_.check_and_advance(sender, env.sequence);
     } catch (const std::exception& e) {
+      // Replayed envelope: retryable, the client re-seals with a fresh
+      // sequence and resends.
       respond(seal_as_server(
           sender, key, pack(ErrorMessage{e.what(), ErrorCode::kRetryable})));
       return;
     }
     record_liveness(sender);
     if (peek_type(env.payload) == MsgType::kGetTask) {
-      const GetTaskRequest req = decode_get_task(env.payload);
-      if (req.wait_ms > 0) {
-        park_or_reply_get_task(sender, key, req, respond);
-        drain_ready_replies();
-        return;
-      }
+      park_or_reply_get_task(sender, key, decode_get_task(env.payload), respond);
+    } else {
+      respond(seal_as_server(sender, key, handle_frame(sender, env.payload)));
     }
-    respond(seal_as_server(sender, key, *handle_frame(sender, env.payload)));
   } catch (const UnknownSessionError& e) {
     respond(seal_as_server(
         sender, key, pack(ErrorMessage{e.what(), ErrorCode::kUnknownSession})));
@@ -304,9 +236,15 @@ void FederatedServer::handle_sealed_async(
     respond(seal_as_server(
         sender, key, pack(ErrorMessage{e.what(), ErrorCode::kRetryable})));
   } catch (const std::exception& e) {
+    // Errors to authenticated-but-misbehaving peers are sealed too when we
+    // know the key; otherwise send a plain error envelope under an empty
+    // key (the client will fail verification, which is the right outcome
+    // for an unknown sender).
     respond(seal_as_server(sender, key,
                            pack(ErrorMessage{e.what(), ErrorCode::kFatal})));
   }
+  // The request may have advanced the round and released parked polls (or
+  // staged this get_task's own reply); deliver them now that mu_ is free.
   drain_ready_replies();
 }
 
@@ -322,7 +260,7 @@ void FederatedServer::park_or_reply_get_task(const std::string& sender,
   }
   maybe_close_round_locked();
   service_parked_locked();
-  if (poll_parks_locked(sender)) {
+  if (req.wait_ms > 0 && poll_parks_locked(sender)) {
     // Park until the answer changes (round opens/advances/stops, or mask
     // recovery wants a share) or the clamped wait expires. One park per
     // site: a newer poll means the old connection is gone, so complete its
@@ -351,17 +289,15 @@ void FederatedServer::park_or_reply_get_task(const std::string& sender,
       ReadyReply{sender, key, poll_reply_locked(sender), std::move(respond)});
 }
 
-FederatedServer::Body FederatedServer::handle_frame(
+std::vector<std::uint8_t> FederatedServer::handle_frame(
     const std::string& sender, std::span<const std::uint8_t> frame) {
   switch (peek_type(frame)) {
     case MsgType::kRegister:
-      return body_of(on_register(sender, decode_register(frame)));
-    case MsgType::kGetTask:
-      return on_get_task(sender, decode_get_task(frame));
+      return on_register(sender, decode_register(frame));
     case MsgType::kSubmitUpdate:
-      return body_of(on_submit(sender, decode_submit(frame)));
+      return on_submit(sender, decode_submit(frame));
     case MsgType::kUnmaskResponse:
-      return body_of(on_unmask(sender, decode_unmask_response(frame)));
+      return on_unmask(sender, decode_unmask_response(frame));
     default:
       throw ProtocolError("unexpected message type from '" + sender + "'");
   }
@@ -544,19 +480,6 @@ void FederatedServer::ticker_loop() {
       lock.lock();
     }
   }
-}
-
-FederatedServer::Body FederatedServer::on_get_task(const std::string& sender,
-                                                   const GetTaskRequest& req) {
-  core::MutexLock lock(mu_);
-  CF_TRACE_SPAN_SITE("server.get_task", sender, round_);
-  auto it = sessions_.find(sender);
-  if (it == sessions_.end() || it->second != req.session_id) {
-    throw UnknownSessionError("get_task: no active session for '" + sender + "'");
-  }
-  maybe_close_round_locked();
-  service_parked_locked();
-  return poll_reply_locked(sender);
 }
 
 void FederatedServer::record_rejection_locked(RejectReason reason) {

@@ -5,7 +5,8 @@
 // server hands out the global model as a train task, collects contributions
 // through the filter chain into the aggregator, aggregates when everyone
 // has reported, persists the model, and advances. All entry points are
-// thread-safe; transports call `dispatcher()` from any number of threads.
+// thread-safe; transports call `async_dispatcher()` from any number of
+// threads.
 //
 // Failure model (DESIGN.md §9): per-round deadlines close a round with at
 // least `min_clients` contributions (or abort the run below that), sites
@@ -136,19 +137,11 @@ class FederatedServer {
   ~FederatedServer();
 
   /// The sealed-bytes entry point for transports. The returned callable
-  /// keeps *this alive only as long as the server object; do not use it
-  /// after destruction.
-  ///
-  /// This synchronous form answers every request inline and NEVER parks a
-  /// get_task (GetTaskRequest::wait_ms is ignored) — the caller's thread is
-  /// the transport's only delivery vehicle, so holding it hostage would
-  /// stall unrelated requests. Long-poll dispatch needs async_dispatcher().
-  Dispatcher dispatcher();
-
-  /// The long-poll-capable entry point: a get_task with wait_ms > 0 whose
-  /// answer would be kNone is *parked* — the RespondFn is retained and
-  /// completed when the round opens/advances/stops or the (clamped) wait
-  /// expires — instead of bouncing kNone back for the client to re-poll.
+  /// must not outlive the server. A get_task with wait_ms > 0 whose answer
+  /// would be kNone is *parked* — the RespondFn is retained and completed
+  /// when the round opens/advances/stops or the (clamped) wait expires —
+  /// instead of bouncing kNone back for the client to re-poll; wait_ms == 0
+  /// never parks.
   /// At most one park per site; a newer poll from the same site completes
   /// the older park with kNone. Completions may be delivered from another
   /// site's dispatch thread, the server's ticker thread, or the destructor;
@@ -232,25 +225,25 @@ class FederatedServer {
     return std::make_shared<const std::vector<std::uint8_t>>(std::move(bytes));
   }
 
-  std::vector<std::uint8_t> handle_sealed(const std::vector<std::uint8_t>& request);
-  void handle_sealed_async(const std::vector<std::uint8_t>& request,
-                           RespondFn respond);
-  Body handle_frame(const std::string& sender,
-                    std::span<const std::uint8_t> frame);
+  /// Authenticates one sealed request and answers it through `respond`
+  /// (now, or later for a parked get_task).
+  void dispatch(const std::vector<std::uint8_t>& request, RespondFn respond);
+  /// Register, submit and unmask: answered inline with a packed body.
+  std::vector<std::uint8_t> handle_frame(const std::string& sender,
+                                         std::span<const std::uint8_t> frame);
   std::vector<std::uint8_t> seal_as_server(const std::string& sender,
                                            const std::vector<std::uint8_t>& key,
                                            const std::vector<std::uint8_t>& body);
 
-  /// Async-path get_task: parks the call (consuming `respond`) or stages an
-  /// immediate reply on ready_replies_. Only moves from `respond` on
-  /// success, so the caller's error paths can still answer after a throw.
+  /// get_task: parks the call (consuming `respond`) or stages an immediate
+  /// reply on ready_replies_. Only moves from `respond` on success, so the
+  /// caller's error paths can still answer after a throw.
   void park_or_reply_get_task(const std::string& sender,
                               const std::vector<std::uint8_t>& key,
                               const GetTaskRequest& req, RespondFn& respond);
 
   std::vector<std::uint8_t> on_register(const std::string& sender,
                                         const RegisterRequest& req);
-  Body on_get_task(const std::string& sender, const GetTaskRequest& req);
   std::vector<std::uint8_t> on_submit(const std::string& sender,
                                       SubmitUpdateRequest req);
   std::vector<std::uint8_t> on_unmask(const std::string& sender,

@@ -20,31 +20,6 @@ namespace cppflare::flare {
 
 namespace {
 
-/// Appends the privacy filters a site's outbound chain gets from the
-/// simulator config — DP (clip + noise) first, then the pre-scaling that
-/// stands in for server-side sample weighting under masking — and returns
-/// the site's mask filter (null when secure_agg is off). The caller adds
-/// the masker as the *last* filter, so whatever else touches the update
-/// (poisoning included) happens before it is hidden under masks.
-std::shared_ptr<SecureAggMaskFilter> add_privacy_filters(
-    const SimulatorConfig& config, std::int64_t index, const std::string& name,
-    const std::vector<std::string>& all_sites, FilterChain& chain) {
-  if (config.dp.enabled) {
-    chain.add(std::make_shared<DpGaussianFilter>(
-        config.dp.clip_norm, config.dp.noise_multiplier,
-        config.dp.seed ^ (0x9e3779b97f4a7c15ull *
-                          static_cast<std::uint64_t>(index + 1))));
-  }
-  if (!config.secure_agg.enabled) return nullptr;
-  if (config.secure_agg.pre_scale) {
-    chain.add(std::make_shared<PreScaleFilter>(
-        config.num_clients, config.secure_agg.total_samples));
-  }
-  return make_secure_agg_mask_filter(config.job_id, config.secure_agg.dealer_seed,
-                                     name, all_sites,
-                                     config.secure_agg.frac_bits);
-}
-
 /// Completion state shared by all multiplexed sites. `stopping` is the
 /// teardown handshake: once the runner sets it (under mu), site callbacks
 /// stop posting continuations to the worker pool, which makes destroying
@@ -57,8 +32,7 @@ struct MultiplexRun {
   std::vector<std::string> failed CF_GUARDED_BY(mu);
 };
 
-/// One site of the multiplexed simulator: an event-driven state machine
-/// (register -> long-poll -> train -> submit -> long-poll -> ... -> stop)
+/// One site of the multiplexed simulator: runs a SiteSession as continuations
 /// over the server's async dispatcher. A site never owns a thread; each
 /// response is posted as a continuation to the shared worker pool, and
 /// while the site waits for a task its get_task is *parked server-side*,
@@ -67,57 +41,35 @@ struct MultiplexRun {
 /// hold a thread.
 ///
 /// Threading: a site has exactly one exchange outstanding at a time, and
-/// each continuation schedules the next, so all mutable state below is
-/// accessed serially; the pool's queue mutex provides the happens-before
-/// edges between consecutive continuations.
+/// each continuation schedules the next, so the session is accessed
+/// serially; the pool's queue mutex provides the happens-before edges
+/// between consecutive continuations.
 class SimSite : public std::enable_shared_from_this<SimSite> {
  public:
-  SimSite(Credential credential, std::shared_ptr<Learner> learner,
-          AsyncDispatcher dispatch, core::ThreadPool* pool,
-          std::shared_ptr<MultiplexRun> run, std::string job_id,
-          std::int64_t long_poll_ms, FilterChain filters,
-          std::shared_ptr<SecureAggMaskFilter> masker)
-      : credential_(std::move(credential)),
-        learner_(std::move(learner)),
+  SimSite(Credential credential, std::string job_id, std::int64_t long_poll_ms,
+          std::shared_ptr<Learner> learner, AsyncDispatcher dispatch,
+          core::ThreadPool* pool, std::shared_ptr<MultiplexRun> run,
+          std::int64_t max_retries)
+      : session_(std::move(credential), std::move(job_id), long_poll_ms,
+                 std::move(learner)),
         dispatch_(std::move(dispatch)),
         pool_(pool),
         run_(std::move(run)),
-        job_id_(std::move(job_id)),
-        long_poll_ms_(long_poll_ms),
-        filters_(std::move(filters)),
-        masker_(std::move(masker)) {}
+        max_retries_(max_retries) {}
+
+  SiteSession& session() { return session_; }
 
   void start() {
     auto self = shared_from_this();
-    pool_->post([self] { self->send_step(); });
+    pool_->post([self] { self->send(); });
   }
 
  private:
-  enum class Step { kRegister, kPoll, kSubmit, kUnmask };
-
-  /// Seals and dispatches the frame for the current step, encoding the
-  /// request straight into the envelope. The respond callback only
+  /// Dispatches the session's next frame. The respond callback only
   /// enqueues; all real work happens on a pool worker.
-  void send_step() {
-    std::vector<std::uint8_t> sealed_frame;
-    switch (step_) {
-      case Step::kRegister:
-        sealed_frame = seal_request(RegisterRequest{credential_.name, credential_.token});
-        break;
-      case Step::kPoll:
-        sealed_frame = seal_request(GetTaskRequest{session_id_, long_poll_ms_});
-        break;
-      case Step::kSubmit:
-        submit_.session_id = session_id_;
-        sealed_frame = seal_request(submit_);
-        break;
-      case Step::kUnmask:
-        unmask_.session_id = session_id_;
-        sealed_frame = seal_request(unmask_);
-        break;
-    }
+  void send() {
     auto self = shared_from_this();
-    dispatch_(sealed_frame, [self](std::vector<std::uint8_t> response) {
+    dispatch_(session_.next_frame(), [self](std::vector<std::uint8_t> response) {
       self->enqueue(std::move(response));
     });
   }
@@ -135,171 +87,41 @@ class SimSite : public std::enable_shared_from_this<SimSite> {
     pool_->post([self, buf] { self->resume(*buf); });
   }
 
-  template <class Request>
-  std::vector<std::uint8_t> seal_request(const Request& request) {
-    return seal_message(credential_.name, credential_.secret, seq_.next(),
-                        request, job_id_);
-  }
-
+  /// In-process transport loses no frames, but the server can still ask for
+  /// a resend (kRetryable): resend at once, up to the retry budget.
   void resume(const std::vector<std::uint8_t>& response) {
     try {
-      const Envelope env = open(response, credential_.secret);
-      if (env.sender != "server") {
-        throw ProtocolError("response not from server but '" + env.sender + "'");
+      try {
+        if (session_.on_reply(response) == SiteSession::Outcome::kDone) {
+          finish({});
+          return;
+        }
+        retries_ = 0;
+      } catch (const TransportError&) {
+        if (max_retries_ >= 0 && ++retries_ > max_retries_) throw;
       }
-      server_seq_.check_and_advance(env.sender, env.sequence);
-      if (peek_type(env.payload) == MsgType::kError) {
-        handle_error(decode_error(env.payload));
-        return;
-      }
-      retries_ = 0;
-      switch (step_) {
-        case Step::kRegister: {
-          const RegisterAck ack = decode_register_ack(env.payload);
-          if (!ack.accepted) {
-            throw ProtocolError("registration rejected for " +
-                                credential_.name + ": " + ack.message);
-          }
-          session_id_ = ack.session_id;
-          step_ = after_register_;
-          after_register_ = Step::kPoll;
-          break;
-        }
-        case Step::kPoll: {
-          if (peek_type(env.payload) == MsgType::kUnmaskRequest) {
-            // Mask-recovery phase (DESIGN.md §14): reveal the sum of our
-            // pairwise masks against the dropped set so the server can
-            // finish the frozen round.
-            const UnmaskRequest req = decode_unmask_request(env.payload);
-            if (!masker_) {
-              throw ProtocolError(credential_.name +
-                                  ": unmask request but masking is off");
-            }
-            {
-              CF_TRACE_SPAN_SITE("client.unmask", credential_.name, req.round);
-              unmask_.share = masker_->unmask_share(req.dropped, req.round,
-                                                    req.skeleton.data());
-            }
-            unmask_.round = req.round;
-            unmask_.wave = req.wave;
-            step_ = Step::kUnmask;
-            break;
-          }
-          const TaskMessage task = decode_task(env.payload);
-          if (task.task == TaskKind::kStop) {
-            finish({});
-            return;
-          }
-          // kNone: the long-poll budget expired (or this round sampled us
-          // out) — re-poll immediately; the server parks us again.
-          if (task.task == TaskKind::kTrain) {
-            train(task);
-            step_ = Step::kSubmit;
-          }
-          break;
-        }
-        case Step::kSubmit: {
-          const SubmitAck ack = decode_submit_ack(env.payload);
-          if (!ack.accepted && ack.message != kDuplicateContribution) {
-            LOG(warn)
-                .msg("contribution rejected:")
-                .msg(ack.message)
-                .kv("site", credential_.name)
-                .kv("reason", reject_reason_name(ack.reason));
-          }
-          submit_.payload = Dxo();  // acknowledged: no resend needs it
-          step_ = Step::kPoll;
-          break;
-        }
-        case Step::kUnmask: {
-          const SubmitAck ack = decode_submit_ack(env.payload);
-          if (!ack.accepted) {
-            // Stale wave / recovery already resolved — harmless.
-            LOG(warn)
-                .msg("unmask share not accepted:")
-                .msg(ack.message)
-                .kv("site", credential_.name)
-                .kv("round", unmask_.round)
-                .kv("wave", unmask_.wave);
-          }
-          unmask_.share = Dxo();
-          step_ = Step::kPoll;
-          break;
-        }
-      }
-      send_step();
+      send();
     } catch (const std::exception& e) {
       finish(e.what());
     }
   }
 
-  /// In-process transport: retryable faults cannot occur here (the fault
-  /// decorators are excluded in multiplexed mode), but honor the protocol
-  /// anyway — bounded resend for kRetryable, idempotent re-registration
-  /// (resuming the interrupted step) for kUnknownSession.
-  void handle_error(const ErrorMessage& err) {
-    if (err.code == ErrorCode::kRetryable && ++retries_ <= 5) {
-      send_step();
-      return;
-    }
-    if (err.code == ErrorCode::kUnknownSession && ++reregistrations_ <= 3) {
-      after_register_ = step_ == Step::kRegister ? Step::kPoll : step_;
-      step_ = Step::kRegister;
-      send_step();
-      return;
-    }
-    finish(credential_.name + ": server error: " + err.message);
-  }
-
-  void train(const TaskMessage& task) {
-    FLContext ctx;
-    ctx.job_id = job_id_;
-    ctx.site_name = credential_.name;
-    ctx.current_round = task.round;
-    ctx.total_rounds = task.total_rounds;
-    Dxo& update = submit_.payload;
-    {
-      CF_TRACE_SPAN_SITE("client.train", credential_.name, task.round);
-      update = learner_->train(task.payload, ctx);
-    }
-    if (!update.has_meta(Dxo::kMetaRound)) {
-      update.set_meta_int(Dxo::kMetaRound, task.round);
-    }
-    // Same order as FederatedClient::run(): stamp the round, then the
-    // outbound privacy chain (DP noise, pre-scaling, masking last).
-    filters_.process(update, ctx);
-    submit_.round = task.round;
-  }
-
   void finish(const std::string& error) {
     if (!error.empty()) {
-      LOG(error).msg("site failed:").msg(error).kv("site", credential_.name);
+      LOG(error).msg("site failed:").msg(error).kv("site", session_.site_name());
     }
     core::MutexLock lock(run_->mu);
-    if (!error.empty()) run_->failed.push_back(credential_.name);
+    if (!error.empty()) run_->failed.push_back(session_.site_name());
     run_->remaining -= 1;
     run_->cv.notify_all();
   }
 
-  Credential credential_;
-  std::shared_ptr<Learner> learner_;
+  SiteSession session_;
   AsyncDispatcher dispatch_;
   core::ThreadPool* pool_;
   std::shared_ptr<MultiplexRun> run_;
-  std::string job_id_;
-  std::int64_t long_poll_ms_;
-  FilterChain filters_;
-  std::shared_ptr<SecureAggMaskFilter> masker_;
-
-  Step step_ = Step::kRegister;
-  Step after_register_ = Step::kPoll;
-  SequenceSource seq_;
-  SequenceTracker server_seq_;
-  std::string session_id_;
-  SubmitUpdateRequest submit_;  // the trained update awaiting its ack
-  UnmaskResponse unmask_;       // the mask share awaiting its ack
+  std::int64_t max_retries_;
   std::int64_t retries_ = 0;
-  std::int64_t reregistrations_ = 0;
 };
 
 }  // namespace
@@ -315,6 +137,9 @@ SimulatorRunner::SimulatorRunner(SimulatorConfig config, nn::StateDict initial_m
   if (!factory_) throw Error("SimulatorRunner: learner factory required");
   const Provisioner provisioner(config_.job_id, config_.seed);
   registry_ = provisioner.provision_sites(config_.num_clients);
+  for (std::int64_t i = 0; i < config_.num_clients; ++i) {
+    site_names_.push_back("site-" + std::to_string(i + 1));
+  }
   if (config_.secure_agg.enabled) {
     if (config_.secure_agg.pre_scale && config_.secure_agg.total_samples <= 0) {
       throw ConfigError(
@@ -441,11 +266,10 @@ SimulationResult SimulatorRunner::run() {
           "SimulatorRunner: site_workers (multiplexed mode) is in-process "
           "only; use_tcp requires the thread-per-site mode");
     }
-    if (fault_planner_ || poison_planner_ || customizer_) {
+    if (fault_planner_) {
       throw ConfigError(
-          "SimulatorRunner: fault/poison planners and client customizers "
-          "attach to per-site clients and are not supported with "
-          "site_workers; use the thread-per-site mode");
+          "SimulatorRunner: fault planners wrap per-site connections and are "
+          "not supported with site_workers; use the thread-per-site mode");
     }
     return run_multiplexed(start, trace_t0);
   }
@@ -472,11 +296,8 @@ SimulationResult SimulatorRunner::run() {
       if (config_.use_tcp) {
         conn = std::make_unique<TcpConnection>("127.0.0.1", tcp_server->port());
       } else {
-        // Async in-process channel so the server can *park* long-polls from
-        // in-process clients too, instead of answering kNone immediately.
         // Routed through the job registry like every other transport.
-        conn = std::make_unique<AsyncInProcConnection>(
-            job_runner_->async_router());
+        conn = std::make_unique<InProcConnection>(job_runner_->async_router());
       }
       const std::int64_t n = incarnation->fetch_add(1);
       if (fault_planner_) {
@@ -488,18 +309,9 @@ SimulationResult SimulatorRunner::run() {
     };
   };
 
-  // The mask participant list is exactly the client sites: the registry's
-  // "server" credential is a channel identity, not a masking peer — masks
-  // against a non-contributing name would never cancel.
-  std::vector<std::string> site_names;
-  site_names.reserve(static_cast<std::size_t>(config_.num_clients));
-  for (std::int64_t i = 0; i < config_.num_clients; ++i) {
-    site_names.push_back("site-" + std::to_string(i + 1));
-  }
-
   std::vector<std::unique_ptr<FederatedClient>> clients;
   for (std::int64_t i = 0; i < config_.num_clients; ++i) {
-    const std::string name = "site-" + std::to_string(i + 1);
+    const std::string& name = site_names_[static_cast<std::size_t>(i)];
     ClientConfig client_config;
     client_config.job_id = config_.job_id;
     client_config.max_idle_ms = config_.timeout_ms;
@@ -507,28 +319,7 @@ SimulationResult SimulatorRunner::run() {
     client_config.retry = config_.client_retry;
     auto client = std::make_unique<FederatedClient>(
         client_config, registry_.at(name), make_factory(i, name), factory_(i, name));
-    if (customizer_) customizer_(*client);
-    const std::shared_ptr<SecureAggMaskFilter> masker = add_privacy_filters(
-        config_, i, name, site_names, client->outbound_filters());
-    // The poison filter goes in *after* the customizer's filters (privacy,
-    // clipping): an adversarial site corrupts what it would actually have
-    // sent, and its poison is not accidentally clipped back to sanity. The
-    // mask filter goes in last of all — whatever the site sends, honest or
-    // poisoned, is what gets hidden under masks.
-    if (poison_planner_) {
-      if (const std::optional<PoisonPlan> plan = poison_planner_(i, name)) {
-        client->outbound_filters().add(std::make_shared<PoisonFilter>(*plan));
-        LOG(warn).msg(name + " is ADVERSARIAL this run").kv("site", name);
-      }
-    }
-    if (masker) {
-      client->outbound_filters().add(masker);
-      client->set_unmask_provider(
-          [masker](const std::vector<std::string>& dropped, std::int64_t round,
-                   const nn::StateDict& skeleton) {
-            return masker->unmask_share(dropped, round, skeleton);
-          });
-    }
+    setup_site(i, client->session());
     clients.push_back(std::move(client));
   }
 
@@ -559,10 +350,6 @@ SimulationResult SimulatorRunner::run() {
   if (!success && !server_->aborted()) {
     // Nothing to salvage: the server neither finished nor aborted. Failed
     // clients are the likeliest cause — surface the first one.
-    if (static_cast<std::int64_t>(failed_sites.size()) >= config_.num_clients &&
-        first_failure) {
-      std::rethrow_exception(first_failure);
-    }
     if (first_failure) std::rethrow_exception(first_failure);
     throw Error("SimulatorRunner: run did not finish within timeout");
   }
@@ -586,27 +373,15 @@ SimulationResult SimulatorRunner::run_multiplexed(
   bool timed_out = false;
   {
     core::ThreadPool pool(static_cast<std::size_t>(config_.site_workers));
-    const std::int64_t long_poll =
-        std::max<std::int64_t>(1, config_.long_poll_ms);
-    // Client sites only — the registry's "server" entry is a channel
-    // identity, not a masking peer (see run()).
-    std::vector<std::string> site_names;
-    site_names.reserve(static_cast<std::size_t>(config_.num_clients));
-    for (std::int64_t i = 0; i < config_.num_clients; ++i) {
-      site_names.push_back("site-" + std::to_string(i + 1));
-    }
     std::vector<std::shared_ptr<SimSite>> sites;
     sites.reserve(static_cast<std::size_t>(config_.num_clients));
     for (std::int64_t i = 0; i < config_.num_clients; ++i) {
-      const std::string name = "site-" + std::to_string(i + 1);
-      FilterChain filters;
-      std::shared_ptr<SecureAggMaskFilter> masker =
-          add_privacy_filters(config_, i, name, site_names, filters);
-      if (masker) filters.add(masker);
+      const std::string& name = site_names_[static_cast<std::size_t>(i)];
       sites.push_back(std::make_shared<SimSite>(
-          registry_.at(name), factory_(i, name), job_runner_->async_router(),
-          &pool, run_state, config_.job_id, long_poll, std::move(filters),
-          std::move(masker)));
+          registry_.at(name), config_.job_id, config_.long_poll_ms,
+          factory_(i, name), job_runner_->async_router(), &pool, run_state,
+          config_.client_retry.max_retries));
+      setup_site(i, sites.back()->session());
     }
     for (const auto& site : sites) site->start();
 
@@ -654,6 +429,44 @@ SimulationResult SimulatorRunner::run_multiplexed(
                                       : " (first: " + failed_sites.front() + ")"));
   }
   return finalize(start, trace_t0, std::move(failed_sites));
+}
+
+void SimulatorRunner::setup_site(std::int64_t index, SiteSession& session) const {
+  const std::string& name = site_names_[static_cast<std::size_t>(index)];
+  FilterChain& chain = session.outbound_filters();
+  if (customizer_) customizer_(session);
+  if (config_.dp.enabled) {
+    chain.add(std::make_shared<DpGaussianFilter>(
+        config_.dp.clip_norm, config_.dp.noise_multiplier,
+        config_.dp.seed ^ (0x9e3779b97f4a7c15ull *
+                           static_cast<std::uint64_t>(index + 1))));
+  }
+  // Pre-scaling stands in for server-side sample weighting under masking.
+  if (config_.secure_agg.enabled && config_.secure_agg.pre_scale) {
+    chain.add(std::make_shared<PreScaleFilter>(config_.num_clients,
+                                               config_.secure_agg.total_samples));
+  }
+  // The poison filter goes in *after* the customizer's and the privacy
+  // filters: an adversarial site corrupts what it would actually have sent,
+  // and its poison is not accidentally clipped back to sanity.
+  if (poison_planner_) {
+    if (const std::optional<PoisonPlan> plan = poison_planner_(index, name)) {
+      chain.add(std::make_shared<PoisonFilter>(*plan));
+      LOG(warn).msg(name + " is ADVERSARIAL this run").kv("site", name);
+    }
+  }
+  if (!config_.secure_agg.enabled) return;
+  // The mask filter goes in last of all: whatever the site sends, honest or
+  // poisoned, is what gets hidden under masks.
+  std::shared_ptr<SecureAggMaskFilter> masker = make_secure_agg_mask_filter(
+      config_.job_id, config_.secure_agg.dealer_seed, name, site_names_,
+      config_.secure_agg.frac_bits);
+  chain.add(masker);
+  session.set_unmask_provider(
+      [masker](const std::vector<std::string>& dropped, std::int64_t round,
+               const nn::StateDict& skeleton) {
+        return masker->unmask_share(dropped, round, skeleton);
+      });
 }
 
 SimulationResult SimulatorRunner::finalize(

@@ -2,7 +2,8 @@
 //
 // The C++ analogue of NVFlare's SimulatorRunner used throughout the paper's
 // demonstration (Fig. 3): provisions N sites, builds the server with a
-// ScatterAndGather workflow, spins one thread per client, runs E rounds and
+// ScatterAndGather workflow, runs one SiteSession per client (a thread each,
+// or multiplexed over a worker pool with `site_workers`), runs E rounds and
 // returns the final global model plus per-round aggregated metrics. The
 // transport is in-process by default or loopback TCP (`use_tcp`) to exercise
 // the real wire path. A `FaultPlanner` can wrap any site's connections in
@@ -112,11 +113,11 @@ struct SimulatorConfig {
   std::int64_t long_poll_ms = 10000;
   /// Single-box scaling knob. 0 (default): one dedicated worker thread per
   /// site — fine up to tens of sites. > 0: multiplex all sites over a pool
-  /// of this many workers using an event-driven per-site state machine on
-  /// the server's async dispatcher (a 256-site federation runs on 8
-  /// workers). The multiplexed mode is in-process only and excludes the
-  /// per-connection decorators: it throws ConfigError when combined with
-  /// use_tcp, a fault planner, a poison planner, or a client customizer.
+  /// of this many workers, each site's SiteSession run by continuations
+  /// on the server's async dispatcher (a 256-site federation runs on 8
+  /// workers). Both modes run the same protocol machine and per-site setup.
+  /// The multiplexed mode has no per-site connection: it throws ConfigError
+  /// when combined with use_tcp or a fault planner.
   std::int64_t site_workers = 0;
   /// Abort if the run has not finished after this long.
   std::int64_t timeout_ms = 30 * 60 * 1000;
@@ -195,8 +196,9 @@ class SimulatorRunner {
   /// Builds the learner for a site; index is 0-based, name is "site-<i+1>".
   using LearnerFactory = std::function<std::shared_ptr<Learner>(
       std::int64_t site_index, const std::string& site_name)>;
-  /// Optional hook to customize each client (e.g. add privacy filters).
-  using ClientCustomizer = std::function<void(FederatedClient&)>;
+  /// Optional hook to customize each site's protocol session (e.g. add
+  /// outbound filters); runs in both execution modes.
+  using ClientCustomizer = std::function<void(SiteSession&)>;
   /// Decides the fault plan for one connection attempt: `incarnation` is
   /// 0 for a site's first connection and increments on every reconnect.
   /// Return std::nullopt for a clean connection.
@@ -241,6 +243,10 @@ class SimulatorRunner {
   /// The site_workers > 0 path: event-driven sites multiplexed on a pool.
   SimulationResult run_multiplexed(std::chrono::steady_clock::time_point start,
                                    std::int64_t trace_t0);
+  /// Per-site setup shared by both paths: the customizer, then DP and
+  /// pre-scaling, then poison, and the mask filter (with its unmask
+  /// provider) last.
+  void setup_site(std::int64_t index, SiteSession& session) const;
   /// Shared tail of both paths: snapshot server state into the result,
   /// close out tracing, log the outcome.
   SimulationResult finalize(std::chrono::steady_clock::time_point start,
@@ -253,6 +259,10 @@ class SimulatorRunner {
   FaultPlanner fault_planner_;
   PoisonPlanner poison_planner_;
   std::map<std::string, Credential> registry_;
+  /// The client sites, "site-1".."site-N": also the mask participant list
+  /// (the registry's "server" credential is a channel identity, not a
+  /// masking peer — masks against a non-contributing name never cancel).
+  std::vector<std::string> site_names_;
   /// Hosts the run's single job (DESIGN.md §16) — the simulator goes
   /// through the same job registry and frame router as a multi-job
   /// deployment, so every simulator test also exercises the routed path.

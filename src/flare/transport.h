@@ -3,17 +3,17 @@
 // The protocol layer only needs one primitive: a blocking `call` that
 // delivers sealed request bytes and returns sealed response bytes. Two
 // implementations exist:
-//  * InProcTransport — function call into the server's dispatcher, used by
-//    the simulator (NVFlare SimulatorRunner equivalent);
+//  * InProcConnection — a call into the server's AsyncDispatcher, used by
+//    the simulator (NVFlare SimulatorRunner equivalent) and tests;
 //  * TcpConnection/TcpServer (tcp.h) — real sockets for multi-process runs.
 //
-// Since the scalable-coordinator PR the server side also has an *async*
-// shape: `AsyncDispatcher` hands the request to the server together with a
-// `RespondFn` completion, and the server may answer immediately or hold the
-// completion (a parked long-poll) and invoke it much later from a different
-// thread. The epoll reactor (reactor.h) and the long-poll protocol are built
-// on this; the synchronous `Dispatcher` remains for tests and simple
-// in-process callers, with adapters in both directions below.
+// The server side is asynchronous: an `AsyncDispatcher` takes the request
+// together with a `RespondFn` completion, and the server may answer
+// immediately or hold the completion (a parked long-poll) and invoke it
+// much later from a different thread. The epoll reactor (reactor.h) and the
+// long-poll protocol are built on this. The synchronous `Dispatcher` shape
+// remains for servers that always answer inline (echo servers, benchmark
+// stubs); `make_async` adapts it.
 #pragma once
 
 #include <cstdint>
@@ -63,29 +63,14 @@ class Connection {
   virtual std::vector<std::uint8_t> call(const std::vector<std::uint8_t>& request) = 0;
 };
 
-/// Zero-copy in-process connection: `call` invokes the dispatcher directly
-/// on the caller's thread.
-class InProcConnection : public Connection {
- public:
-  explicit InProcConnection(Dispatcher dispatcher)
-      : dispatcher_(std::move(dispatcher)) {}
-
-  std::vector<std::uint8_t> call(const std::vector<std::uint8_t>& request) override {
-    return dispatcher_(request);
-  }
-
- private:
-  Dispatcher dispatcher_;
-};
-
 /// In-process connection over an AsyncDispatcher: `call` blocks the calling
 /// thread until the server completes the request, so a parked long-poll
 /// costs a blocked caller thread (exactly like a socket client) instead of a
 /// retry loop. The completion may run on another thread (whichever server
 /// thread drains the park); the promise/future pair carries it back here.
-class AsyncInProcConnection : public Connection {
+class InProcConnection : public Connection {
  public:
-  explicit AsyncInProcConnection(AsyncDispatcher dispatcher)
+  explicit InProcConnection(AsyncDispatcher dispatcher)
       : dispatcher_(std::move(dispatcher)) {}
 
   std::vector<std::uint8_t> call(const std::vector<std::uint8_t>& request) override {

@@ -244,8 +244,8 @@ SchemeResult run_federated(const std::string& model_name,
       });
 
   if (options.dp_sigma > 0.0) {
-    runner.set_client_customizer([&](flare::FederatedClient& client) {
-      client.outbound_filters().add(std::make_shared<flare::GaussianPrivacyFilter>(
+    runner.set_client_customizer([&](flare::SiteSession& session) {
+      session.outbound_filters().add(std::make_shared<flare::GaussianPrivacyFilter>(
           options.dp_sigma, scale.seed + 60));
     });
   }

@@ -184,7 +184,7 @@ int run_wave(const std::string& dir, const std::string&) {
   FederatedServer server(config, registry, dict_of({0.0f, 0.0f}),
                          std::make_unique<MaskedFedAvgAggregator>(16),
                          persistor, persistor->load(), std::move(journal));
-  Dispatcher dispatcher = server.dispatcher();
+  InProcConnection connection(server.async_dispatcher());
 
   std::vector<std::string> names = {"site-1", "site-2", "site-3", "site-4"};
   std::map<std::string, std::shared_ptr<SecureAggMaskFilter>> maskers;
@@ -198,7 +198,7 @@ int run_wave(const std::string& dir, const std::string&) {
                         const std::vector<std::uint8_t>& frame) {
     const Credential& cred = registry.at(site);
     const auto response =
-        dispatcher(seal(cred.name, cred.secret, seq[site].next(), frame));
+        connection.call(seal(cred.name, cred.secret, seq[site].next(), frame));
     const Envelope env = open(response, cred.secret);
     return std::vector<std::uint8_t>(env.payload.begin(), env.payload.end());
   };

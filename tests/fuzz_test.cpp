@@ -3,13 +3,15 @@
 // never a crash, hang, or silent misread of authenticated content.
 #include <gtest/gtest.h>
 
-#include <set>
+#include <memory>
 #include <span>
 
+#include "core/logging.h"
 #include "core/rng.h"
 #include "flare/dxo.h"
 #include "flare/messages.h"
 #include "flare/secure_channel.h"
+#include "flare/site_session.h"
 #include "nn/state_dict.h"
 
 namespace cppflare {
@@ -105,49 +107,36 @@ TEST(FuzzMessages, RandomFramesNeverCrash) {
   SUCCEED();
 }
 
-/// One valid frame of every message type, each with the prefix lengths at
-/// which its decoder legitimately accepts a shorter frame (the optional
-/// trailing fields of GetTaskRequest and UnmaskRequest).
-std::vector<std::pair<std::vector<std::uint8_t>, std::set<std::size_t>>>
-every_message_frame() {
+/// One valid frame of every message type.
+std::vector<std::vector<std::uint8_t>> every_message_frame() {
   flare::Dxo dxo(flare::DxoKind::kWeights, sample_dict());
   dxo.set_meta_int(flare::Dxo::kMetaNumSamples, 7);
-  std::vector<std::pair<std::vector<std::uint8_t>, std::set<std::size_t>>> out;
-  const auto add = [&](std::vector<std::uint8_t> frame, std::set<std::size_t> ok) {
-    out.emplace_back(std::move(frame), std::move(ok));
+  return {
+      flare::pack(flare::RegisterRequest{"site-1", "tok"}),
+      flare::pack(flare::RegisterAck{true, "sess-1", "hi"}),
+      flare::pack(flare::GetTaskRequest{"sess-1", 500}),
+      flare::pack(flare::TaskMessage{flare::TaskKind::kTrain, 1, 3, dxo}),
+      flare::pack(flare::SubmitUpdateRequest{"sess-1", 1, dxo}),
+      flare::pack(flare::SubmitAck{false, "stale", flare::RejectReason::kStaleRound}),
+      flare::pack(flare::ErrorMessage{"bad", flare::ErrorCode::kRetryable}),
+      flare::pack(flare::UnmaskRequest{2, 0, {"site-3"}, dxo}),
+      flare::pack(flare::UnmaskResponse{"sess-1", 2, 0, dxo}),
   };
-  add(flare::pack(flare::RegisterRequest{"site-1", "tok"}), {});
-  add(flare::pack(flare::RegisterAck{true, "sess-1", "hi"}), {});
-  const auto poll = flare::pack(flare::GetTaskRequest{"sess-1", 500});
-  add(poll, {poll.size() - 8});
-  add(flare::pack(flare::TaskMessage{flare::TaskKind::kTrain, 1, 3, dxo}), {});
-  add(flare::pack(flare::SubmitUpdateRequest{"sess-1", 1, dxo}), {});
-  add(flare::pack(flare::SubmitAck{false, "stale", flare::RejectReason::kStaleRound}),
-      {});
-  add(flare::pack(flare::ErrorMessage{"bad", flare::ErrorCode::kRetryable}), {});
-  const auto unmask = flare::pack(flare::UnmaskRequest{2, 0, {"site-3"}, dxo});
-  add(unmask, {unmask.size() - dxo.encoded_size()});
-  add(flare::pack(flare::UnmaskResponse{"sess-1", 2, 0, dxo}), {});
-  return out;
 }
 
 // The view an opened envelope hands out is followed in memory by the MAC,
 // so a decoder that overran its view would read real bytes instead of
 // faulting. Every proper prefix of every frame, viewed in place, must
-// therefore be refused (except the documented optional-field cut points).
+// therefore be refused: no message has an optional trailing field.
 TEST(FuzzMessages, EveryTruncationOfAnOpenedViewFailsCleanly) {
   const std::vector<std::uint8_t> key(32, 0x31);
-  for (const auto& [frame, accepted_prefixes] : every_message_frame()) {
+  for (const auto& frame : every_message_frame()) {
     const auto sealed = flare::seal("site-1", key, 1, frame, "job");
     const flare::Envelope env = flare::open(sealed, key);
     ASSERT_NO_THROW(decode_any(env.payload));
     for (std::size_t len = 0; len < env.payload.size(); ++len) {
-      const auto view = env.payload.first(len);
-      if (accepted_prefixes.count(len) != 0) {
-        EXPECT_NO_THROW(decode_any(view)) << "tag " << int(frame[0]) << " len " << len;
-      } else {
-        EXPECT_THROW(decode_any(view), Error) << "tag " << int(frame[0]) << " len " << len;
-      }
+      EXPECT_THROW(decode_any(env.payload.first(len)), Error)
+          << "tag " << int(frame[0]) << " len " << len;
     }
   }
 }
@@ -219,11 +208,65 @@ TEST(FuzzEnvelope, EveryTruncationFailsCleanly) {
   }
 }
 
+class FixedLearner : public flare::Learner {
+ public:
+  flare::Dxo train(const flare::Dxo&, const flare::FLContext&) override {
+    return flare::Dxo(flare::DxoKind::kWeights, sample_dict());
+  }
+  std::string site_name() const override { return "site-1"; }
+};
+
+/// A SiteSession fed well-formed server replies until it awaits the
+/// reply to `step`'s request.
+class SessionAt {
+ public:
+  SessionAt(const flare::Credential& cred, flare::SiteSession::Step step)
+      : cred_(cred), session_(cred, "fuzz-job", 100, std::make_shared<FixedLearner>()) {
+    session_.set_unmask_provider(
+        [](const std::vector<std::string>&, std::int64_t, const nn::StateDict&) {
+          return flare::Dxo(flare::DxoKind::kWeights, sample_dict());
+        });
+    using Step = flare::SiteSession::Step;
+    if (step == Step::kRegister) return;
+    (void)answer(flare::pack(flare::RegisterAck{true, "sess-1", ""}));
+    const flare::Dxo model(flare::DxoKind::kWeights, sample_dict());
+    if (step == Step::kSubmit) {
+      (void)answer(flare::pack(flare::TaskMessage{flare::TaskKind::kTrain, 0, 1, model}));
+    } else if (step == Step::kUnmask) {
+      (void)answer(flare::pack(flare::UnmaskRequest{0, 0, {"site-2"}, model}));
+    }
+    EXPECT_EQ(session_.step(), step);
+  }
+
+  /// Sends the next frame and answers it with `payload`, sealed by the
+  /// server under a fresh sequence number.
+  flare::SiteSession::Outcome answer(std::span<const std::uint8_t> payload) {
+    (void)session_.next_frame();
+    return session_.on_reply(flare::seal("server", cred_.secret, ++server_seq_,
+                                         {payload.begin(), payload.end()}, "fuzz-job"));
+  }
+
+  flare::SiteSession::Step step() const { return session_.step(); }
+
+ private:
+  flare::Credential cred_;
+  flare::SiteSession session_;
+  std::uint64_t server_seq_ = 0;
+};
+
 // A correctly MACed envelope only proves who sent it: an authenticated but
 // hostile peer can still seal garbage. Decoding the opened view (and every
-// truncation of it) must parse or throw a typed error.
+// truncation of it) must parse or throw a typed error — and so must a site
+// awaiting any reply when that garbage arrives as the server's answer: a
+// typed error, or a step the protocol defines.
 TEST(FuzzEnvelope, VerifiedGarbagePayloadsDecodeOrThrow) {
+  core::LogConfig::instance().set_threshold(core::LogLevel::kOff);
   const std::vector<std::uint8_t> key(32, 0x52);
+  const flare::Credential cred{"site-1", "token", key};
+  using Step = flare::SiteSession::Step;
+  const Step steps[] = {Step::kRegister, Step::kPoll, Step::kSubmit, Step::kUnmask};
+  std::vector<std::unique_ptr<SessionAt>> sites;
+  for (const Step step : steps) sites.push_back(std::make_unique<SessionAt>(cred, step));
   core::Rng rng(7);
   for (int trial = 0; trial < 300; ++trial) {
     auto payload = random_bytes(rng, static_cast<std::size_t>(rng.uniform_int(1, 90)));
@@ -235,9 +278,22 @@ TEST(FuzzEnvelope, VerifiedGarbagePayloadsDecodeOrThrow) {
         decode_any(env.payload.first(len));
       } catch (const Error&) {
       }
+      for (std::size_t i = 0; i < sites.size(); ++i) {
+        try {
+          const auto outcome = sites[i]->answer(env.payload.first(len));
+          EXPECT_TRUE(outcome == flare::SiteSession::Outcome::kAdvanced ||
+                      outcome == flare::SiteSession::Outcome::kIdle ||
+                      outcome == flare::SiteSession::Outcome::kDone);
+          EXPECT_LE(static_cast<int>(sites[i]->step()), static_cast<int>(Step::kDone));
+          // The garbage was a valid reply and moved the session on: park a
+          // fresh one at the step under test again.
+          sites[i] = std::make_unique<SessionAt>(cred, steps[i]);
+        } catch (const Error&) {
+        }
+      }
     }
   }
-  SUCCEED();
+  core::LogConfig::instance().set_threshold(core::LogLevel::kInfo);
 }
 
 TEST(FuzzEnvelope, RandomGarbageNeverVerifies) {

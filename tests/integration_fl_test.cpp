@@ -231,8 +231,8 @@ TEST_F(IntegrationFlTest, DpNoiseDegradesGracefully) {
               lopts);
         });
     if (sigma > 0) {
-      runner.set_client_customizer([&](flare::FederatedClient& client) {
-        client.outbound_filters().add(
+      runner.set_client_customizer([&](flare::SiteSession& session) {
+        session.outbound_filters().add(
             std::make_shared<flare::GaussianPrivacyFilter>(sigma, 76));
       });
     }

@@ -159,7 +159,7 @@ int run_two_jobs(const std::string& dir) {
     drivers.emplace_back([&, j] {
       drive_job(pool, job_ids[j], static_cast<std::int64_t>(j), kSites,
                 [&runner] {
-                  return std::make_unique<AsyncInProcConnection>(
+                  return std::make_unique<InProcConnection>(
                       runner.async_router());
                 });
     });
@@ -233,7 +233,7 @@ class JobsTest : public ::testing::Test {
     JobRunner runner(pool);
     runner.submit(make_spec(job_id, rounds, sites));
     drive_job(pool, job_id, job_index, sites, [&runner] {
-      return std::make_unique<AsyncInProcConnection>(runner.async_router());
+      return std::make_unique<InProcConnection>(runner.async_router());
     });
     EXPECT_TRUE(runner.wait_all(30000));
     return model_bytes(runner.server(job_id).global_model());
@@ -304,7 +304,7 @@ TEST_F(JobsTest, JobsQueueWhenComputeBudgetIsExhausted) {
 
     // Finishing job-a frees its slot and admits job-b.
     drive_job(pool, "job-a", 0, 2, [&runner] {
-      return std::make_unique<AsyncInProcConnection>(runner.async_router());
+      return std::make_unique<InProcConnection>(runner.async_router());
     });
     EXPECT_TRUE(runner.wait_until_running("job-b", 10000));
     EXPECT_EQ(runner.status("job-a").state, JobState::kFinished);
@@ -352,7 +352,7 @@ TEST_F(JobsTest, AdminProtocolRoundTripOverSealedTransport) {
   runner.submit(make_spec("job-a", 1, 2));
   runner.submit(make_spec("job-b", 5, 2));
   AdminClient admin(
-      std::make_unique<AsyncInProcConnection>(runner.async_router()),
+      std::make_unique<InProcConnection>(runner.async_router()),
       pool.at("admin"));
 
   const std::string listing = admin.call("list");
@@ -370,7 +370,7 @@ TEST_F(JobsTest, AdminProtocolRoundTripOverSealedTransport) {
 
   // Drive job-a to completion, then read its metrics through the console.
   drive_job(pool, "job-a", 0, 2, [&runner] {
-    return std::make_unique<AsyncInProcConnection>(runner.async_router());
+    return std::make_unique<InProcConnection>(runner.async_router());
   });
   ASSERT_TRUE(runner.wait_all(30000));
   const std::string metrics = admin.call("metrics job-a");
@@ -401,7 +401,7 @@ TEST_F(JobsTest, MalformedAdminCommandsAreRejectedNotExecuted) {
   JobRunner runner(pool);
   runner.submit(make_spec("job-a", 1, 2));
   AdminClient admin(
-      std::make_unique<AsyncInProcConnection>(runner.async_router()),
+      std::make_unique<InProcConnection>(runner.async_router()),
       pool.at("admin"));
   EXPECT_EQ(admin.call("bogus").rfind("err unknown command 'bogus'", 0), 0u);
   EXPECT_EQ(admin.call("status"), "err usage: status <job>");
@@ -423,7 +423,7 @@ TEST_F(JobsTest, AdminFramesRequireTheProvisionedIdentity) {
   Credential impostor = pool.at("admin");
   impostor.secret[0] ^= 0xff;
   AdminClient bad_key(
-      std::make_unique<AsyncInProcConnection>(runner.async_router()),
+      std::make_unique<InProcConnection>(runner.async_router()),
       impostor);
   EXPECT_THROW(bad_key.call("list"), Error);
 
@@ -434,7 +434,7 @@ TEST_F(JobsTest, AdminFramesRequireTheProvisionedIdentity) {
   JobRunner closed(no_admin);
   closed.submit(make_spec("job-a", 1, 2));
   AdminClient locked_out(
-      std::make_unique<AsyncInProcConnection>(closed.async_router()),
+      std::make_unique<InProcConnection>(closed.async_router()),
       pool.at("admin"));
   EXPECT_THROW(locked_out.call("list"), Error);
   EXPECT_TRUE(runner.abort("job-a", "test teardown"));
@@ -457,7 +457,7 @@ TEST_F(JobsTest, CrossJobFramesAreRejectedWithTypedError) {
   wrong.job_id = "job-nope";
   FederatedClient misrouted(
       wrong, pool.at("site-1"),
-      std::make_unique<AsyncInProcConnection>(runner.async_router()),
+      std::make_unique<InProcConnection>(runner.async_router()),
       std::make_shared<ConstantLearner>("site-1", 1.0f));
   EXPECT_THROW(misrouted.run(), ProtocolError);
 
@@ -467,7 +467,7 @@ TEST_F(JobsTest, CrossJobFramesAreRejectedWithTypedError) {
   unbound.job_id = "";
   FederatedClient ambiguous(
       unbound, pool.at("site-1"),
-      std::make_unique<AsyncInProcConnection>(runner.async_router()),
+      std::make_unique<InProcConnection>(runner.async_router()),
       std::make_shared<ConstantLearner>("site-1", 1.0f));
   EXPECT_THROW(ambiguous.run(), ProtocolError);
 
@@ -489,7 +489,7 @@ TEST_F(JobsTest, UnboundFramesRouteToASingleHostedJob) {
       config.max_idle_ms = 30000;
       FederatedClient client(
           config, pool.at(name),
-          std::make_unique<AsyncInProcConnection>(runner.async_router()),
+          std::make_unique<InProcConnection>(runner.async_router()),
           std::make_shared<ConstantLearner>(name, 1.0f + static_cast<float>(i)));
       client.run();
     });
@@ -512,12 +512,12 @@ TEST_F(JobsTest, CrossJobReplayDoesNotPoisonTheReplayTracker) {
   runner.submit(make_spec("job-a", 1, 2));
   runner.submit(make_spec("job-b", 1, 2));
   const Credential& site = pool.at("site-1");
-  Dispatcher dispatch = runner.server("job-b").dispatcher();
+  InProcConnection connection(runner.server("job-b").async_dispatcher());
 
   const std::vector<std::uint8_t> replayed =
       seal("site-1", site.secret, 1000,
            pack(RegisterRequest{"site-1", site.token}), "job-a");
-  const auto replayed_reply = dispatch(replayed);
+  const auto replayed_reply = connection.call(replayed);
   EXPECT_EQ(decode_error(open(replayed_reply, site.secret).payload).code,
             ErrorCode::kWrongJob);
 
@@ -525,7 +525,7 @@ TEST_F(JobsTest, CrossJobReplayDoesNotPoisonTheReplayTracker) {
   const std::vector<std::uint8_t> legit =
       seal("site-1", site.secret, 1,
            pack(RegisterRequest{"site-1", site.token}), "job-b");
-  const auto legit_reply = dispatch(legit);
+  const auto legit_reply = connection.call(legit);
   EXPECT_TRUE(decode_register_ack(open(legit_reply, site.secret).payload).accepted);
 
   EXPECT_TRUE(runner.abort("job-a", "test teardown"));
@@ -542,12 +542,12 @@ TEST_F(JobsTest, UnknownSendersCannotEnumerateHostedJobIds) {
   JobRunner runner(pool);
   runner.submit(make_spec("job-a", 1, 2));
   runner.submit(make_spec("job-b", 1, 2));
-  Dispatcher dispatch = runner.router();
+  InProcConnection connection(runner.async_router());
   const std::vector<std::uint8_t> empty_key;
   const auto probe = [&](const std::string& job_id) {
     const std::vector<std::uint8_t> frame =
         seal("mallory", empty_key, 1, pack(GetTaskRequest{"s", 0}), job_id);
-    const auto reply = dispatch(frame);
+    const auto reply = connection.call(frame);
     return decode_error(open(reply, empty_key).payload);
   };
   const ErrorMessage hosted = probe("job-a");     // hosted here
@@ -579,7 +579,7 @@ TEST_F(JobsTest, AbortWhileRunningStopsClientsAndRecordsTheReason) {
       config.max_idle_ms = 30000;
       FederatedClient client(
           config, pool.at(name),
-          std::make_unique<AsyncInProcConnection>(runner.async_router()),
+          std::make_unique<InProcConnection>(runner.async_router()),
           std::make_shared<ConstantLearner>(name, 2.0f));
       client.run();  // returns on the server's kStop after the abort
     });
@@ -605,7 +605,7 @@ TEST_F(JobsTest, AbortAfterCleanFinishIsRefused) {
   JobRunner runner(pool);
   runner.submit(make_spec("job-a", 1, 2));
   drive_job(pool, "job-a", 0, 2, [&runner] {
-    return std::make_unique<AsyncInProcConnection>(runner.async_router());
+    return std::make_unique<InProcConnection>(runner.async_router());
   });
   ASSERT_TRUE(runner.wait_all(30000));
   FederatedServer& server = runner.server("job-a");
@@ -632,7 +632,7 @@ TEST_F(JobsTest, ResumedCompleteJobIsTerminalAtAdmissionAndFreesItsSlots) {
     spec.persist_path = persist;
     runner.submit(std::move(spec));
     drive_job(pool, "job-done", 0, 2, [&runner] {
-      return std::make_unique<AsyncInProcConnection>(runner.async_router());
+      return std::make_unique<InProcConnection>(runner.async_router());
     });
     ASSERT_TRUE(runner.wait_all(30000));
   }
@@ -682,7 +682,7 @@ TEST_F(JobsTest, TwoConcurrentJobsMatchSoloRuns) {
     drivers.emplace_back([&, j] {
       drive_job(pool, job_ids[j], static_cast<std::int64_t>(j), kSites,
                 [&runner] {
-                  return std::make_unique<AsyncInProcConnection>(
+                  return std::make_unique<InProcConnection>(
                       runner.async_router());
                 });
     });
@@ -737,7 +737,7 @@ TEST_F(JobsTest, FourConcurrentJobsEightSitesMatchSoloOnBothTransports) {
                       return std::make_unique<TcpConnection>("127.0.0.1",
                                                              tcp->port());
                     }
-                    return std::make_unique<AsyncInProcConnection>(
+                    return std::make_unique<InProcConnection>(
                         runner.async_router());
                   });
       });

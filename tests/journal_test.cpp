@@ -364,7 +364,7 @@ class RestartableFederation {
                                  const std::vector<std::uint8_t>& frame) {
     const Credential& cred = registry_.at(site);
     const auto response =
-        dispatcher_(seal(cred.name, cred.secret, seq_[site].next(), frame));
+        connection_->call(seal(cred.name, cred.secret, seq_[site].next(), frame));
     const Envelope env = open(response, cred.secret);
     return {env.payload.begin(), env.payload.end()};
   }
@@ -399,7 +399,7 @@ class RestartableFederation {
         config_, registry_, dict_of({0.0f, 0.0f}),
         std::make_unique<FedAvgAggregator>(false), persistor,
         persistor->load(), std::move(journal));
-    dispatcher_ = server_->dispatcher();
+    connection_ = std::make_unique<InProcConnection>(server_->async_dispatcher());
     sessions_.clear();  // sessions are process state; they died with it
   }
 
@@ -408,7 +408,7 @@ class RestartableFederation {
   std::string persist_path_;
   std::string journal_path_;
   std::unique_ptr<FederatedServer> server_;
-  Dispatcher dispatcher_;
+  std::unique_ptr<InProcConnection> connection_;
   std::map<std::string, SequenceSource> seq_;
   std::map<std::string, std::string> sessions_;
 };

@@ -84,19 +84,16 @@ TEST(Messages, UnmaskRequestRoundTrip) {
   EXPECT_TRUE(empty.dropped.empty());
 }
 
-TEST(Messages, UnmaskRequestWithoutSkeletonStillDecodes) {
-  // A pre-durability frame stops after the dropped list; the decoder must
-  // accept it with an empty skeleton (lenient trailing-field decode).
+TEST(Messages, UnmaskRequestWithoutSkeletonThrows) {
+  // A frame that stops after the dropped list (the pre-durability shape)
+  // is truncated: the skeleton is a required field.
   core::ByteWriter w;
   w.write_u8(static_cast<std::uint8_t>(MsgType::kUnmaskRequest));
   w.write_i64(9);
   w.write_i64(1);
   w.write_u32(1);
   w.write_string("site-4");
-  const UnmaskRequest m = decode_unmask_request(w.take());
-  EXPECT_EQ(m.round, 9);
-  EXPECT_EQ(m.dropped, std::vector<std::string>{"site-4"});
-  EXPECT_TRUE(m.skeleton.data().empty());
+  EXPECT_THROW((void)decode_unmask_request(w.take()), Error);
 }
 
 TEST(Messages, UnmaskResponseRoundTrip) {

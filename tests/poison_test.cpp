@@ -416,7 +416,7 @@ class ManualFederation {
         server_(std::make_unique<FederatedServer>(
             config, registry_, std::move(initial),
             std::make_unique<FedAvgAggregator>(true))),
-        dispatcher_(server_->dispatcher()) {}
+        connection_(server_->async_dispatcher()) {}
 
   FederatedServer& server() { return *server_; }
 
@@ -424,7 +424,7 @@ class ManualFederation {
                                  const std::vector<std::uint8_t>& frame) {
     const Credential& cred = registry_.at(site);
     const auto response =
-        dispatcher_(seal(cred.name, cred.secret, seq_[site].next(), frame));
+        connection_.call(seal(cred.name, cred.secret, seq_[site].next(), frame));
     const Envelope env = open(response, cred.secret);
     return {env.payload.begin(), env.payload.end()};
   }
@@ -462,7 +462,7 @@ class ManualFederation {
  private:
   std::map<std::string, Credential> registry_;
   std::unique_ptr<FederatedServer> server_;
-  Dispatcher dispatcher_;
+  InProcConnection connection_;
   std::map<std::string, SequenceSource> seq_;
   std::map<std::string, std::string> sessions_;
 };

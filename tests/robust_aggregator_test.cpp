@@ -219,7 +219,7 @@ TEST_F(DeadlineTest, RoundClosesWithoutStraggler) {
                : std::make_shared<FastLearner>(name);
     clients.push_back(std::make_unique<FederatedClient>(
         cc, registry.at(name),
-        std::make_unique<InProcConnection>(server.dispatcher()), learner));
+        std::make_unique<InProcConnection>(server.async_dispatcher()), learner));
   }
   const auto start = std::chrono::steady_clock::now();
   for (auto& c : clients) {

@@ -79,21 +79,19 @@ class ScaleTest : public ::testing::Test {
 
 // ---- wire compatibility --------------------------------------------------
 
-TEST_F(ScaleTest, GetTaskWaitMsRoundtripsAndLegacyFramesDecode) {
+TEST_F(ScaleTest, GetTaskWaitMsRoundtripsAndTruncatedFramesThrow) {
   const GetTaskRequest req{"sess-42-site-1", 12345};
   const std::vector<std::uint8_t> frame = pack(req);
   const GetTaskRequest back = decode_get_task(frame);
   EXPECT_EQ(back.session_id, req.session_id);
   EXPECT_EQ(back.wait_ms, 12345);
 
-  // A pre-long-poll frame is the same bytes minus the trailing i64; it must
-  // still decode, with wait_ms defaulting to 0 (answer immediately).
-  std::vector<std::uint8_t> legacy = frame;
-  ASSERT_GE(legacy.size(), 8u);
-  legacy.resize(legacy.size() - 8);
-  const GetTaskRequest old = decode_get_task(legacy);
-  EXPECT_EQ(old.session_id, req.session_id);
-  EXPECT_EQ(old.wait_ms, 0);
+  // The same bytes minus the trailing i64 (the pre-long-poll shape) are a
+  // truncated frame, not a wait_ms = 0 request.
+  std::vector<std::uint8_t> truncated = frame;
+  ASSERT_GE(truncated.size(), 8u);
+  truncated.resize(truncated.size() - 8);
+  EXPECT_THROW((void)decode_get_task(truncated), Error);
 }
 
 // ---- hierarchical aggregation -------------------------------------------
@@ -517,12 +515,6 @@ TEST_F(ScaleTest, MultiplexedModeRejectsIncompatibleDecorators) {
   {
     SimulatorRunner runner(config, dict_of({0.0f}),
                            std::make_unique<FedAvgAggregator>(true), factory);
-    runner.set_client_customizer([](FederatedClient&) {});
-    EXPECT_THROW(runner.run(), ConfigError);
-  }
-  {
-    SimulatorRunner runner(config, dict_of({0.0f}),
-                           std::make_unique<FedAvgAggregator>(true), factory);
     runner.set_fault_planner(
         [](std::int64_t, const std::string&, std::int64_t) {
           return std::optional<FaultPlan>{};
@@ -531,6 +523,9 @@ TEST_F(ScaleTest, MultiplexedModeRejectsIncompatibleDecorators) {
   }
 }
 
+/// Every site clips its update through a customizer filter, and site-2 is
+/// poisoned with seeded noise, so the mode-parity checks cover per-site
+/// setup as well as the protocol.
 nn::StateDict run_federation(std::int64_t num_clients, std::int64_t site_workers,
                              std::unique_ptr<Aggregator> aggregator,
                              std::int64_t clients_per_round = 0) {
@@ -546,6 +541,16 @@ nn::StateDict run_federation(std::int64_t num_clients, std::int64_t site_workers
                                name, static_cast<float>(i % 5),
                                std::make_shared<CohortLearner::Recorder>());
                          });
+  runner.set_client_customizer([](SiteSession& session) {
+    session.outbound_filters().add(std::make_shared<NormClipFilter>(5.0));
+  });
+  runner.set_poison_planner(
+      [](std::int64_t i, const std::string&) -> std::optional<PoisonPlan> {
+        if (i != 1) return std::nullopt;
+        PoisonPlan plan;
+        plan.noise_sigma = 0.5;
+        return plan;
+      });
   const SimulationResult result = runner.run();
   EXPECT_FALSE(result.aborted) << result.abort_reason;
   EXPECT_EQ(result.history.size(), 3u);

@@ -326,7 +326,7 @@ class ManualMaskedFederation {
         server_(std::make_unique<FederatedServer>(
             config, registry_, dict_of({0.0f, 0.0f}),
             std::make_unique<MaskedFedAvgAggregator>(16))),
-        dispatcher_(server_->dispatcher()) {
+        connection_(server_->async_dispatcher()) {
     // Mask participants are the client sites only — the registry's "server"
     // entry is the channel identity, not a masking peer.
     std::vector<std::string> names;
@@ -345,7 +345,7 @@ class ManualMaskedFederation {
                                  const std::vector<std::uint8_t>& frame) {
     const Credential& cred = registry_.at(site);
     const auto response =
-        dispatcher_(seal(cred.name, cred.secret, seq_[site].next(), frame));
+        connection_.call(seal(cred.name, cred.secret, seq_[site].next(), frame));
     const Envelope env = open(response, cred.secret);
     return {env.payload.begin(), env.payload.end()};
   }
@@ -402,7 +402,7 @@ class ManualMaskedFederation {
  private:
   std::map<std::string, Credential> registry_;
   std::unique_ptr<FederatedServer> server_;
-  Dispatcher dispatcher_;
+  InProcConnection connection_;
   std::map<std::string, std::shared_ptr<SecureAggMaskFilter>> maskers_;
   std::map<std::string, SequenceSource> seq_;
   std::map<std::string, std::string> sessions_;

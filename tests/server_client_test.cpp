@@ -73,7 +73,7 @@ class ServerClientTest : public ::testing::Test {
     config.max_idle_ms = 5000;
     return std::make_unique<FederatedClient>(
         config, registry_.at(name),
-        std::make_unique<InProcConnection>(server.dispatcher()),
+        std::make_unique<InProcConnection>(server.async_dispatcher()),
         std::move(learner));
   }
 
@@ -117,7 +117,7 @@ TEST_F(ServerClientTest, BadTokenRejected) {
   ClientConfig config;
   config.job_id = "test-project";
   FederatedClient client(config, bad,
-                         std::make_unique<InProcConnection>(server->dispatcher()),
+                         std::make_unique<InProcConnection>(server->async_dispatcher()),
                          std::make_shared<ConstantLearner>(
                              "site-1", std::vector<float>{0, 0}, 1));
   EXPECT_THROW(client.run(), ProtocolError);
@@ -125,23 +125,23 @@ TEST_F(ServerClientTest, BadTokenRejected) {
 
 TEST_F(ServerClientTest, UnknownSenderGetsUnverifiableResponse) {
   auto server = make_server(1);
-  auto dispatcher = server->dispatcher();
+  InProcConnection connection(server->async_dispatcher());
   // Seal as an unprovisioned participant with a random key.
   const std::vector<std::uint8_t> rogue_key(32, 0x7);
   const auto sealed = seal("rogue", rogue_key, 1,
                            pack(RegisterRequest{"rogue", "tok"}));
-  const auto response = dispatcher(sealed);
+  const auto response = connection.call(sealed);
   // The response cannot be verified with the rogue key (empty-key seal).
   EXPECT_THROW(open(response, rogue_key), ProtocolError);
 }
 
 TEST_F(ServerClientTest, ForgedEnvelopeFromKnownSenderRejected) {
   auto server = make_server(1);
-  auto dispatcher = server->dispatcher();
+  InProcConnection connection(server->async_dispatcher());
   const std::vector<std::uint8_t> wrong_key(32, 0x9);
   const auto sealed = seal("site-1", wrong_key, 1,
                            pack(RegisterRequest{"site-1", registry_.at("site-1").token}));
-  const auto response = dispatcher(sealed);
+  const auto response = connection.call(sealed);
   // Server answers with an error sealed under the legitimate site key.
   const Envelope env = open(response, registry_.at("site-1").secret);
   EXPECT_EQ(peek_type(env.payload), MsgType::kError);
@@ -149,17 +149,17 @@ TEST_F(ServerClientTest, ForgedEnvelopeFromKnownSenderRejected) {
 
 TEST_F(ServerClientTest, GetTaskWithoutSessionFails) {
   auto server = make_server(1);
-  auto dispatcher = server->dispatcher();
+  InProcConnection connection(server->async_dispatcher());
   const Credential& cred = registry_.at("site-1");
   const auto sealed = seal(cred.name, cred.secret, 1, pack(GetTaskRequest{"bogus"}));
-  const auto response = dispatcher(sealed);
+  const auto response = connection.call(sealed);
   const Envelope env = open(response, cred.secret);
   EXPECT_EQ(peek_type(env.payload), MsgType::kError);
 }
 
 TEST_F(ServerClientTest, StaleRoundSubmissionRejected) {
   auto server = make_server(2);
-  auto dispatcher = server->dispatcher();
+  InProcConnection connection(server->async_dispatcher());
   const Credential& c1 = registry_.at("site-1");
   const Credential& c2 = registry_.at("site-2");
   SequenceSource seq1, seq2;
@@ -167,7 +167,7 @@ TEST_F(ServerClientTest, StaleRoundSubmissionRejected) {
   auto call = [&](const Credential& cred, SequenceSource& seq,
                   const std::vector<std::uint8_t>& frame) {
     const auto resp =
-        dispatcher(seal(cred.name, cred.secret, seq.next(), frame));
+        connection.call(seal(cred.name, cred.secret, seq.next(), frame));
     const Envelope env = open(resp, cred.secret);
     return std::vector<std::uint8_t>(env.payload.begin(), env.payload.end());
   };
@@ -197,13 +197,13 @@ TEST_F(ServerClientTest, StaleRoundSubmissionRejected) {
 
 TEST_F(ServerClientTest, DuplicateSubmissionRejected) {
   auto server = make_server(2);
-  auto dispatcher = server->dispatcher();
+  InProcConnection connection(server->async_dispatcher());
   const Credential& c1 = registry_.at("site-1");
   const Credential& c2 = registry_.at("site-2");
   SequenceSource seq1, seq2;
   auto call = [&](const Credential& cred, SequenceSource& seq,
                   const std::vector<std::uint8_t>& frame) {
-    const auto response = dispatcher(seal(cred.name, cred.secret, seq.next(), frame));
+    const auto response = connection.call(seal(cred.name, cred.secret, seq.next(), frame));
     const Envelope env = open(response, cred.secret);
     return std::vector<std::uint8_t>(env.payload.begin(), env.payload.end());
   };
@@ -222,11 +222,11 @@ TEST_F(ServerClientTest, DuplicateSubmissionRejected) {
 
 TEST_F(ServerClientTest, TaskNoneBeforeAllRegistered) {
   auto server = make_server(1);
-  auto dispatcher = server->dispatcher();
+  InProcConnection connection(server->async_dispatcher());
   const Credential& c1 = registry_.at("site-1");
   SequenceSource seq1;
   auto call = [&](const std::vector<std::uint8_t>& frame) {
-    const auto response = dispatcher(seal(c1.name, c1.secret, seq1.next(), frame));
+    const auto response = connection.call(seal(c1.name, c1.secret, seq1.next(), frame));
     const Envelope env = open(response, c1.secret);
     return std::vector<std::uint8_t>(env.payload.begin(), env.payload.end());
   };
@@ -238,14 +238,14 @@ TEST_F(ServerClientTest, TaskNoneBeforeAllRegistered) {
 
 TEST_F(ServerClientTest, ReplayedEnvelopeRejected) {
   auto server = make_server(1);
-  auto dispatcher = server->dispatcher();
+  InProcConnection connection(server->async_dispatcher());
   const Credential& c1 = registry_.at("site-1");
   const auto sealed = seal(c1.name, c1.secret, 1,
                            pack(RegisterRequest{c1.name, c1.token}));
-  const auto first_response = dispatcher(sealed);
+  const auto first_response = connection.call(sealed);
   const Envelope first = open(first_response, c1.secret);
   EXPECT_EQ(peek_type(first.payload), MsgType::kRegisterAck);
-  const auto replay_response = dispatcher(sealed);
+  const auto replay_response = connection.call(sealed);
   const Envelope replay = open(replay_response, c1.secret);
   EXPECT_EQ(peek_type(replay.payload), MsgType::kError);
 }

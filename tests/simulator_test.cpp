@@ -161,9 +161,9 @@ TEST_F(SimulatorTest, ClientCustomizerAddsFilters) {
                            return std::make_shared<HalfwayLearner>(name, 100.0f, 10);
                          });
   std::atomic<int> customized{0};
-  runner.set_client_customizer([&](FederatedClient& client) {
+  runner.set_client_customizer([&](SiteSession& session) {
     customized.fetch_add(1);
-    client.outbound_filters().add(std::make_shared<NormClipFilter>(0.25));
+    session.outbound_filters().add(std::make_shared<NormClipFilter>(0.25));
   });
   const SimulationResult result = runner.run();
   EXPECT_EQ(customized.load(), 2);

@@ -1,5 +1,5 @@
 // R14 fixture: a FederatedServer built behind the JobRunner's back.
 void rogue() {
   FederatedServer server(config, registry, model, std::move(aggregator));
-  server.dispatcher();
+  server.async_dispatcher();
 }
