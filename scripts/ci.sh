@@ -11,6 +11,9 @@
 #   5. tests         full suite under ASan+UBSan, the served TCP path
 #                    (scripts/tcp_smoke.sh) under ASan+UBSan, then the
 #                    threaded subset under TSan
+#   6. roundbench    every benchmark workload once at smoke size, with its
+#                    correctness checks (clinical-bert-tcp's byte-exact
+#                    durability and journal-compaction checks among them)
 #
 # A subset of scripts/check_all.sh sized for every-push latency.
 #
@@ -75,5 +78,8 @@ cmake --build --preset tsan -j "${JOBS}"
 export TSAN_OPTIONS="suppressions=${REPO_ROOT}/scripts/tsan.supp:history_size=7"
 ctest --preset tsan -j "${JOBS}" -R \
   '^(stress_concurrency_test|parallel_test|thread_pool_test|tcp_test|simulator_test|server_client_test|integration_fl_test|cross_site_test|faults_test|secure_recovery_test|poison_test|trace_test|scale_test|journal_test|crash_recovery_test|jobs_test)$'
+
+step "roundbench: smoke every workload"
+python3 roundbench/run.py --smoke-all
 
 step "ci pass complete"

@@ -117,10 +117,6 @@ LogEvent& LogEvent::kv_int(std::string_view key, long long value) {
   return *this;
 }
 
-void Logger::log(LogLevel level, const std::string& message) const {
-  LogEvent(name_, level).msg(message);
-}
-
 std::string timestamp_now() {
   using namespace std::chrono;
   const auto now = system_clock::now();

@@ -2,11 +2,11 @@
 //
 //   2023-04-07 06:33:33,911 - CiBertLearner - INFO: Local epoch site-7: 1/10
 //
-// Each subsystem obtains a named `Logger`; all loggers share one sink and a
+// Each event names its component; all components share one sink and a
 // global threshold. The format intentionally mirrors the NVFlare log lines
 // shown in Fig. 3 of the paper so the demonstration bench reads the same.
 //
-// Structured event API (the primary surface since the observability PR):
+// Structured event API:
 //
 //   LOG(info).msg("Round started").kv("round", r);
 //   LOG_AS("ClientManager", warn).msg("bad token").kv("site", name);
@@ -15,9 +15,7 @@
 // `CPPFLARE_LOG_COMPONENT` ("MyComponent") anywhere above the first use —
 // while `LOG_AS` names the component inline. Key-value pairs are appended
 // to the message as ` key=value` (values with spaces are quoted), keeping
-// lines grep- and machine-parsable. The legacy string methods
-// (`Logger::info(...)` et al.) remain as thin shims over `LogEvent`;
-// lint rule R8 bans new call sites of that legacy form outside src/core/.
+// lines grep- and machine-parsable.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +41,7 @@ inline constexpr LogLevel error = LogLevel::kError;
 /// Returns the fixed uppercase name for a level ("INFO", ...).
 const char* log_level_name(LogLevel level);
 
-/// Global log configuration shared by all `Logger` instances.
+/// Global log configuration shared by every component.
 class LogConfig {
  public:
   static LogConfig& instance();
@@ -123,31 +121,6 @@ class LogEvent {
       CPPFLARE_LOG_COMPONENT, ::cppflare::core::log_levels::level)
 #define LOG_AS(component, level) \
   ::cppflare::core::LogEvent((component), ::cppflare::core::log_levels::level)
-
-/// A named logger. Cheap to construct; holds only its name.
-///
-/// The string convenience methods below are the *legacy* surface, kept as
-/// shims over `LogEvent` for the NVFlare-style prose lines in src/core/ and
-/// in tests; new library call sites use LOG/LOG_AS (lint rule R8).
-class Logger {
- public:
-  explicit Logger(std::string name) : name_(std::move(name)) {}
-
-  const std::string& name() const { return name_; }
-
-  /// Structured event under this logger's name.
-  LogEvent event(LogLevel level) const { return LogEvent(name_, level); }
-
-  void log(LogLevel level, const std::string& message) const;
-
-  void debug(const std::string& m) const { log(LogLevel::kDebug, m); }
-  void info(const std::string& m) const { log(LogLevel::kInfo, m); }
-  void warn(const std::string& m) const { log(LogLevel::kWarn, m); }
-  void error(const std::string& m) const { log(LogLevel::kError, m); }
-
- private:
-  std::string name_;
-};
 
 /// Formats the current wall-clock time as "YYYY-MM-DD HH:MM:SS,mmm".
 std::string timestamp_now();

@@ -31,10 +31,10 @@ namespace cppflare::flare {
 using ConnectionFactory = std::function<std::unique_ptr<Connection>()>;
 
 struct ClientConfig {
-  /// Job binding: stamped on every outbound envelope (the multi-job
-  /// coordinator routes frames by it and rejects cross-job traffic with
-  /// ErrorCode::kWrongJob) and carried into the Learner's FLContext. Empty
-  /// means unbound — accepted when the peer hosts exactly one job.
+  /// Job binding, required: stamped on every outbound envelope (servers and
+  /// the job router reject frames bound to another job, or to none, with
+  /// ErrorCode::kWrongJob) and carried into the Learner's FLContext.
+  /// Constructing a client with it empty throws ConfigError.
   std::string job_id;
   /// Long-poll budget sent with every get_task: the server parks the call
   /// until a task is ready or this much time passed (it also clamps the

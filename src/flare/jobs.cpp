@@ -484,23 +484,11 @@ JobRunner::Route JobRunner::resolve(const std::vector<std::uint8_t>& request) {
   std::string wrong_job_msg;
   {
     core::MutexLock lock(mu_);
-    Job* job = nullptr;
-    if (job_id.empty()) {
-      // Unbound frame (pre-multi-job client): unambiguous only when this
-      // process hosts exactly one job.
-      if (jobs_.size() == 1) {
-        job = jobs_.front().get();
-      } else {
-        wrong_job_msg = "unbound frame but " + std::to_string(jobs_.size()) +
-                        " jobs are hosted here; set ClientConfig::job_id";
-      }
+    Job* job = find_locked(job_id);
+    if (job == nullptr) {
+      wrong_job_msg = job_id.empty() ? "frame carries no job binding"
+                                     : "no job '" + job_id + "' is hosted here";
     } else {
-      job = find_locked(job_id);
-      if (job == nullptr) {
-        wrong_job_msg = "no job '" + job_id + "' is hosted here";
-      }
-    }
-    if (job != nullptr) {
       if (job->phase == JobState::kQueued) {
         route.reply = seal_reply(
             sender, key, job_id,

@@ -152,8 +152,8 @@ class JobRunner {
   bool wait_all(std::int64_t timeout_ms);
 
   /// Transport entry point: routes each sealed frame to the job its
-  /// envelope names (admin frames to the admin handler). Unknown or
-  /// unbound-but-ambiguous jobs are rejected with the typed
+  /// envelope names (admin frames to the admin handler). Frames bound to
+  /// no hosted job, or to none at all, are rejected with the typed
   /// ErrorCode::kWrongJob; frames for a queued job get kRetryable until it
   /// is admitted. The callable must not outlive the runner.
   AsyncDispatcher async_router();

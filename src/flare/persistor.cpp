@@ -11,9 +11,7 @@
 namespace cppflare::flare {
 
 namespace {
-constexpr std::uint32_t kCheckpointMagicV1 = 0x43504b31;  // "CPK1"
-constexpr std::uint32_t kCheckpointMagicV2 = 0x43504b32;  // "CPK2"
-constexpr std::uint32_t kCheckpointMagicV3 = 0x43504b33;  // "CPK3"
+constexpr std::uint32_t kCheckpointMagic = 0x43504b33;  // "CPK3"
 
 void write_metrics(core::ByteWriter& w, const RoundMetrics& m) {
   w.write_i64(m.round);
@@ -25,11 +23,6 @@ void write_metrics(core::ByteWriter& w, const RoundMetrics& m) {
   w.write_i64(m.late_contributions);
   w.write_i64(m.evicted_sites);
   w.write_bool(m.deadline_fired);
-}
-
-/// v3 appends the defense telemetry after the v2 fields.
-void write_metrics_v3(core::ByteWriter& w, const RoundMetrics& m) {
-  write_metrics(w, m);
   w.write_i64(m.rejected_updates);
   w.write_i64(m.quarantined_sites);
   w.write_u32(static_cast<std::uint32_t>(m.rejections_by_reason.size()));
@@ -39,7 +32,7 @@ void write_metrics_v3(core::ByteWriter& w, const RoundMetrics& m) {
   }
 }
 
-RoundMetrics read_metrics(core::ByteReader& r, bool v3) {
+RoundMetrics read_metrics(core::ByteReader& r) {
   RoundMetrics m;
   m.round = r.read_i64();
   m.num_contributions = r.read_i64();
@@ -50,14 +43,12 @@ RoundMetrics read_metrics(core::ByteReader& r, bool v3) {
   m.late_contributions = r.read_i64();
   m.evicted_sites = r.read_i64();
   m.deadline_fired = r.read_bool();
-  if (v3) {
-    m.rejected_updates = r.read_i64();
-    m.quarantined_sites = r.read_i64();
-    const std::uint32_t reasons = r.read_u32();
-    for (std::uint32_t i = 0; i < reasons; ++i) {
-      const std::string reason = r.read_string();
-      m.rejections_by_reason[reason] = r.read_i64();
-    }
+  m.rejected_updates = r.read_i64();
+  m.quarantined_sites = r.read_i64();
+  const std::uint32_t reasons = r.read_u32();
+  for (std::uint32_t i = 0; i < reasons; ++i) {
+    const std::string reason = r.read_string();
+    m.rejections_by_reason[reason] = r.read_i64();
   }
   return m;
 }
@@ -83,12 +74,12 @@ SiteStanding read_standing(core::ByteReader& r) {
 
 void ModelPersistor::save(const Checkpoint& checkpoint) const {
   core::ByteWriter w;
-  w.write_u32(kCheckpointMagicV3);
+  w.write_u32(kCheckpointMagic);
   w.write_string(checkpoint.job_id);
   w.write_i64(checkpoint.round);
   checkpoint.model.serialize(w);
   w.write_u32(static_cast<std::uint32_t>(checkpoint.history.size()));
-  for (const RoundMetrics& m : checkpoint.history) write_metrics_v3(w, m);
+  for (const RoundMetrics& m : checkpoint.history) write_metrics(w, m);
   w.write_u32(static_cast<std::uint32_t>(checkpoint.reputation.size()));
   for (const auto& [site, standing] : checkpoint.reputation) {
     w.write_string(site);
@@ -112,50 +103,39 @@ std::optional<Checkpoint> ModelPersistor::load() const {
   std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
                                   std::istreambuf_iterator<char>());
   core::ByteReader probe(bytes);
-  const std::uint32_t magic = probe.read_u32();
-  if (magic != kCheckpointMagicV1 && magic != kCheckpointMagicV2 &&
-      magic != kCheckpointMagicV3) {
+  if (probe.read_u32() != kCheckpointMagic) {
     throw SerializationError("ModelPersistor: bad checkpoint magic in '" + path_ +
                              "'");
   }
-  if (magic == kCheckpointMagicV3) {
-    constexpr std::size_t kFooter = 32;
-    if (bytes.size() < kFooter + 4) {
-      throw SerializationError("ModelPersistor: checkpoint '" + path_ +
-                               "' is truncated (no integrity footer)");
-    }
-    const std::size_t body = bytes.size() - kFooter;
-    const core::Digest computed = core::Sha256::hash(bytes.data(), body);
-    core::Digest stored{};
-    for (std::size_t i = 0; i < kFooter; ++i) stored[i] = bytes[body + i];
-    if (!core::digests_equal(computed, stored)) {
-      throw SerializationError(
-          "ModelPersistor: integrity check failed for '" + path_ +
-          "' — checkpoint is truncated or corrupted");
-    }
-    bytes.resize(body);
+  constexpr std::size_t kFooter = 32;
+  if (bytes.size() < kFooter + 4) {
+    throw SerializationError("ModelPersistor: checkpoint '" + path_ +
+                             "' is truncated (no integrity footer)");
   }
+  const std::size_t body = bytes.size() - kFooter;
+  const core::Digest computed = core::Sha256::hash(bytes.data(), body);
+  core::Digest stored{};
+  for (std::size_t i = 0; i < kFooter; ++i) stored[i] = bytes[body + i];
+  if (!core::digests_equal(computed, stored)) {
+    throw SerializationError(
+        "ModelPersistor: integrity check failed for '" + path_ +
+        "' — checkpoint is truncated or corrupted");
+  }
+  bytes.resize(body);
   core::ByteReader r(bytes);
   (void)r.read_u32();  // magic, validated above
   Checkpoint cp;
   cp.job_id = r.read_string();
   cp.round = r.read_i64();
   cp.model = nn::StateDict::deserialize(r);
-  if (magic != kCheckpointMagicV1) {
-    const bool v3 = magic == kCheckpointMagicV3;
-    const std::uint32_t count = r.read_u32();
-    // Every record takes bytes: never reserve past what the file holds.
-    cp.history.reserve(std::min<std::size_t>(count, r.remaining()));
-    for (std::uint32_t i = 0; i < count; ++i) {
-      cp.history.push_back(read_metrics(r, v3));
-    }
-    if (v3) {
-      const std::uint32_t sites = r.read_u32();
-      for (std::uint32_t i = 0; i < sites; ++i) {
-        const std::string site = r.read_string();
-        cp.reputation[site] = read_standing(r);
-      }
-    }
+  const std::uint32_t count = r.read_u32();
+  // Every record takes bytes: never reserve past what the file holds.
+  cp.history.reserve(std::min<std::size_t>(count, r.remaining()));
+  for (std::uint32_t i = 0; i < count; ++i) cp.history.push_back(read_metrics(r));
+  const std::uint32_t sites = r.read_u32();
+  for (std::uint32_t i = 0; i < sites; ++i) {
+    const std::string site = r.read_string();
+    cp.reputation[site] = read_standing(r);
   }
   return cp;
 }

@@ -6,8 +6,7 @@
 // per-round metrics history plus the site-reputation standings (resume
 // keeps quarantines — see validator.h) and ends in a SHA-256 footer, so a
 // truncated or bit-rotted file fails loudly instead of loading garbage.
-// v1 files still load (empty history), as do v2 files (no reputation, no
-// footer).
+// It is the only format: any other magic is a SerializationError.
 #pragma once
 
 #include <cstdint>
@@ -30,8 +29,8 @@ struct Checkpoint {
   nn::StateDict model;
   /// Metrics for rounds 0..round (aggregation state for mid-run resume).
   std::vector<RoundMetrics> history;
-  /// Site-reputation standings at the end of `round` (empty for v1/v2
-  /// checkpoints and runs without quarantine).
+  /// Site-reputation standings at the end of `round` (empty for runs
+  /// without quarantine).
   std::map<std::string, SiteStanding> reputation;
 };
 
@@ -39,10 +38,11 @@ class ModelPersistor {
  public:
   explicit ModelPersistor(std::string path) : path_(std::move(path)) {}
 
-  /// Atomically writes the checkpoint (always in the v3 format).
+  /// Atomically writes the checkpoint in the CPK3 format.
   void save(const Checkpoint& checkpoint) const;
 
-  /// Loads the checkpoint; std::nullopt if the file does not exist.
+  /// Loads the checkpoint; std::nullopt if the file does not exist. Throws
+  /// SerializationError on a foreign magic, a failed footer or truncation.
   std::optional<Checkpoint> load() const;
 
   const std::string& path() const { return path_; }

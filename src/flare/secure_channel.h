@@ -24,9 +24,9 @@ namespace cppflare::flare {
 struct Envelope {
   std::string sender;
   /// Job binding (multi-job coordinator, DESIGN.md §16): the job this frame
-  /// belongs to, covered by the MAC so cross-job replays fail closed. Empty
-  /// means "unbound" — accepted by a single-job endpoint, rejected by the
-  /// job router whenever more than one job is live.
+  /// belongs to, covered by the MAC so cross-job replays fail closed. Every
+  /// site frame carries one; only replies the router could not verify are
+  /// sealed unbound (empty).
   std::string job_id;
   std::uint64_t sequence = 0;
   /// View into the sealed bytes `open` verified: valid while they live.
@@ -49,7 +49,7 @@ std::vector<std::uint8_t> seal_encoded(const std::string& sender,
                                        const std::string& job_id = {});
 
 /// Wraps `payload` in a MAC'd envelope as `sender` with `sequence`, bound
-/// to `job_id` (empty = unbound, the single-job wire shape).
+/// to `job_id` (empty = unbound; servers reject unbound site frames).
 std::vector<std::uint8_t> seal(const std::string& sender,
                                const std::vector<std::uint8_t>& secret,
                                std::uint64_t sequence,

@@ -200,9 +200,9 @@ void FederatedServer::dispatch(const std::vector<std::uint8_t>& request,
           sender, key, pack(ErrorMessage{e.what(), ErrorCode::kRetryable})));
       return;
     }
-    if (!env.job_id.empty() && env.job_id != config_.job_id) {
-      // Authenticated but bound to another job: a misrouted or cross-job
-      // replayed frame. Typed so the client aborts instead of retrying.
+    if (env.job_id != config_.job_id) {
+      // Authenticated but bound to another job (or to none): a misrouted or
+      // cross-job replayed frame. Typed so the client aborts instead of retrying.
       // Checked BEFORE the replay tracker advances: sites share one
       // credential across jobs, so a replayed high-sequence frame from
       // another job must not poison this job's per-sender sequence state
@@ -258,8 +258,8 @@ void FederatedServer::park_or_reply_get_task(const std::string& sender,
   if (it == sessions_.end() || it->second != req.session_id) {
     throw UnknownSessionError("get_task: no active session for '" + sender + "'");
   }
-  maybe_close_round_locked();
-  service_parked_locked();
+  // A poll changes no round state: deadlines, eviction, recovery waves and
+  // park expiry all belong to the ticker.
   if (req.wait_ms > 0 && poll_parks_locked(sender)) {
     // Park until the answer changes (round opens/advances/stops, or mask
     // recovery wants a share) or the clamped wait expires. One park per
@@ -273,16 +273,13 @@ void FederatedServer::park_or_reply_get_task(const std::string& sender,
                                           std::move(existing->second.respond)});
       parked_.erase(existing);
     }
-    const std::int64_t wait = std::min(req.wait_ms, kMaxGetTaskWaitMs);
-    parked_.emplace(
-        sender,
-        ParkedPoll{key, std::move(respond),
-                   std::chrono::steady_clock::now() +
-                       std::chrono::milliseconds(wait)});
+    const auto deadline =
+        std::chrono::steady_clock::now() +
+        std::chrono::milliseconds(std::min(req.wait_ms, kMaxGetTaskWaitMs));
+    parked_.emplace(sender, ParkedPoll{key, std::move(respond), deadline});
     metrics_.gauge(metric_names::kServerParkedPolls)
         .set(static_cast<double>(parked_.size()));
-    // The nearest deadline may have moved; let the ticker re-plan.
-    ticker_cv_.notify_all();
+    wake_ticker_locked(deadline);
     return;
   }
   ready_replies_.push_back(
@@ -349,6 +346,9 @@ std::vector<std::uint8_t> FederatedServer::on_register(const std::string& sender
     started_ = true;
     events_.fire(EventType::kStartRun, make_context_locked());
     start_round_locked();
+    // A replayed round may already hold every contribution or share: close
+    // it now instead of on the ticker's next pass.
+    maybe_close_round_locked();
     // The round just opened: every parked long-poll now has a train task.
     service_parked_locked();
   }
@@ -449,28 +449,41 @@ void FederatedServer::drain_ready_replies() {
   }
 }
 
+std::chrono::steady_clock::time_point FederatedServer::next_tick_locked() const {
+  const auto now = std::chrono::steady_clock::now();
+  auto at = now + std::chrono::milliseconds(500);
+  if (started_ && !finished_ && !aborted_) {
+    if (phase_ == RoundPhase::kRecovering) {
+      at = std::min(at, recovery_deadline_);
+    } else if (config_.round_deadline_ms > 0) {
+      at = std::min(at, round_start_ + std::chrono::milliseconds(
+                                           config_.round_deadline_ms));
+    }
+    if (config_.liveness_timeout_ms > 0) {
+      at = std::min(at, now + std::chrono::milliseconds(20));
+    }
+  }
+  for (const auto& [site, park] : parked_) at = std::min(at, park.deadline);
+  return at;
+}
+
+void FederatedServer::wake_ticker_locked(std::chrono::steady_clock::time_point at) {
+  if (at >= ticker_wake_at_) return;  // already due by then
+  ticker_wake_at_ = at;
+  ticker_cv_.notify_all();
+}
+
 void FederatedServer::ticker_loop() {
   core::MutexLock lock(mu_);
   while (!ticker_stop_) {
-    // Plan the nap: coarse by default, fine while timed fault-tolerance
-    // machinery is armed, and never past the nearest park deadline.
-    std::int64_t wait_ms = 500;
-    if (started_ && !finished_ && !aborted_ &&
-        (config_.round_deadline_ms > 0 || config_.liveness_timeout_ms > 0 ||
-         phase_ == RoundPhase::kRecovering)) {
-      wait_ms = 20;
-    }
-    if (!parked_.empty()) {
-      const auto now = std::chrono::steady_clock::now();
-      for (const auto& [site, park] : parked_) {
-        const auto until = std::chrono::duration_cast<std::chrono::milliseconds>(
-                               park.deadline - now)
-                               .count();
-        wait_ms = std::min(wait_ms, std::max<std::int64_t>(5, until));
-      }
-    }
-    ticker_cv_.wait_for_ms(mu_, wait_ms,
-                           [this]() CF_REQUIRES(mu_) { return ticker_stop_; });
+    const auto planned = ticker_wake_at_ = next_tick_locked();
+    const auto wait = std::chrono::ceil<std::chrono::milliseconds>(
+        planned - std::chrono::steady_clock::now());
+    ticker_cv_.wait_for_ms(
+        mu_, std::max<std::int64_t>(1, wait.count()),
+        [this, planned]() CF_REQUIRES(mu_) {
+          return ticker_stop_ || ticker_wake_at_ < planned;
+        });
     if (ticker_stop_) break;
     if (started_ && !finished_ && !aborted_) maybe_close_round_locked();
     service_parked_locked();
@@ -579,65 +592,75 @@ std::vector<std::uint8_t> FederatedServer::on_submit(const std::string& sender,
   inbound_filters_.process(contribution, ctx);
   record_site_metrics_locked(sender, contribution);
 
+  // Each verdict is journaled before round state changes: after the frame
+  // is down, a crash anywhere leaves a replayable record and the client's
+  // resend is answered from it — the site is never asked to train this
+  // round again.
+  SubmitAck ack{true, "accepted"};
   if (reputation_.quarantined(sender)) {
     // Quarantined uploads never reach the aggregator, but they are still
     // screened (and their norm judged at round close) so clean rounds can
     // grow the site's parole streak.
-    ScoredUpload scored;
-    scored.verdict = validator_.score(sender, contribution, &scored.norm);
+    double norm = 0.0;
+    const Verdict verdict = validator_.score(sender, contribution, &norm);
     if (journal_) {
-      journal_->quarantine_scored(
-          sender, static_cast<std::uint8_t>(scored.verdict.reason),
-          scored.verdict.detail, scored.norm);
+      journal_->quarantine_scored(sender, static_cast<std::uint8_t>(verdict.reason),
+                                  verdict.detail, norm);
     }
-    scored_quarantined_[sender] = std::move(scored);
-    record_rejection_locked(RejectReason::kQuarantined);
-    const SubmitAck ack{false,
-                        "quarantined: update scored but excluded from "
-                        "aggregation",
-                        RejectReason::kQuarantined};
-    rejected_acks_[sender] = ack;
-    maybe_close_round_locked();
-    service_parked_locked();
-    return pack(ack);
-  }
-
-  const Verdict verdict = validator_.admit(*aggregator_, sender, contribution);
-  if (!verdict.ok()) {
-    const SubmitAck ack{
-        false,
-        "rejected: " + std::string(reject_reason_name(verdict.reason)) +
-            (verdict.detail.empty() ? "" : " (" + verdict.detail + ")"),
-        verdict.reason};
+    score_quarantined_locked(sender, verdict, norm);
+    ack = rejected_acks_.at(sender);
+  } else if (const Verdict verdict =
+                 validator_.admit(*aggregator_, sender, contribution);
+             !verdict.ok()) {
+    ack = SubmitAck{false,
+                    "rejected: " + std::string(reject_reason_name(verdict.reason)) +
+                        (verdict.detail.empty() ? "" : " (" + verdict.detail + ")"),
+                    verdict.reason};
     if (journal_) {
       journal_->rejected(sender, static_cast<std::uint8_t>(verdict.reason),
                          ack.message);
     }
-    record_rejection_locked(verdict.reason);
-    if (reputation_.record_rejection(sender)) {
-      LOG_AS(kSag, warn)
-          .msg("Site QUARANTINED after consecutive rejections")
-          .kv("site", sender)
-          .kv("strikes", config_.reputation.quarantine_after);
-    }
-    rejected_acks_[sender] = ack;
-    maybe_close_round_locked();
-    service_parked_locked();
-    return pack(ack);
+    reject_locked(sender, ack);
+  } else {
+    // The accepted (post-filter) bytes: replay re-admits them.
+    if (journal_) journal_->accepted(sender, contribution);
+    CF_CRASHPOINT("journal.append.after");
+    accept_locked(sender);
   }
-  // Journal the accepted (post-filter) bytes before mutating round state:
-  // after this frame is down, a crash anywhere leaves a replayable record
-  // and the client's resend maps to kDuplicateContribution — the site is
-  // never asked to train this round again.
-  if (journal_) journal_->accepted(sender, contribution);
-  CF_CRASHPOINT("journal.append.after");
-  submitted_.insert(sender);
-  metrics_.counter(metric_names::kServerContribAccepted).add(1);
   maybe_close_round_locked();
   // The submit may have closed the round (or aborted the run): wake every
   // parked long-poll whose answer changed.
   service_parked_locked();
-  return pack(SubmitAck{true, "accepted"});
+  return pack(ack);
+}
+
+void FederatedServer::accept_locked(const std::string& site) {
+  submitted_.insert(site);
+  metrics_.counter(metric_names::kServerContribAccepted).add(1);
+}
+
+void FederatedServer::reject_locked(const std::string& site, SubmitAck ack) {
+  record_rejection_locked(ack.reason);
+  if (reputation_.record_rejection(site)) {
+    LOG_AS(kSag, warn)
+        .msg("Site QUARANTINED after consecutive rejections")
+        .kv("site", site)
+        .kv("strikes", config_.reputation.quarantine_after);
+  }
+  rejected_acks_[site] = std::move(ack);
+}
+
+void FederatedServer::score_quarantined_locked(const std::string& site,
+                                               Verdict verdict, double norm) {
+  scored_quarantined_[site] = ScoredUpload{std::move(verdict), norm};
+  record_rejection_locked(RejectReason::kQuarantined);
+  rejected_acks_[site] = SubmitAck{
+      false, "quarantined: update scored but excluded from aggregation",
+      RejectReason::kQuarantined};
+}
+
+void FederatedServer::evict_locked(const std::string& site) {
+  evicted_.insert(site);
 }
 
 std::vector<std::uint8_t> FederatedServer::on_unmask(const std::string& sender,
@@ -680,14 +703,7 @@ std::vector<std::uint8_t> FederatedServer::on_unmask(const std::string& sender,
   }
   if (journal_) journal_->unmask_share(sender, req.share);
   CF_CRASHPOINT("recovery.share.after");
-  unmask_pending_.erase(sender);
-  metrics_.counter(metric_names::kServerUnmaskShares).add(1);
-  LOG_AS(kSag, info)
-      .msg("Unmask share recorded")
-      .kv("site", sender)
-      .kv("round", round_)
-      .kv("wave", recovery_wave_)
-      .kv("outstanding", static_cast<std::int64_t>(unmask_pending_.size()));
+  record_share_locked(sender);
   // The last share finishes recovery and publishes the round: wake every
   // parked long-poll whose answer changed.
   advance_recovery_locked();
@@ -703,42 +719,60 @@ FLContext FederatedServer::make_context_locked() const {
   return ctx;
 }
 
+void FederatedServer::record_share_locked(const std::string& site) {
+  unmask_pending_.erase(site);
+  metrics_.counter(metric_names::kServerUnmaskShares).add(1);
+  LOG_AS(kSag, info)
+      .msg("Unmask share recorded")
+      .kv("site", site)
+      .kv("round", round_)
+      .kv("wave", recovery_wave_)
+      .kv("outstanding", static_cast<std::int64_t>(unmask_pending_.size()));
+}
+
 void FederatedServer::start_round_locked() {
   round_start_ = std::chrono::steady_clock::now();
   round_start_ns_ = core::Tracer::instance().now_ns();
-  if (round_replayed_) {
-    // The round was reconstructed from the journal: it is already open (and
-    // journaled), its cohort is the journaled one, and the rejection
-    // baseline stays empty — this process's counters started at zero and
-    // replay re-incremented exactly the rejections that happened before the
-    // crash. Resampling or re-journaling here would fork the round.
-    round_replayed_ = false;
+  for (const std::int64_t budget :
+       {config_.round_deadline_ms, config_.liveness_timeout_ms}) {
+    if (budget > 0) {
+      wake_ticker_locked(round_start_ + std::chrono::milliseconds(budget));
+    }
+  }
+  if (open_round_ == round_) {
+    // Already open: rebuilt by journal replay, or opened when a replayed
+    // recovery finished before the run started. Its cohort is the journaled
+    // one and the rejection baseline stays empty — this process's counters
+    // started at zero and replay re-counted exactly the rejections before
+    // the crash. Reopening would fork the round; only the clock restarts.
     LOG_AS(kSag, info)
-        .msg("Round " + std::to_string(round_) +
-             " resumed mid-flight from journal replay.")
+        .msg("Round " + std::to_string(round_) + " resumed mid-flight.")
         .kv("accepted", aggregator_->accepted_count())
         .kv("recovering", phase_ == RoundPhase::kRecovering);
     return;
   }
   reject_baseline_ = metrics_.snapshot().counters_with_prefix(
       metric_names::kRejectionPrefix);
-  sample_round_participants_locked();
-  if (journal_ && journal_open_round_ != round_) {
-    journal_->round_open(
-        round_, std::vector<std::string>(sampled_.begin(), sampled_.end()));
-    journal_open_round_ = round_;
+  const std::vector<std::string> cohort = sample_cohort_locked();
+  if (journal_) {
+    journal_->round_open(round_, cohort);
     CF_CRASHPOINT("journal.open.after");
   }
+  open_round_locked(cohort);
   LOG_AS(kSag, info).msg("Round " + std::to_string(round_) + " started.");
   events_.fire(EventType::kRoundStarted, make_context_locked());
 }
 
-// Reconstructs mid-round state by re-driving each journaled event through
-// the same admission machinery the live path used: accepted DXO bytes go
-// back through validator_.admit (rebuilding the aggregator's buffers AND
-// the round's norm population), rejections re-strike reputation, and the
-// recovery events replay the freeze/share/demotion sequence against the
-// rebuilt aggregator. Runs in the constructor before the ticker exists and
+void FederatedServer::open_round_locked(const std::vector<std::string>& cohort) {
+  sampled_ = std::set<std::string>(cohort.begin(), cohort.end());
+  open_round_ = round_;
+}
+
+// Reconstructs mid-round state by feeding each journaled event to the same
+// transition helper the live path ran after journaling it. Accepted DXO
+// bytes first go back through validator_.admit (rebuilding the aggregator's
+// buffers AND the round's norm population) and shares through
+// set_unmask_share. Runs in the constructor before the ticker exists and
 // before any client can connect; deadlines restart from "now" — wall-clock
 // budgets are per-process, only the *state* is durable.
 void FederatedServer::apply_journal_locked(const JournalReplay& replay) {
@@ -746,9 +780,7 @@ void FederatedServer::apply_journal_locked(const JournalReplay& replay) {
   for (const JournalEvent& ev : replay.events) {
     switch (ev.type) {
       case JournalEventType::kRoundOpen:
-        sampled_.clear();
-        for (const std::string& site : ev.names) sampled_.insert(site);
-        journal_open_round_ = ev.round;
+        open_round_locked(ev.names);
         break;
       case JournalEventType::kAccepted: {
         const Verdict verdict =
@@ -761,33 +793,20 @@ void FederatedServer::apply_journal_locked(const JournalReplay& replay) {
               "journal replay: previously accepted contribution from '" +
               ev.site + "' no longer admits (" + verdict.detail + ")");
         }
-        submitted_.insert(ev.site);
-        metrics_.counter(metric_names::kServerContribAccepted).add(1);
+        accept_locked(ev.site);
         break;
       }
-      case JournalEventType::kRejected: {
-        const auto reason = static_cast<RejectReason>(ev.reason);
-        record_rejection_locked(reason);
-        (void)reputation_.record_rejection(ev.site);
-        rejected_acks_[ev.site] = SubmitAck{false, ev.detail, reason};
+      case JournalEventType::kRejected:
+        reject_locked(ev.site, SubmitAck{false, ev.detail,
+                                         static_cast<RejectReason>(ev.reason)});
         break;
-      }
-      case JournalEventType::kQuarantineScored: {
-        ScoredUpload scored;
-        scored.verdict.reason = static_cast<RejectReason>(ev.reason);
-        scored.verdict.detail = ev.detail;
-        scored.norm = ev.norm;
-        scored_quarantined_[ev.site] = std::move(scored);
-        record_rejection_locked(RejectReason::kQuarantined);
-        rejected_acks_[ev.site] =
-            SubmitAck{false,
-                      "quarantined: update scored but excluded from "
-                      "aggregation",
-                      RejectReason::kQuarantined};
+      case JournalEventType::kQuarantineScored:
+        score_quarantined_locked(
+            ev.site, Verdict{static_cast<RejectReason>(ev.reason), ev.detail},
+            ev.norm);
         break;
-      }
       case JournalEventType::kEviction:
-        evicted_.insert(ev.site);
+        evict_locked(ev.site);
         break;
       case JournalEventType::kRecoveryBegin:
         if (mask_recovery_ == nullptr) {
@@ -795,69 +814,16 @@ void FederatedServer::apply_journal_locked(const JournalReplay& replay) {
               "journal replay: log holds mask-recovery events but the "
               "aggregator is not mask-recovery capable");
         }
-        phase_ = RoundPhase::kRecovering;
-        recovery_wave_ = 0;
-        recovery_deadline_fired_ = ev.deadline_fired;
-        recovery_dropped_ = ev.names;
-        unmask_pending_.clear();
-        for (const std::string& site : mask_recovery_->accepted_sites()) {
-          unmask_pending_.insert(site);
-        }
-        recovery_deadline_ =
-            std::chrono::steady_clock::now() +
-            std::chrono::milliseconds(config_.secure_agg.recovery_deadline_ms);
-        recovery_start_ns_ = core::Tracer::instance().now_ns();
-        metrics_.counter(metric_names::kServerRecoveryRounds).add(1);
-        metrics_.gauge(metric_names::kServerRecoveryDropped)
-            .set(static_cast<double>(recovery_dropped_.size()));
+        enter_recovery_locked(ev.names, ev.deadline_fired);
         break;
       case JournalEventType::kUnmaskShare:
         if (mask_recovery_->set_unmask_share(ev.site, *ev.payload)) {
-          unmask_pending_.erase(ev.site);
-          metrics_.counter(metric_names::kServerUnmaskShares).add(1);
+          record_share_locked(ev.site);
         }
         break;
-      case JournalEventType::kRecoveryWave: {
-        // Re-run the demotion cascade exactly as the live path did.
-        for (const std::string& site : ev.names) {
-          (void)aggregator_->revoke(site);
-          submitted_.erase(site);
-          recovery_dropped_.push_back(site);
-        }
-        metrics_.counter(metric_names::kServerRecoveryDemotions)
-            .add(static_cast<std::int64_t>(ev.names.size()));
-        std::sort(recovery_dropped_.begin(), recovery_dropped_.end());
-        mask_recovery_->clear_unmask_shares();
-        unmask_pending_.clear();
-        for (const std::string& site : mask_recovery_->accepted_sites()) {
-          unmask_pending_.insert(site);
-        }
-        metrics_.gauge(metric_names::kServerRecoveryDropped)
-            .set(static_cast<double>(recovery_dropped_.size()));
-        const std::int64_t required = quorum_locked().min_required;
-        if (static_cast<std::int64_t>(unmask_pending_.size()) < required) {
-          abort_run_locked(
-              "round " + std::to_string(round_) +
-                  " (journal replay): mask recovery demoted the surviving "
-                  "set below min_clients",
-              AbortCode::kRecoveryBelowQuorum);
-          return;
-        }
-        recovery_wave_ = ev.wave + 1;
-        if (recovery_wave_ >= config_.secure_agg.max_recovery_waves) {
-          abort_run_locked(
-              "round " + std::to_string(round_) +
-                  " (journal replay): mask recovery did not converge within " +
-                  std::to_string(config_.secure_agg.max_recovery_waves) +
-                  " wave(s)",
-              AbortCode::kRecoveryExhausted);
-          return;
-        }
-        recovery_deadline_ =
-            std::chrono::steady_clock::now() +
-            std::chrono::milliseconds(config_.secure_agg.recovery_deadline_ms);
+      case JournalEventType::kRecoveryWave:
+        demote_wave_locked(ev.names);
         break;
-      }
       case JournalEventType::kJobHeader:
       case JournalEventType::kCommit:
         break;  // structural frames; RoundJournal::open consumed them
@@ -867,7 +833,6 @@ void FederatedServer::apply_journal_locked(const JournalReplay& replay) {
       CF_CRASHPOINT("replay.mid");
     }
   }
-  round_replayed_ = true;
   LOG_AS(kSag, info)
       .msg("Journal replay reconstructed mid-round state")
       .kv("round", round_)
@@ -898,16 +863,9 @@ void FederatedServer::settle_round_verdicts_locked() {
         .kv("site", site)
         .kv("detail", verdict.detail);
     submitted_.erase(site);
-    rejected_acks_[site] =
-        SubmitAck{false, "rejected: norm_outlier (" + verdict.detail + ")",
-                  RejectReason::kNormOutlier};
-    record_rejection_locked(RejectReason::kNormOutlier);
-    if (reputation_.record_rejection(site)) {
-      LOG_AS(kSag, warn)
-          .msg("Site QUARANTINED after consecutive rejections")
-          .kv("site", site)
-          .kv("strikes", config_.reputation.quarantine_after);
-    }
+    reject_locked(site, SubmitAck{false,
+                                  "rejected: norm_outlier (" + verdict.detail + ")",
+                                  RejectReason::kNormOutlier});
   }
   // Sites whose contributions survived to aggregation were clean.
   for (const std::string& site : submitted_) {
@@ -934,8 +892,6 @@ void FederatedServer::settle_round_verdicts_locked() {
 }
 
 void FederatedServer::finish_round_locked(bool deadline_fired) {
-  // However this round closes, it is no longer the replayed one.
-  round_replayed_ = false;
   events_.fire(EventType::kBeforeAggregation, make_context_locked());
   settle_round_verdicts_locked();
   if (aggregator_->accepted_count() == 0) {
@@ -1001,8 +957,8 @@ void FederatedServer::finish_round_locked(bool deadline_fired) {
     // checkpoint reconciliation — the stale journal is discarded.
     CF_CRASHPOINT("journal.commit.before");
     journal_->commit(round_);
-    journal_open_round_ = -1;
   }
+  open_round_ = -1;
   LOG_AS(kSag, info).msg("Round " + std::to_string(round_) + " finished.");
   events_.fire(EventType::kRoundDone, make_context_locked());
 
@@ -1072,36 +1028,28 @@ void FederatedServer::close_round_locked(bool deadline_fired) {
     for (const std::string& site : mask_recovery_->accepted_sites()) {
       accepted.insert(site);
     }
-    std::vector<std::string> dropped;
+    std::vector<std::string> dropped;  // sorted: sessions_ is ordered
     for (const auto& [site, session] : sessions_) {
       if (accepted.count(site) == 0) dropped.push_back(site);
     }
     if (!dropped.empty()) {
-      begin_recovery_locked(std::move(dropped), deadline_fired);
+      // Journal the freeze before entering it: a crash anywhere in the
+      // recovery phase replays back to a frozen round with this dropped set.
+      if (journal_) journal_->recovery_begin(round_, dropped, deadline_fired);
+      CF_CRASHPOINT("recovery.begin.after");
+      enter_recovery_locked(std::move(dropped), deadline_fired);
       return;
     }
   }
   finish_round_locked(deadline_fired);
 }
 
-void FederatedServer::begin_recovery_locked(std::vector<std::string> dropped,
+void FederatedServer::enter_recovery_locked(std::vector<std::string> dropped,
                                             bool deadline_fired) {
-  std::sort(dropped.begin(), dropped.end());
-  // Journal the freeze before entering it: a crash anywhere in the recovery
-  // phase replays back to a frozen round with this exact dropped set.
-  if (journal_) journal_->recovery_begin(round_, dropped, deadline_fired);
-  CF_CRASHPOINT("recovery.begin.after");
   phase_ = RoundPhase::kRecovering;
   recovery_wave_ = 0;
   recovery_deadline_fired_ = deadline_fired;
   recovery_dropped_ = std::move(dropped);
-  unmask_pending_.clear();
-  for (const std::string& site : mask_recovery_->accepted_sites()) {
-    unmask_pending_.insert(site);
-  }
-  recovery_deadline_ =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(config_.secure_agg.recovery_deadline_ms);
   recovery_start_ns_ = core::Tracer::instance().now_ns();
   metrics_.counter(metric_names::kServerRecoveryRounds).add(1);
   metrics_.gauge(metric_names::kServerRecoveryDropped)
@@ -1114,11 +1062,22 @@ void FederatedServer::begin_recovery_locked(std::vector<std::string> dropped,
       .msg("Masked round closed with sites missing; entering mask recovery")
       .kv("round", round_)
       .kv("dropped", names)
-      .kv("survivors", static_cast<std::int64_t>(unmask_pending_.size()));
-  // Survivors parked in long-polls must receive their UnmaskRequest now;
-  // the ticker must watch the new deadline.
+      .kv("survivors",
+          static_cast<std::int64_t>(mask_recovery_->accepted_sites().size()));
+  open_wave_locked();
+}
+
+void FederatedServer::open_wave_locked() {
+  unmask_pending_.clear();
+  for (const std::string& site : mask_recovery_->accepted_sites()) {
+    unmask_pending_.insert(site);
+  }
+  recovery_deadline_ =
+      std::chrono::steady_clock::now() +
+      std::chrono::milliseconds(config_.secure_agg.recovery_deadline_ms);
+  // Parked survivors receive the wave's UnmaskRequest now.
   service_parked_locked();
-  ticker_cv_.notify_all();
+  wake_ticker_locked(recovery_deadline_);
 }
 
 void FederatedServer::advance_recovery_locked() {
@@ -1128,29 +1087,25 @@ void FederatedServer::advance_recovery_locked() {
     return;
   }
   if (std::chrono::steady_clock::now() < recovery_deadline_) return;
-  // Wave deadline: every survivor still owing its share is demoted — the
-  // buffered masked contribution is revoked byte-exactly (so its own masks
-  // leave the sum with it) and its name joins the dropped set. The
-  // remaining survivors must answer again against the enlarged set, so all
-  // recorded shares are void.
-  const std::set<std::string> laggards = unmask_pending_;
-  // One frame covers the whole demotion cascade: replay re-runs it
-  // atomically, so a crash mid-loop (recovery.wave.mid) cannot leave a
-  // half-demoted wave.
-  if (journal_) {
-    journal_->recovery_wave(
-        recovery_wave_,
-        std::vector<std::string>(laggards.begin(), laggards.end()));
-  }
-  bool first_demotion = true;
+  // One frame covers the whole demotion cascade, so replay re-runs it
+  // atomically and a crash cannot leave a half-demoted wave.
+  const std::vector<std::string> laggards(unmask_pending_.begin(),
+                                          unmask_pending_.end());
+  if (journal_) journal_->recovery_wave(recovery_wave_, laggards);
+  CF_CRASHPOINT("recovery.wave.mid");
+  demote_wave_locked(laggards);
+}
+
+// Wave deadline: every survivor still owing its share is demoted — the
+// buffered masked contribution is revoked byte-exactly (so its own masks
+// leave the sum with it) and its name joins the dropped set. The remaining
+// survivors must answer again against the enlarged set, so all recorded
+// shares are void.
+void FederatedServer::demote_wave_locked(const std::vector<std::string>& laggards) {
   for (const std::string& site : laggards) {
     (void)aggregator_->revoke(site);
     submitted_.erase(site);
     recovery_dropped_.push_back(site);
-    if (first_demotion) {
-      first_demotion = false;
-      CF_CRASHPOINT("recovery.wave.mid");
-    }
     LOG_AS(kSag, warn)
         .msg("Survivor failed to reveal its mask share in time; demoted")
         .kv("site", site)
@@ -1161,20 +1116,17 @@ void FederatedServer::advance_recovery_locked() {
       .add(static_cast<std::int64_t>(laggards.size()));
   std::sort(recovery_dropped_.begin(), recovery_dropped_.end());
   mask_recovery_->clear_unmask_shares();
-  unmask_pending_.clear();
-  for (const std::string& site : mask_recovery_->accepted_sites()) {
-    unmask_pending_.insert(site);
-  }
   metrics_.gauge(metric_names::kServerRecoveryDropped)
       .set(static_cast<double>(recovery_dropped_.size()));
+  const auto survivors =
+      static_cast<std::int64_t>(mask_recovery_->accepted_sites().size());
   const std::int64_t required = quorum_locked().min_required;
-  if (static_cast<std::int64_t>(unmask_pending_.size()) < required) {
-    abort_run_locked(
-        "round " + std::to_string(round_) +
-            ": mask recovery demoted the surviving set to " +
-            std::to_string(unmask_pending_.size()) +
-            " site(s), below min_clients=" + std::to_string(required),
-        AbortCode::kRecoveryBelowQuorum);
+  if (survivors < required) {
+    abort_run_locked("round " + std::to_string(round_) +
+                         ": mask recovery demoted the surviving set to " +
+                         std::to_string(survivors) +
+                         " site(s), below min_clients=" + std::to_string(required),
+                     AbortCode::kRecoveryBelowQuorum);
     return;
   }
   recovery_wave_ += 1;
@@ -1186,12 +1138,7 @@ void FederatedServer::advance_recovery_locked() {
                      AbortCode::kRecoveryExhausted);
     return;
   }
-  recovery_deadline_ =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(config_.secure_agg.recovery_deadline_ms);
-  // Re-ask: parked survivors receive the wave's UnmaskRequest immediately.
-  service_parked_locked();
-  ticker_cv_.notify_all();
+  open_wave_locked();
 }
 
 void FederatedServer::finish_recovery_locked() {
@@ -1241,7 +1188,7 @@ void FederatedServer::evict_stragglers_locked() {
                             .count();
     if (silent >= config_.liveness_timeout_ms) {
       if (journal_) journal_->evicted(site);
-      evicted_.insert(site);
+      evict_locked(site);
       LOG_AS(kClientManager, warn)
           .msg("Site unseen; evicted from the quorum")
           .kv("site", site)
@@ -1280,11 +1227,10 @@ bool FederatedServer::abort(const std::string& reason) {
   return did_abort;
 }
 
-void FederatedServer::sample_round_participants_locked() {
-  sampled_.clear();
+std::vector<std::string> FederatedServer::sample_cohort_locked() const {
   if (config_.clients_per_round <= 0 ||
       config_.clients_per_round >= static_cast<std::int64_t>(sessions_.size())) {
-    return;  // empty set means "everyone participates"
+    return {};  // an empty cohort means "everyone participates"
   }
   // Quarantined sites are left out of the draw: sampling one would shrink
   // the round's effective quorum for no benefit (its upload could not be
@@ -1296,20 +1242,20 @@ void FederatedServer::sample_round_participants_locked() {
     if (!reputation_.quarantined(site)) sites.push_back(site);
   }
   if (static_cast<std::int64_t>(sites.size()) <= config_.clients_per_round) {
-    return;
+    return {};
   }
   core::Rng rng(config_.sampling_seed ^
                 (static_cast<std::uint64_t>(round_) * 0x9e3779b97f4a7c15ull));
   rng.shuffle(sites);
-  for (std::int64_t i = 0; i < config_.clients_per_round; ++i) {
-    sampled_.insert(sites[static_cast<std::size_t>(i)]);
-  }
+  sites.resize(static_cast<std::size_t>(config_.clients_per_round));
+  std::sort(sites.begin(), sites.end());
   std::string names;
-  for (const std::string& s : sampled_) names += (names.empty() ? "" : ", ") + s;
+  for (const std::string& s : sites) names += (names.empty() ? "" : ", ") + s;
   LOG_AS(kSag, info)
       .msg("Round sampled participants:")
       .msg(names)
       .kv("round", round_);
+  return sites;
 }
 
 bool FederatedServer::participates_locked(const std::string& site) const {

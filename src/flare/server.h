@@ -93,14 +93,13 @@ struct ServerConfig {
   std::uint64_t sampling_seed = 1337;
   /// Straggler handling: when > 0, a round older than this closes with
   /// `min_clients`..quorum contributions — or aborts the run if even
-  /// `min_clients` have not reported. Checked on client traffic and by the
-  /// server's ticker thread (so deadlines fire even when every client is
-  /// parked in a long-poll and generating no frames).
+  /// `min_clients` have not reported. Checked by the server's ticker thread,
+  /// so deadlines fire even when every client is parked in a long-poll.
   std::int64_t round_deadline_ms = 0;
   /// Dead-site handling: when > 0, a participant unseen for this long while
   /// a round is open is evicted — it stops counting toward the quorum until
-  /// its next authenticated frame re-admits it. Checked on traffic and by
-  /// the ticker; a site with a parked long-poll counts as seen.
+  /// its next authenticated frame re-admits it. Checked by the ticker; a
+  /// site with a parked long-poll counts as seen.
   std::int64_t liveness_timeout_ms = 0;
   /// Update-validation pipeline applied before the aggregator (defaults
   /// screen schema/finiteness/freshness; the norm-outlier pass is off).
@@ -272,6 +271,12 @@ class FederatedServer {
   /// with mu_ RELEASED (respond may wake a client that immediately calls
   /// back in).
   void drain_ready_replies();
+  /// When the ticker must next run: the nearest round deadline, recovery
+  /// wave deadline or park expiry; every 20 ms while liveness is tracked;
+  /// else in 500 ms.
+  std::chrono::steady_clock::time_point next_tick_locked() const CF_REQUIRES(mu_);
+  /// Wakes the ticker early when `at` comes before its planned wake.
+  void wake_ticker_locked(std::chrono::steady_clock::time_point at) CF_REQUIRES(mu_);
   void ticker_loop();
   void start_round_locked() CF_REQUIRES(mu_);
   void finish_round_locked(bool deadline_fired) CF_REQUIRES(mu_);
@@ -279,8 +284,6 @@ class FederatedServer {
   /// Round-close gate: a masked round with missing sites detours into the
   /// recovery phase; everything else finishes directly.
   void close_round_locked(bool deadline_fired) CF_REQUIRES(mu_);
-  void begin_recovery_locked(std::vector<std::string> dropped,
-                             bool deadline_fired) CF_REQUIRES(mu_);
   /// Drives the recovery phase: finishes the round when every share is in,
   /// or runs the demotion cascade when the wave deadline expired.
   void advance_recovery_locked() CF_REQUIRES(mu_);
@@ -289,11 +292,34 @@ class FederatedServer {
   void abort_run_locked(const std::string& reason,
                         AbortCode code = AbortCode::kExternal)
       CF_REQUIRES(mu_);
-  /// Re-drives journaled round events through the normal admission paths so
-  /// a restarted server resumes mid-round (ctor only; see class comment).
+
+  /// Journaled transitions, one helper each. The live path journals the
+  /// event and then calls the helper; journal replay calls the same helper
+  /// with the journaled values, so a restarted server cannot drift from the
+  /// one that crashed.
+  void open_round_locked(const std::vector<std::string>& cohort) CF_REQUIRES(mu_);
+  void accept_locked(const std::string& site) CF_REQUIRES(mu_);
+  /// Also the norm-outlier revocation at round close (not journaled: it is
+  /// recomputed from the replayed admissions).
+  void reject_locked(const std::string& site, SubmitAck ack) CF_REQUIRES(mu_);
+  void score_quarantined_locked(const std::string& site, Verdict verdict,
+                                double norm) CF_REQUIRES(mu_);
+  void evict_locked(const std::string& site) CF_REQUIRES(mu_);
+  void enter_recovery_locked(std::vector<std::string> dropped,
+                             bool deadline_fired) CF_REQUIRES(mu_);
+  void record_share_locked(const std::string& site) CF_REQUIRES(mu_);
+  void demote_wave_locked(const std::vector<std::string>& laggards)
+      CF_REQUIRES(mu_);
+  /// Starts a recovery wave: every survivor owes its share against the
+  /// current dropped set, within a fresh deadline.
+  void open_wave_locked() CF_REQUIRES(mu_);
+  /// Rebuilds a crashed predecessor's open round from the journal by
+  /// dispatching each event to its transition helper (ctor only).
   void apply_journal_locked(const JournalReplay& replay) CF_REQUIRES(mu_);
+
   void record_liveness(const std::string& sender);
-  void sample_round_participants_locked() CF_REQUIRES(mu_);
+  /// This round's sampled cohort, sorted (empty = everyone participates).
+  std::vector<std::string> sample_cohort_locked() const CF_REQUIRES(mu_);
   void settle_round_verdicts_locked() CF_REQUIRES(mu_);
   void record_rejection_locked(RejectReason reason) CF_REQUIRES(mu_);
   void record_site_metrics_locked(const std::string& site, const Dxo& contribution) CF_REQUIRES(mu_);
@@ -368,14 +394,10 @@ class FederatedServer {
   /// `task_body_round_` (dropped when that round closes).
   Body task_body_ CF_GUARDED_BY(mu_);
   std::int64_t task_body_round_ CF_GUARDED_BY(mu_) = -1;
-  /// True between a ctor journal replay and that round's close: the next
-  /// start_round_locked must not resample or re-journal a round that is
-  /// already open in the journal.
-  bool round_replayed_ CF_GUARDED_BY(mu_) = false;
-  /// Round whose kRoundOpen frame is in the journal (-1 none) — makes the
-  /// double start_round_locked call benign (register racing a replayed
-  /// recovery finish) instead of journaling a second open frame.
-  std::int64_t journal_open_round_ CF_GUARDED_BY(mu_) = -1;
+  /// The open round (-1 none). start_round_locked on a round that is
+  /// already open (replayed, or opened by a replayed recovery finishing
+  /// before the run started) only restarts the round clock.
+  std::int64_t open_round_ CF_GUARDED_BY(mu_) = -1;
   std::chrono::steady_clock::time_point round_start_ CF_GUARDED_BY(mu_){};
   std::int64_t round_start_ns_ CF_GUARDED_BY(mu_) = 0;  // round span start
   bool started_ CF_GUARDED_BY(mu_) = false;
@@ -428,12 +450,13 @@ class FederatedServer {
   };
   std::map<std::string, ParkedPoll> parked_ CF_GUARDED_BY(mu_);
   std::vector<ReadyReply> ready_replies_ CF_GUARDED_BY(mu_);
-  /// Wakes the ticker when the nearest park deadline moves or on shutdown.
+  /// Wakes the ticker when its next wake moves earlier or on shutdown.
   mutable core::CondVar ticker_cv_;
   bool ticker_stop_ CF_GUARDED_BY(mu_) = false;
-  /// Drives time-based transitions (round deadlines, liveness eviction,
-  /// park expiry) now that long-poll removed the steady client traffic the
-  /// lazy checks used to piggyback on.
+  /// The ticker's planned wake (see wake_ticker_locked).
+  std::chrono::steady_clock::time_point ticker_wake_at_ CF_GUARDED_BY(mu_){};
+  /// The only owner of time: round deadlines, liveness eviction, recovery
+  /// wave deadlines and park expiry. Client frames never check the clock.
   std::thread ticker_thread_;  // R5-exempt: server ticker (deadlines/park expiry)
 };
 

@@ -24,6 +24,10 @@ SiteSession::SiteSession(Credential credential, std::string job_id,
       long_poll_ms_(std::max<std::int64_t>(1, long_poll_ms)),
       learner_(std::move(learner)) {
   if (!learner_) throw Error("SiteSession: learner required");
+  if (job_id_.empty()) {
+    throw ConfigError("SiteSession: job_id is required (the server routes "
+                      "and verifies frames by their job binding)");
+  }
 }
 
 std::vector<std::uint8_t> SiteSession::next_frame() {
@@ -66,7 +70,7 @@ SiteSession::Outcome SiteSession::on_reply(const std::vector<std::uint8_t>& seal
   if (env.sender != "server") {
     throw ProtocolError("response not from server but '" + env.sender + "'");
   }
-  if (!job_id_.empty() && !env.job_id.empty() && env.job_id != job_id_) {
+  if (!env.job_id.empty() && env.job_id != job_id_) {
     throw ProtocolError(credential_.name + ": response bound to job '" +
                         env.job_id + "', expected '" + job_id_ + "'");
   }

@@ -61,8 +61,9 @@ class SiteSession {
       std::function<Dxo(const std::vector<std::string>& dropped,
                         std::int64_t round, const nn::StateDict& skeleton)>;
 
-  /// `job_id` is stamped on every outbound envelope and carried into the
-  /// learner's FLContext; replies bound to another job are rejected.
+  /// `job_id` (required; empty throws ConfigError) is stamped on every
+  /// outbound envelope and carried into the learner's FLContext; replies
+  /// bound to another job are rejected, unbound replies accepted.
   /// `long_poll_ms` (>= 1) is the wait budget sent with every get_task.
   SiteSession(Credential credential, std::string job_id,
               std::int64_t long_poll_ms, std::shared_ptr<Learner> learner);

@@ -57,7 +57,6 @@ TEST(CflintTest, EveryRuleFiresOnViolationTree) {
       {"\"R5\"", "thread_violation.cpp"},
       {"\"R6\"", "sleep_violation.cpp"},
       {"\"R7\"", "accept_violation.cpp"},
-      {"\"R8\"", "logger_violation.cpp"},
       {"\"R9\"", "aggregator_iteration_violation.cpp"},
       {"\"R10\"", "lock_hold_violation.cpp"},
       // The reactor scope rule sanctions only nonblocking socket syscalls;

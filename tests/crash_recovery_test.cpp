@@ -198,7 +198,8 @@ int run_wave(const std::string& dir, const std::string&) {
                         const std::vector<std::uint8_t>& frame) {
     const Credential& cred = registry.at(site);
     const auto response =
-        connection.call(seal(cred.name, cred.secret, seq[site].next(), frame));
+        connection.call(seal(cred.name, cred.secret, seq[site].next(), frame,
+                             config.job_id));
     const Envelope env = open(response, cred.secret);
     return std::vector<std::uint8_t>(env.payload.begin(), env.payload.end());
   };

@@ -297,7 +297,8 @@ TEST_F(FaultsTest, ClientGivesUpAfterRetryBudgetAgainstDeadServer) {
 class ManualFederation {
  public:
   ManualFederation(ServerConfig config, std::int64_t num_sites)
-      : registry_(Provisioner(config.job_id, 17).provision_sites(num_sites)),
+      : job_id_(config.job_id),
+        registry_(Provisioner(config.job_id, 17).provision_sites(num_sites)),
         server_(std::make_unique<FederatedServer>(
             config, registry_, dict_of({0.0f, 0.0f}),
             std::make_unique<FedAvgAggregator>(true))),
@@ -309,7 +310,8 @@ class ManualFederation {
                                  const std::vector<std::uint8_t>& frame) {
     const Credential& cred = registry_.at(site);
     const auto response =
-        connection_.call(seal(cred.name, cred.secret, seq_[site].next(), frame));
+        connection_.call(seal(cred.name, cred.secret, seq_[site].next(), frame,
+                              job_id_));
     const Envelope env = open(response, cred.secret);
     return {env.payload.begin(), env.payload.end()};
   }
@@ -337,6 +339,7 @@ class ManualFederation {
   }
 
  private:
+  std::string job_id_;
   std::map<std::string, Credential> registry_;
   std::unique_ptr<FederatedServer> server_;
   InProcConnection connection_;

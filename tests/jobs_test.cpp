@@ -461,42 +461,28 @@ TEST_F(JobsTest, CrossJobFramesAreRejectedWithTypedError) {
       std::make_shared<ConstantLearner>("site-1", 1.0f));
   EXPECT_THROW(misrouted.run(), ProtocolError);
 
-  // Unbound frames are only routable when exactly one job is hosted; with
-  // two, the ambiguity is a typed error, not a guess.
-  ClientConfig unbound;
-  unbound.job_id = "";
-  FederatedClient ambiguous(
-      unbound, pool.at("site-1"),
-      std::make_unique<InProcConnection>(runner.async_router()),
-      std::make_shared<ConstantLearner>("site-1", 1.0f));
-  EXPECT_THROW(ambiguous.run(), ProtocolError);
-
   EXPECT_TRUE(runner.abort("job-a", "test teardown"));
   EXPECT_TRUE(runner.abort("job-b", "test teardown"));
 }
 
-TEST_F(JobsTest, UnboundFramesRouteToASingleHostedJob) {
-  // Pre-multi-job clients (empty job_id) keep working against a
-  // single-job coordinator.
+TEST_F(JobsTest, UnboundFramesAreWrongJobEvenForASingleHostedJob) {
+  // Every site frame carries its job binding. An unbound frame gets the
+  // verified kWrongJob even when only one job is hosted, and a client
+  // without a job id cannot be built at all.
   const auto pool = make_pool(2);
   JobRunner runner(pool);
   runner.submit(make_spec("solo", 1, 2));
-  std::vector<std::thread> threads;
-  for (std::int64_t i = 0; i < 2; ++i) {
-    const std::string name = "site-" + std::to_string(i + 1);
-    threads.emplace_back([&runner, &pool, name, i] {
-      ClientConfig config;  // job_id left empty on purpose
-      config.max_idle_ms = 30000;
-      FederatedClient client(
-          config, pool.at(name),
-          std::make_unique<InProcConnection>(runner.async_router()),
-          std::make_shared<ConstantLearner>(name, 1.0f + static_cast<float>(i)));
-      client.run();
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_TRUE(runner.wait_all(30000));
-  EXPECT_EQ(runner.status("solo").state, JobState::kFinished);
+  const Credential& site = pool.at("site-1");
+  InProcConnection connection(runner.async_router());
+  const auto reply = connection.call(
+      seal("site-1", site.secret, 1, pack(RegisterRequest{"site-1", site.token})));
+  EXPECT_EQ(decode_error(open(reply, site.secret).payload).code,
+            ErrorCode::kWrongJob);
+  EXPECT_THROW(FederatedClient(ClientConfig{}, site,
+                               std::make_unique<InProcConnection>(runner.async_router()),
+                               std::make_shared<ConstantLearner>("site-1", 1.0f)),
+               ConfigError);
+  EXPECT_TRUE(runner.abort("solo", "test teardown"));
 }
 
 TEST_F(JobsTest, CrossJobReplayDoesNotPoisonTheReplayTracker) {

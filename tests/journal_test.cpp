@@ -18,17 +18,23 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "core/backoff.h"
 #include "core/error.h"
 #include "core/logging.h"
 #include "core/wal.h"
 #include "flare/aggregator.h"
 #include "flare/messages.h"
+#include "flare/observability.h"
 #include "flare/provision.h"
+#include "flare/secure_agg.h"
 #include "flare/secure_channel.h"
 #include "flare/server.h"
 #include "flare/simulator.h"
@@ -345,6 +351,7 @@ class RestartableFederation {
   RestartableFederation(ServerConfig config, std::int64_t num_sites,
                         std::string persist_path, std::string journal_path)
       : config_(std::move(config)),
+        num_sites_(num_sites),
         registry_(Provisioner(config_.job_id, 17).provision_sites(num_sites)),
         persist_path_(std::move(persist_path)),
         journal_path_(std::move(journal_path)) {
@@ -358,13 +365,30 @@ class RestartableFederation {
     boot();
   }
 
+  /// A successor booted from copies of the durable files in `dir` — what a
+  /// coordinator restarted at this instant would rebuild — while this
+  /// federation keeps running.
+  std::unique_ptr<RestartableFederation> successor(const std::filesystem::path& dir) const {
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const std::string persist = (dir / "model.bin").string();
+    const std::string journal = (dir / "model.bin.journal").string();
+    for (const auto& [from, to] : {std::pair{persist_path_, persist},
+                                   std::pair{journal_path_, journal}}) {
+      if (std::filesystem::exists(from)) std::filesystem::copy_file(from, to);
+    }
+    return std::make_unique<RestartableFederation>(config_, num_sites_, persist,
+                                                   journal);
+  }
+
   FederatedServer& server() { return *server_; }
 
   std::vector<std::uint8_t> call(const std::string& site,
                                  const std::vector<std::uint8_t>& frame) {
     const Credential& cred = registry_.at(site);
     const auto response =
-        connection_->call(seal(cred.name, cred.secret, seq_[site].next(), frame));
+        connection_->call(seal(cred.name, cred.secret, seq_[site].next(), frame,
+                               config_.job_id));
     const Envelope env = open(response, cred.secret);
     return {env.payload.begin(), env.payload.end()};
   }
@@ -376,18 +400,28 @@ class RestartableFederation {
     sessions_[site] = ack.session_id;
   }
 
-  TaskMessage poll(const std::string& site) {
-    return decode_task(call(site, pack(GetTaskRequest{sessions_.at(site)})));
+  std::vector<std::uint8_t> poll_frame(const std::string& site) {
+    return call(site, pack(GetTaskRequest{sessions_.at(site)}));
   }
+  TaskMessage poll(const std::string& site) { return decode_task(poll_frame(site)); }
 
+  /// Submits `payload` as is; returns the packed ack.
+  std::vector<std::uint8_t> submit_frame(const std::string& site, std::int64_t round,
+                                         Dxo payload) {
+    return call(site, pack(SubmitUpdateRequest{sessions_.at(site), round,
+                                               std::move(payload)}));
+  }
   SubmitAck submit(const std::string& site, std::int64_t round,
                    std::vector<float> weights) {
-    SubmitUpdateRequest req;
-    req.session_id = sessions_.at(site);
-    req.round = round;
-    req.payload = Dxo(DxoKind::kWeights, dict_of(std::move(weights)));
-    req.payload.set_meta_int(Dxo::kMetaNumSamples, 10);
-    return decode_submit_ack(call(site, pack(req)));
+    Dxo payload(DxoKind::kWeights, dict_of(std::move(weights)));
+    payload.set_meta_int(Dxo::kMetaNumSamples, 10);
+    return decode_submit_ack(submit_frame(site, round, std::move(payload)));
+  }
+
+  std::vector<std::uint8_t> unmask_frame(const std::string& site,
+                                         const UnmaskRequest& req, Dxo share) {
+    return call(site, pack(UnmaskResponse{sessions_.at(site), req.round, req.wave,
+                                          std::move(share)}));
   }
 
  private:
@@ -395,15 +429,21 @@ class RestartableFederation {
     auto persistor = std::make_shared<ModelPersistor>(persist_path_);
     auto journal = std::make_shared<RoundJournal>(
         journal_path_, core::WalSyncPolicy::kEveryRound);
+    std::unique_ptr<Aggregator> aggregator;
+    if (config_.secure_agg.enabled) {
+      aggregator = std::make_unique<MaskedFedAvgAggregator>();
+    } else {
+      aggregator = std::make_unique<FedAvgAggregator>(false);
+    }
     server_ = std::make_unique<FederatedServer>(
-        config_, registry_, dict_of({0.0f, 0.0f}),
-        std::make_unique<FedAvgAggregator>(false), persistor,
-        persistor->load(), std::move(journal));
+        config_, registry_, dict_of({0.0f, 0.0f}), std::move(aggregator),
+        persistor, persistor->load(), std::move(journal));
     connection_ = std::make_unique<InProcConnection>(server_->async_dispatcher());
     sessions_.clear();  // sessions are process state; they died with it
   }
 
   ServerConfig config_;
+  std::int64_t num_sites_;
   std::map<std::string, Credential> registry_;
   std::string persist_path_;
   std::string journal_path_;
@@ -490,6 +530,199 @@ TEST_F(JournalTest, DoubleRestartReplaysTheSameJournalAgain) {
   EXPECT_TRUE(fed.submit("site-2", 0, {3.0f, 5.0f}).accepted);
   ASSERT_TRUE(fed.server().wait_until_finished(10000));
   EXPECT_TRUE(bit_equal(fed.server().global_model(), dict_of({2.0f, 4.0f})));
+}
+
+// ---------------------------------------------------------------------------
+// Replay equivalence: restarting after any journaled event is invisible
+// ---------------------------------------------------------------------------
+
+const std::vector<std::string> kSites = {"site-1", "site-2", "site-3", "site-4"};
+
+/// The counters journaled events move. Absent and zero are the same.
+std::map<std::string, std::int64_t> journaled_counters(
+    const FederatedServer& server,
+    const std::map<std::string, std::int64_t>& baseline = {}) {
+  const core::MetricSnapshot snap = server.metrics_snapshot();
+  std::map<std::string, std::int64_t> all =
+      snap.counters_with_prefix(metric_names::kRejectionPrefix);
+  for (const char* name :
+       {metric_names::kServerContribAccepted, metric_names::kServerContribRejected,
+        metric_names::kServerUnmaskShares, metric_names::kServerRecoveryRounds,
+        metric_names::kServerRecoveryDemotions}) {
+    const auto it = snap.counters.find(name);
+    if (it != snap.counters.end()) all[name] = it->second;
+  }
+  std::map<std::string, std::int64_t> out;
+  for (const auto& [name, value] : all) {
+    const auto base = baseline.find(name);
+    const std::int64_t delta = value - (base == baseline.end() ? 0 : base->second);
+    if (delta != 0) out[name] = delta;
+  }
+  return out;
+}
+
+std::map<std::string, std::tuple<std::int64_t, std::int64_t, bool, std::int64_t,
+                                 std::int64_t>>
+standings(const FederatedServer& server) {
+  std::map<std::string, std::tuple<std::int64_t, std::int64_t, bool, std::int64_t,
+                                   std::int64_t>>
+      out;
+  for (const auto& [site, st] : server.reputation()) {
+    out[site] = {st.strikes, st.clean_streak, st.quarantined, st.total_rejections,
+                 st.times_quarantined};
+  }
+  return out;
+}
+
+/// A frame a resolved site may resend; answered from round state without
+/// changing it, so live and successor must answer byte-identically.
+using Resend = std::function<std::vector<std::uint8_t>(RestartableFederation&)>;
+
+/// Boots a successor from `live`'s durable files and checks it against
+/// `live`: counters since the round opened (`baseline`), liveness and
+/// reputation state, every site's poll answer and every resend's ack.
+void expect_successor_matches(const std::string& after, RestartableFederation& live,
+                              const std::filesystem::path& dir,
+                              const std::map<std::string, std::int64_t>& baseline,
+                              const std::vector<Resend>& resends) {
+  SCOPED_TRACE("successor booted after: " + after);
+  const auto next = live.successor(dir);
+  FederatedServer& restarted = next->server();
+  EXPECT_EQ(journaled_counters(restarted), journaled_counters(live.server(), baseline));
+  // Before any traffic: a frame from an evicted site re-admits it.
+  EXPECT_EQ(restarted.evicted_sites(), live.server().evicted_sites());
+  EXPECT_EQ(restarted.quarantined_sites(), live.server().quarantined_sites());
+  EXPECT_EQ(standings(restarted), standings(live.server()));
+  for (const std::string& site : kSites) next->register_site(site);
+  for (const std::string& site : kSites) {
+    EXPECT_EQ(next->poll_frame(site), live.poll_frame(site)) << site;
+  }
+  for (std::size_t i = 0; i < resends.size(); ++i) {
+    EXPECT_EQ(resends[i](*next), resends[i](live)) << "resend " << i;
+  }
+}
+
+Dxo update_of(std::vector<float> weights) {
+  Dxo payload(DxoKind::kWeights, dict_of(std::move(weights)));
+  payload.set_meta_int(Dxo::kMetaNumSamples, 10);
+  return payload;
+}
+
+Resend resubmit(const std::string& site, std::int64_t round, Dxo payload) {
+  return [site, round, payload](RestartableFederation& fed) {
+    return fed.submit_frame(site, round, payload);
+  };
+}
+
+TEST_F(JournalTest, SuccessorAfterEveryPlainRoundEventMatchesTheLiveServer) {
+  ServerConfig config;
+  config.job_id = "replay-plain";
+  config.num_rounds = 3;
+  config.expected_clients = 4;
+  config.min_clients = 3;  // keeps round 1 open through the eviction
+  config.liveness_timeout_ms = 1000;
+  config.reputation.quarantine_after = 1;
+  RestartableFederation live(config, 4, path("plain.bin"), path("plain.bin.journal"));
+  for (const std::string& site : kSites) live.register_site(site);
+  // Round 0, committed to the checkpoint: site-3 is rejected and so
+  // quarantined; the other three close the round.
+  EXPECT_FALSE(live.submit("site-3", 0, {std::nanf(""), 1.0f}).accepted);
+  for (const char* site : {"site-1", "site-2", "site-4"}) {
+    EXPECT_TRUE(live.submit(site, 0, {1.0f, 1.0f}).accepted) << site;
+  }
+  ASSERT_EQ(live.server().current_round(), 1);
+  const auto baseline = journaled_counters(live.server());
+  const auto dir = dir_ / "successor";
+  std::vector<Resend> resends;
+
+  expect_successor_matches("round open", live, dir, baseline, resends);
+
+  const Dxo accepted = update_of({2.0f, 2.0f});
+  EXPECT_TRUE(decode_submit_ack(live.submit_frame("site-1", 1, accepted)).accepted);
+  resends.push_back(resubmit("site-1", 1, accepted));
+  expect_successor_matches("accept", live, dir, baseline, resends);
+
+  const Dxo poisoned = update_of({std::nanf(""), 2.0f});
+  EXPECT_EQ(decode_submit_ack(live.submit_frame("site-2", 1, poisoned)).reason,
+            RejectReason::kNonFinite);
+  resends.push_back(resubmit("site-2", 1, poisoned));
+  expect_successor_matches("reject", live, dir, baseline, resends);
+
+  const Dxo scored = update_of({3.0f, 3.0f});
+  EXPECT_EQ(decode_submit_ack(live.submit_frame("site-3", 1, scored)).reason,
+            RejectReason::kQuarantined);
+  resends.push_back(resubmit("site-3", 1, scored));
+  expect_successor_matches("quarantine score", live, dir, baseline, resends);
+
+  // site-4 stays silent past the liveness timeout; the ticker evicts it.
+  for (int i = 0; i < 1000 && live.server().evicted_sites().empty(); ++i) {
+    core::Backoff::sleep_ms(10);
+  }
+  ASSERT_EQ(live.server().evicted_sites(), std::vector<std::string>{"site-4"});
+  expect_successor_matches("eviction", live, dir, baseline, resends);
+}
+
+TEST_F(JournalTest, SuccessorAfterEveryMaskedRoundEventMatchesTheLiveServer) {
+  ServerConfig config;
+  config.job_id = "replay-masked";
+  config.num_rounds = 1;
+  config.expected_clients = 4;
+  config.min_clients = 1;  // one survivor may finish the round
+  config.secure_agg.enabled = true;
+  config.secure_agg.recovery_deadline_ms = 1000;
+  RestartableFederation live(config, 4, path("masked.bin"),
+                             path("masked.bin.journal"));
+  std::map<std::string, std::shared_ptr<SecureAggMaskFilter>> maskers;
+  for (const std::string& site : kSites) {
+    maskers[site] = make_secure_agg_mask_filter(config.job_id, 7, site, kSites);
+    live.register_site(site);
+  }
+  const auto dir = dir_ / "successor";
+  std::vector<Resend> resends;
+
+  // site-4's update has the wrong shape: rejected, so the masked round
+  // closes with it missing and freezes in mask recovery.
+  const Dxo misshapen = update_of({1.0f, 1.0f, 1.0f});
+  EXPECT_EQ(decode_submit_ack(live.submit_frame("site-4", 0, misshapen)).reason,
+            RejectReason::kSchemaMismatch);
+  resends.push_back(resubmit("site-4", 0, misshapen));
+  expect_successor_matches("reject", live, dir, {}, resends);
+  for (const char* site : {"site-1", "site-2", "site-3"}) {
+    Dxo masked = update_of({1.0f, 2.0f});
+    FLContext ctx;
+    ctx.current_round = 0;
+    maskers.at(site)->process(masked, ctx);
+    EXPECT_TRUE(decode_submit_ack(live.submit_frame(site, 0, masked)).accepted);
+    resends.push_back(resubmit(site, 0, masked));
+    // site-3's accept closes the round and begins mask recovery.
+    expect_successor_matches(std::string("accept ") + site, live, dir, {}, resends);
+  }
+  const UnmaskRequest wave0 = decode_unmask_request(live.poll_frame("site-1"));
+  ASSERT_EQ(wave0.dropped, std::vector<std::string>{"site-4"});
+
+  const Dxo share = maskers.at("site-1")->unmask_share(wave0.dropped, wave0.round);
+  EXPECT_TRUE(decode_submit_ack(live.unmask_frame("site-1", wave0, share)).accepted);
+  resends.push_back([wave0, share](RestartableFederation& fed) {
+    return fed.unmask_frame("site-1", wave0, share);
+  });
+  expect_successor_matches("share", live, dir, {}, resends);
+
+  // site-2 and site-3 never answer: the wave deadline demotes them and
+  // site-1 is asked again against the enlarged dropped set. Their accepted
+  // uploads are revoked, so their resends would hit the frozen round and
+  // move the rejection counters: drop them.
+  UnmaskRequest wave1;
+  for (int i = 0; i < 1000 && wave1.wave != 1; ++i) {
+    core::Backoff::sleep_ms(10);
+    const auto frame = live.poll_frame("site-1");
+    if (peek_type(frame) == MsgType::kUnmaskRequest) {
+      wave1 = decode_unmask_request(frame);
+    }
+  }
+  ASSERT_EQ(wave1.wave, 1);
+  EXPECT_EQ(wave1.dropped, (std::vector<std::string>{"site-2", "site-3", "site-4"}));
+  resends.erase(resends.begin() + 2, resends.begin() + 4);
+  expect_successor_matches("demotion wave", live, dir, {}, resends);
 }
 
 // ---------------------------------------------------------------------------

@@ -25,8 +25,7 @@ class LoggingTest : public ::testing::Test {
 };
 
 TEST_F(LoggingTest, NvflareStyleFormat) {
-  Logger log("CiBertLearner");
-  log.info("Local epoch site-7: 1/10");
+  LOG_AS("CiBertLearner", info).msg("Local epoch site-7: 1/10");
   // "2023-04-07 06:33:33,911 - CiBertLearner - INFO: Local epoch site-7: 1/10"
   const std::regex pattern(
       R"(^\d{4}-\d{2}-\d{2} \d{2}:\d{2}:\d{2},\d{3} - CiBertLearner - INFO: Local epoch site-7: 1/10\n$)");
@@ -35,20 +34,18 @@ TEST_F(LoggingTest, NvflareStyleFormat) {
 
 TEST_F(LoggingTest, ThresholdSuppressesLowerLevels) {
   LogConfig::instance().set_threshold(LogLevel::kWarn);
-  Logger log("X");
-  log.debug("d");
-  log.info("i");
+  LOG_AS("X", debug).msg("d");
+  LOG_AS("X", info).msg("i");
   EXPECT_TRUE(out_.str().empty());
-  log.warn("w");
-  log.error("e");
+  LOG_AS("X", warn).msg("w");
+  LOG_AS("X", error).msg("e");
   EXPECT_NE(out_.str().find("WARN: w"), std::string::npos);
   EXPECT_NE(out_.str().find("ERROR: e"), std::string::npos);
 }
 
 TEST_F(LoggingTest, OffSilencesEverything) {
   LogConfig::instance().set_threshold(LogLevel::kOff);
-  Logger log("X");
-  log.error("nope");
+  LOG_AS("X", error).msg("nope");
   EXPECT_TRUE(out_.str().empty());
 }
 
@@ -66,9 +63,8 @@ TEST_F(LoggingTest, TimestampShape) {
 }
 
 TEST_F(LoggingTest, MultipleLinesAppend) {
-  Logger log("A");
-  log.info("one");
-  log.info("two");
+  LOG_AS("A", info).msg("one");
+  LOG_AS("A", info).msg("two");
   const std::string s = out_.str();
   EXPECT_NE(s.find("one\n"), std::string::npos);
   EXPECT_NE(s.find("two\n"), std::string::npos);
@@ -136,14 +132,6 @@ TEST_F(LoggingTest, InertBelowThresholdFormatsNothing) {
   LogConfig::instance().set_threshold(LogLevel::kOff);
   LOG(error).msg("off silences errors too");
   EXPECT_TRUE(out_.str().empty());
-}
-
-TEST_F(LoggingTest, LoggerEventShimUsesLoggerName) {
-  Logger log("ShimName");
-  log.event(LogLevel::kInfo).msg("via shim").kv("k", "v");
-  EXPECT_NE(out_.str().find(" - ShimName - INFO: via shim k=v\n"),
-            std::string::npos)
-      << out_.str();
 }
 
 }  // namespace

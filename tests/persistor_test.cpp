@@ -113,61 +113,24 @@ TEST_F(PersistorTest, HistoryRoundTrip) {
   EXPECT_TRUE(loaded->history[1].deadline_fired);
 }
 
-TEST_F(PersistorTest, V1CheckpointLoadsWithEmptyHistory) {
-  // A pre-fault-tolerance checkpoint (magic "CPK1", no history section)
-  // must still load so old runs can be resumed after an upgrade.
-  const std::string file = path("v1.bin");
-  core::ByteWriter w;
-  w.write_u32(0x43504b31);  // "CPK1"
-  w.write_string("job-old");
-  w.write_i64(4);
-  sample_dict().serialize(w);
-  {
-    std::ofstream out(file, std::ios::binary);
-    out.write(reinterpret_cast<const char*>(w.bytes().data()),
-              static_cast<std::streamsize>(w.size()));
+TEST_F(PersistorTest, PreV3CheckpointMagicsAreRejected) {
+  // Only CPK3 loads: the pre-footer CPK1/CPK2 layouts are a typed error,
+  // never a silently partial checkpoint.
+  for (const std::uint32_t magic : {0x43504b31u /* CPK1 */, 0x43504b32u /* CPK2 */}) {
+    const std::string file = path("old.bin");
+    core::ByteWriter w;
+    w.write_u32(magic);
+    w.write_string("job-old");
+    w.write_i64(4);
+    sample_dict().serialize(w);
+    w.write_u32(0);  // empty history
+    {
+      std::ofstream out(file, std::ios::binary);
+      out.write(reinterpret_cast<const char*>(w.bytes().data()),
+                static_cast<std::streamsize>(w.size()));
+    }
+    EXPECT_THROW((void)ModelPersistor(file).load(), SerializationError) << magic;
   }
-  ModelPersistor p(file);
-  const auto loaded = p.load();
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->job_id, "job-old");
-  EXPECT_EQ(loaded->round, 4);
-  EXPECT_EQ(loaded->model, sample_dict());
-  EXPECT_TRUE(loaded->history.empty());
-}
-
-TEST_F(PersistorTest, V2CheckpointLoadsWithoutDefenseTelemetry) {
-  // A PR-3-era checkpoint (magic "CPK2": history but no defense telemetry,
-  // no reputation section, no integrity footer) must still load.
-  const std::string file = path("v2.bin");
-  core::ByteWriter w;
-  w.write_u32(0x43504b32);  // "CPK2"
-  w.write_string("job-v2");
-  w.write_i64(2);
-  sample_dict().serialize(w);
-  w.write_u32(1);  // one history entry, v2 layout
-  w.write_i64(0);  // round
-  w.write_i64(3);  // num_contributions
-  w.write_i64(30);
-  w.write_f64(0.5);
-  w.write_f64(0.75);
-  w.write_f64(0.6);
-  w.write_i64(0);  // late_contributions
-  w.write_i64(0);  // evicted_sites
-  w.write_bool(false);
-  {
-    std::ofstream out(file, std::ios::binary);
-    out.write(reinterpret_cast<const char*>(w.bytes().data()),
-              static_cast<std::streamsize>(w.size()));
-  }
-  ModelPersistor p(file);
-  const auto loaded = p.load();
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->job_id, "job-v2");
-  ASSERT_EQ(loaded->history.size(), 1u);
-  EXPECT_EQ(loaded->history[0].num_contributions, 3);
-  EXPECT_EQ(loaded->history[0].rejected_updates, 0);
-  EXPECT_TRUE(loaded->reputation.empty());
 }
 
 TEST_F(PersistorTest, DefenseTelemetryAndReputationRoundTrip) {

@@ -412,7 +412,8 @@ class ManualFederation {
  public:
   ManualFederation(ServerConfig config, std::int64_t num_sites,
                    nn::StateDict initial = dict_of({5.0f, 5.0f}))
-      : registry_(Provisioner(config.job_id, 17).provision_sites(num_sites)),
+      : job_id_(config.job_id),
+        registry_(Provisioner(config.job_id, 17).provision_sites(num_sites)),
         server_(std::make_unique<FederatedServer>(
             config, registry_, std::move(initial),
             std::make_unique<FedAvgAggregator>(true))),
@@ -424,7 +425,8 @@ class ManualFederation {
                                  const std::vector<std::uint8_t>& frame) {
     const Credential& cred = registry_.at(site);
     const auto response =
-        connection_.call(seal(cred.name, cred.secret, seq_[site].next(), frame));
+        connection_.call(seal(cred.name, cred.secret, seq_[site].next(), frame,
+                              job_id_));
     const Envelope env = open(response, cred.secret);
     return {env.payload.begin(), env.payload.end()};
   }
@@ -460,6 +462,7 @@ class ManualFederation {
   }
 
  private:
+  std::string job_id_;
   std::map<std::string, Credential> registry_;
   std::unique_ptr<FederatedServer> server_;
   InProcConnection connection_;

@@ -161,15 +161,17 @@ TEST_F(ScaleTest, HierarchicalFanoutMustBePowerOfTwoAtLeastTwo) {
 /// cannot.
 class RawSite {
  public:
-  RawSite(Credential cred, AsyncDispatcher dispatch)
-      : cred_(std::move(cred)), dispatch_(std::move(dispatch)) {}
+  RawSite(Credential cred, std::string job_id, AsyncDispatcher dispatch)
+      : cred_(std::move(cred)),
+        job_id_(std::move(job_id)),
+        dispatch_(std::move(dispatch)) {}
 
   std::future<std::vector<std::uint8_t>> send(
       const std::vector<std::uint8_t>& frame) {
     auto prom = std::make_shared<std::promise<std::vector<std::uint8_t>>>();
     std::future<std::vector<std::uint8_t>> fut = prom->get_future();
     const std::vector<std::uint8_t> sealed_frame =
-        seal(cred_.name, cred_.secret, seq_.next(), frame);
+        seal(cred_.name, cred_.secret, seq_.next(), frame, job_id_);
     const std::vector<std::uint8_t> secret = cred_.secret;
     dispatch_(sealed_frame, [prom, secret](std::vector<std::uint8_t> resp) {
       try {
@@ -203,6 +205,7 @@ class RawSite {
 
  private:
   Credential cred_;
+  std::string job_id_;
   AsyncDispatcher dispatch_;
   SequenceSource seq_;
   std::string session_;
@@ -218,8 +221,8 @@ TEST_F(ScaleTest, LongPollParksUntilRoundOpensThenPushes) {
   FederatedServer server(config, registry, dict_of(std::vector<float>(17, 0.0f)),
                          std::make_unique<FedAvgAggregator>(true));
 
-  RawSite s1(registry.at("site-1"), server.async_dispatcher());
-  RawSite s2(registry.at("site-2"), server.async_dispatcher());
+  RawSite s1(registry.at("site-1"), config.job_id, server.async_dispatcher());
+  RawSite s2(registry.at("site-2"), config.job_id, server.async_dispatcher());
   s1.register_site();
 
   // The run has not started (site-2 is missing): a long-poll must park, not
@@ -248,8 +251,8 @@ TEST_F(ScaleTest, ParkedPollExpiresWithNoneAtDeadline) {
   FederatedServer server(config, registry, dict_of(std::vector<float>(17, 0.0f)),
                          std::make_unique<FedAvgAggregator>(true));
 
-  RawSite s1(registry.at("site-1"), server.async_dispatcher());
-  RawSite s2(registry.at("site-2"), server.async_dispatcher());
+  RawSite s1(registry.at("site-1"), config.job_id, server.async_dispatcher());
+  RawSite s2(registry.at("site-2"), config.job_id, server.async_dispatcher());
   s1.register_site();
   s2.register_site();
   // site-1 resolves round 0; its next poll has nothing to do (the round is
@@ -277,12 +280,14 @@ std::vector<std::uint8_t> expected_train_body(const nn::StateDict& global,
 }
 
 std::vector<std::unique_ptr<RawSite>> raw_sites(
-    const std::map<std::string, Credential>& registry, FederatedServer& server) {
+    const std::map<std::string, Credential>& registry, const std::string& job_id,
+    FederatedServer& server) {
   std::vector<std::unique_ptr<RawSite>> sites;
   for (const auto& [name, cred] : registry) {
     // The registry also holds the server's own identity, which is not a site.
     if (name.rfind("site-", 0) != 0) continue;
-    sites.push_back(std::make_unique<RawSite>(cred, server.async_dispatcher()));
+    sites.push_back(
+        std::make_unique<RawSite>(cred, job_id, server.async_dispatcher()));
   }
   return sites;
 }
@@ -319,7 +324,7 @@ TEST_F(ScaleTest, TrainTaskBodyIsSharedAndExactEveryRound) {
           globals.push_back(global);
         });
 
-    auto sites = raw_sites(registry, server);
+    auto sites = raw_sites(registry, config.job_id, server);
     // Seven sites register and park their polls; the eighth opens round 0
     // and its own poll is answered inline.
     std::vector<std::future<std::vector<std::uint8_t>>> polls;
@@ -370,7 +375,7 @@ TEST_F(ScaleTest, SampledOutSitesGetNoneAndParkedPollsStopOnAbort) {
   const nn::StateDict initial = lcg_contribution(42, 1).data();
   FederatedServer server(config, registry, initial,
                          std::make_unique<FedAvgAggregator>(true));
-  auto sites = raw_sites(registry, server);
+  auto sites = raw_sites(registry, config.job_id, server);
   for (auto& site : sites) site->register_site();
 
   const std::vector<std::uint8_t> train = expected_train_body(initial, 0, 3);

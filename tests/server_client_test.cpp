@@ -12,6 +12,8 @@
 namespace cppflare::flare {
 namespace {
 
+constexpr const char* kJob = "test-project";
+
 nn::StateDict dict_of(std::vector<float> w) {
   nn::StateDict d;
   d.insert("w", {{static_cast<std::int64_t>(w.size())}, std::move(w)});
@@ -48,7 +50,7 @@ class ServerClientTest : public ::testing::Test {
  protected:
   void SetUp() override {
     core::LogConfig::instance().set_threshold(core::LogLevel::kOff);
-    registry_ = Provisioner("test-project", 11).provision_sites(2);
+    registry_ = Provisioner(kJob, 11).provision_sites(2);
   }
   void TearDown() override {
     core::LogConfig::instance().set_threshold(core::LogLevel::kInfo);
@@ -56,7 +58,7 @@ class ServerClientTest : public ::testing::Test {
 
   std::unique_ptr<FederatedServer> make_server(std::int64_t rounds) {
     ServerConfig config;
-    config.job_id = "test-project";
+    config.job_id = kJob;
     config.num_rounds = rounds;
     config.min_clients = 2;
     config.expected_clients = 2;
@@ -69,7 +71,7 @@ class ServerClientTest : public ::testing::Test {
       FederatedServer& server, const std::string& name,
       std::shared_ptr<Learner> learner) {
     ClientConfig config;
-    config.job_id = "test-project";
+    config.job_id = kJob;
     config.max_idle_ms = 5000;
     return std::make_unique<FederatedClient>(
         config, registry_.at(name),
@@ -115,7 +117,7 @@ TEST_F(ServerClientTest, BadTokenRejected) {
   Credential bad = registry_.at("site-1");
   bad.token = "00000000-0000-0000-0000-000000000000";
   ClientConfig config;
-  config.job_id = "test-project";
+  config.job_id = kJob;
   FederatedClient client(config, bad,
                          std::make_unique<InProcConnection>(server->async_dispatcher()),
                          std::make_shared<ConstantLearner>(
@@ -151,7 +153,8 @@ TEST_F(ServerClientTest, GetTaskWithoutSessionFails) {
   auto server = make_server(1);
   InProcConnection connection(server->async_dispatcher());
   const Credential& cred = registry_.at("site-1");
-  const auto sealed = seal(cred.name, cred.secret, 1, pack(GetTaskRequest{"bogus"}));
+  const auto sealed =
+      seal(cred.name, cred.secret, 1, pack(GetTaskRequest{"bogus"}), kJob);
   const auto response = connection.call(sealed);
   const Envelope env = open(response, cred.secret);
   EXPECT_EQ(peek_type(env.payload), MsgType::kError);
@@ -167,7 +170,7 @@ TEST_F(ServerClientTest, StaleRoundSubmissionRejected) {
   auto call = [&](const Credential& cred, SequenceSource& seq,
                   const std::vector<std::uint8_t>& frame) {
     const auto resp =
-        connection.call(seal(cred.name, cred.secret, seq.next(), frame));
+        connection.call(seal(cred.name, cred.secret, seq.next(), frame, kJob));
     const Envelope env = open(resp, cred.secret);
     return std::vector<std::uint8_t>(env.payload.begin(), env.payload.end());
   };
@@ -203,7 +206,8 @@ TEST_F(ServerClientTest, DuplicateSubmissionRejected) {
   SequenceSource seq1, seq2;
   auto call = [&](const Credential& cred, SequenceSource& seq,
                   const std::vector<std::uint8_t>& frame) {
-    const auto response = connection.call(seal(cred.name, cred.secret, seq.next(), frame));
+    const auto response =
+        connection.call(seal(cred.name, cred.secret, seq.next(), frame, kJob));
     const Envelope env = open(response, cred.secret);
     return std::vector<std::uint8_t>(env.payload.begin(), env.payload.end());
   };
@@ -226,7 +230,8 @@ TEST_F(ServerClientTest, TaskNoneBeforeAllRegistered) {
   const Credential& c1 = registry_.at("site-1");
   SequenceSource seq1;
   auto call = [&](const std::vector<std::uint8_t>& frame) {
-    const auto response = connection.call(seal(c1.name, c1.secret, seq1.next(), frame));
+    const auto response =
+        connection.call(seal(c1.name, c1.secret, seq1.next(), frame, kJob));
     const Envelope env = open(response, c1.secret);
     return std::vector<std::uint8_t>(env.payload.begin(), env.payload.end());
   };
@@ -241,7 +246,7 @@ TEST_F(ServerClientTest, ReplayedEnvelopeRejected) {
   InProcConnection connection(server->async_dispatcher());
   const Credential& c1 = registry_.at("site-1");
   const auto sealed = seal(c1.name, c1.secret, 1,
-                           pack(RegisterRequest{c1.name, c1.token}));
+                           pack(RegisterRequest{c1.name, c1.token}), kJob);
   const auto first_response = connection.call(sealed);
   const Envelope first = open(first_response, c1.secret);
   EXPECT_EQ(peek_type(first.payload), MsgType::kRegisterAck);

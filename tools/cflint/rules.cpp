@@ -97,7 +97,6 @@ class RuleRunner {
     r5_no_raw_thread();
     r6_no_naked_sleep();
     r7_validator_bypass();
-    r8_legacy_logger();
     r9_unordered_iteration();
     r10_blocking_under_lock();
     r11_nodiscard();
@@ -168,7 +167,7 @@ class RuleRunner {
       if (t.kind != TokKind::kPreproc) continue;
       if (contains(t.text, "include") && contains(t.text, "<iostream>")) {
         flag(3, t, "#include <iostream> outside src/core/logging.*; log "
-                   "through core::Logger / LOG(level)");
+                   "through LOG(level) / LOG_AS");
       }
     }
   }
@@ -255,25 +254,6 @@ class RuleRunner {
       if (!is_punct(toks_[i + 1], "(")) continue;
       flag(7, toks_[i], "direct Aggregator::accept call; contributions go "
                         "through UpdateValidator::admit");
-    }
-  }
-
-  // R8: library code logs through the structured event API; the legacy
-  // Logger string methods survive only inside src/core/.
-  void r8_legacy_logger() {
-    if (starts_with(path_, "src/core/")) return;
-    for (std::size_t i = 1; i + 1 < toks_.size(); ++i) {
-      const Token& t = toks_[i];
-      if (t.kind != TokKind::kIdent) continue;
-      if (t.text != "debug" && t.text != "info" && t.text != "warn" &&
-          t.text != "error") {
-        continue;
-      }
-      const Token& p = toks_[i - 1];
-      if (!is_punct(p, ".") && !is_punct(p, "->")) continue;
-      if (!is_punct(toks_[i + 1], "(")) continue;
-      flag(8, t, "legacy Logger::" + t.text + "() outside src/core/; use "
-                 "LOG(level).msg(...).kv(...)");
     }
   }
 
@@ -699,7 +679,6 @@ const char* rule_summary(int rule) {
     case 5: return "no raw std::thread outside src/core/ (epoll reactor sanctioned)";
     case 6: return "no naked sleeps outside core::Backoff";
     case 7: return "contributions go through UpdateValidator::admit";
-    case 8: return "structured logging only outside src/core/";
     case 9: return "no unordered-container iteration in determinism-sensitive code";
     case 10: return "no blocking transport/sleep call while a lock is held "
                     "(the reactor's nonblocking socket I/O sanctioned)";

@@ -1,7 +1,7 @@
 // cflint rule engine: scope-aware reimplementation of the repo lint rules
-// R1-R8 plus the concurrency/determinism rules R9-R11 that a grep pipeline
-// cannot express. See scripts/lint.sh (thin wrapper) and DESIGN.md §12 for
-// the rule catalog and rationale.
+// R1-R7 plus the concurrency/determinism rules R9-R14 that a grep pipeline
+// cannot express (R8 is retired; numbers stay stable). See scripts/lint.sh
+// (thin wrapper) and DESIGN.md §12 for the rule catalog and rationale.
 #pragma once
 
 #include <string>

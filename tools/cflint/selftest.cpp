@@ -100,14 +100,6 @@ const std::vector<Case>& cases() {
        "void g(Aggregator& a, const Contribution& c) { a.accept(c); }\n",
        {}},
 
-      {"R8 legacy logger", "src/flare/bad_log.cpp",
-       "void f(core::Logger& log) { log.info(\"hello\"); }\n",
-       {{8, 1}}},
-      {"R8 core shim + exempt", "src/flare/ok_log.cpp",
-       "// R8-exempt: NVFlare-style demo line, sanctioned\n"
-       "void f(core::Logger& log) { log.info(\"hello\"); }\n",
-       {}},
-
       {"R9 unordered iteration", "src/flare/aggregator_ext.cpp",
        "#include <unordered_map>\n"
        "void f(const std::unordered_map<std::string, double>& weights) {\n"
