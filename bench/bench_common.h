@@ -1,10 +1,14 @@
 // Shared helpers for the table/figure bench binaries.
 #pragma once
 
+#include <sched.h>
+
 #include <cstdio>
 #include <string>
 
+#include "core/keyed_stream_kernel.h"
 #include "core/logging.h"
+#include "core/sha256_kernel.h"
 #include "train/experiment.h"
 
 namespace cppflare::bench {
@@ -36,6 +40,26 @@ inline void print_header(const std::string& title,
 /// Silence the NVFlare-style component logs during measurement loops.
 inline void quiet_logs() {
   core::LogConfig::instance().set_threshold(core::LogLevel::kWarn);
+}
+
+/// The host a measurement ran on, as a JSON object: usable cores, vector
+/// ISA, the SHA-256 and ChaCha20 kernels this process picked, build type
+/// and source revision. Numbers taken on different hosts do not compare.
+inline std::string host_context_json() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  const int cores = sched_getaffinity(0, sizeof(set), &set) == 0 ? CPU_COUNT(&set) : 1;
+  const auto flag = [](bool on) { return on ? "true" : "false"; };
+  char out[512];
+  std::snprintf(
+      out, sizeof(out),
+      "{\"cores\": %d, \"avx2\": %s, \"avx512f\": %s, \"sha256_kernel\": \"%s\", "
+      "\"prg_kernel\": \"%s\", \"build_type\": \"%s\", \"git_sha\": \"%s\"}",
+      cores, flag(__builtin_cpu_supports("avx2")), flag(__builtin_cpu_supports("avx512f")),
+      core::sha256_kernel_name(core::sha256_active_kernel()),
+      core::keyed_stream_kernel_name(core::keyed_stream_active_kernel()),
+      CPPFLARE_BUILD_TYPE, CPPFLARE_GIT_SHA);
+  return out;
 }
 
 }  // namespace cppflare::bench

@@ -2,12 +2,17 @@
 // crypto, aggregation, and transport round trips (google-benchmark).
 #include <benchmark/benchmark.h>
 
+#include "core/keyed_stream.h"
+#include "core/keyed_stream_kernel.h"
 #include "core/logging.h"
+#include "core/parallel.h"
 #include "core/sha256.h"
 #include "core/sha256_kernel.h"
 #include "flare/aggregator.h"
+#include "flare/filters.h"
 #include "flare/messages.h"
 #include "flare/provision.h"
+#include "flare/secure_agg.h"
 #include "flare/secure_channel.h"
 #include "flare/tcp.h"
 
@@ -15,9 +20,10 @@ namespace {
 
 using namespace cppflare;
 
-// Float bytes of the paper's BERT state dict (2,472,082 floats): the
-// payload every site seals and the server opens each round.
-constexpr std::int64_t kBertPayloadBytes = 2472082 * 4;
+// The paper's BERT state dict (2,472,082 floats): the payload every site
+// filters and seals and the server opens each round.
+constexpr std::int64_t kBertFloats = 2472082;
+constexpr std::int64_t kBertPayloadBytes = kBertFloats * 4;
 
 void label_kernel(benchmark::State& state) {
   state.SetLabel(std::string("sha256=") +
@@ -106,6 +112,62 @@ void BM_TaskFrame(benchmark::State& state) {
   label_kernel(state);
 }
 BENCHMARK(BM_TaskFrame)->Arg(kBertPayloadBytes);
+
+// ChaCha20 keystream words for one BERT upload, per kernel (the argument
+// indexes kAllKeyedStreamKernels; unsupported kernels are skipped).
+void BM_KeyedStream(benchmark::State& state) {
+  const core::KeyedStreamKernel kernel =
+      core::kAllKeyedStreamKernels[static_cast<std::size_t>(state.range(0))];
+  state.SetLabel(std::string("prg=") + core::keyed_stream_kernel_name(kernel));
+  if (!core::keyed_stream_kernel_supported(kernel)) {
+    state.SkipWithError("kernel not supported on this CPU");
+    return;
+  }
+  const core::KeyedStream stream =
+      core::keyed_stream_with_kernel(kernel, core::Digest{}, core::KeyedStream::Nonce{});
+  std::vector<std::uint32_t> words(static_cast<std::size_t>(kBertFloats));
+  for (auto _ : state) {
+    stream.read(0, words.size(), words.data());
+    benchmark::DoNotOptimize(words.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * kBertFloats * 4);
+}
+BENCHMARK(BM_KeyedStream)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
+
+// One site's outbound privacy filters on a BERT update at a compute budget
+// of range(0) threads: DP clip + noise, then quantize + 7 pairwise masks
+// (8 sites). Labelled with the PRG kernel the filters run on.
+void privacy_filter_bench(benchmark::State& state, flare::Filter& filter) {
+  core::set_compute_threads(static_cast<std::size_t>(state.range(0)));
+  const nn::StateDict update = model_of_size(kBertFloats);
+  flare::FLContext ctx;
+  ctx.current_round = 1;
+  for (auto _ : state) {
+    state.PauseTiming();
+    flare::Dxo dxo(flare::DxoKind::kWeightDiff, update);
+    state.ResumeTiming();
+    filter.process(dxo, ctx);
+    benchmark::DoNotOptimize(dxo.data().at("w").values.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kBertFloats);
+  state.SetLabel(std::string("prg=") +
+                 core::keyed_stream_kernel_name(core::keyed_stream_active_kernel()));
+}
+
+void BM_DpFilter(benchmark::State& state) {
+  flare::DpGaussianFilter filter(1.0, 1.0, 4);
+  privacy_filter_bench(state, filter);
+}
+BENCHMARK(BM_DpFilter)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+
+void BM_MaskFilter(benchmark::State& state) {
+  std::vector<std::string> sites;
+  for (int i = 1; i <= 8; ++i) sites.push_back("site-" + std::to_string(i));
+  const auto filter = flare::make_secure_agg_mask_filter("bench", 3, "site-4", sites);
+  privacy_filter_bench(state, *filter);
+}
+BENCHMARK(BM_MaskFilter)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 void BM_FedAvgRound(benchmark::State& state) {
   core::LogConfig::instance().set_threshold(core::LogLevel::kOff);

@@ -154,6 +154,7 @@ int main(int argc, char** argv) {
   const std::int64_t rounds = 20;
   std::printf("Privacy runtime: 8-site TCP federation, %lld rounds\n",
               static_cast<long long>(rounds));
+  std::printf("host: %s\n", bench::host_context_json().c_str());
 
   // 1. Steady-state masking cost.
   RunSpec plain_spec;
@@ -215,6 +216,7 @@ int main(int argc, char** argv) {
     }
     std::fprintf(f,
                  "{\n"
+                 "  \"host\": %s,\n"
                  "  \"sites\": 8,\n"
                  "  \"rounds\": %lld,\n"
                  "  \"transport\": \"tcp\",\n"
@@ -225,6 +227,7 @@ int main(int argc, char** argv) {
                  "  \"drop_masked_rounds_per_sec\": %.3f,\n"
                  "  \"recovery_overhead_factor\": %.3f,\n"
                  "  \"dp_grid\": [\n",
+                 bench::host_context_json().c_str(),
                  static_cast<long long>(rounds), plain.rounds_per_sec,
                  masked.rounds_per_sec, mask_overhead,
                  drop_plain.rounds_per_sec, drop_masked.rounds_per_sec,

@@ -11,7 +11,9 @@
 #   BENCH_protocol.json — google-benchmark output of bench_micro_flare:
 #       serialization, SHA-256 and seal+open throughput (up to the BERT
 #       payload's 9,888,328 float bytes; each crypto row is labelled with the
-#       SHA-256 kernel that ran), FedAvg and TCP round trips.
+#       SHA-256 kernel that ran), the ChaCha20 keystream per kernel and one
+#       site's DP and mask filters on the BERT update at compute budgets 1
+#       and 4 (labelled with the PRG kernel), FedAvg and TCP round trips.
 #   BENCH_models.json — bench_table2_models latencies per model plus the
 #       effective thread budget and total wall seconds.
 #   BENCH_faults.json — bench_faults rounds/s of an 8-site TCP federation
@@ -24,11 +26,13 @@
 #       multiplexed in-process mode (8 pool workers), plus a re-measurement
 #       of the faulty-run overhead factor against the 4.16x pre-reactor
 #       baseline recorded in BENCH_faults.json.
-#   BENCH_privacy.json — bench_privacy rounds/s of masked vs unmasked
-#       8-site TCP federations (clean and with one site dropped mid-run, so
-#       masked rounds pay the unmask-recovery wave), plus a DP noise grid:
-#       final-model RMSE against the clip-only reference and the
-#       accountant's epsilon per sigma (-1 encodes infinite spend).
+#   BENCH_privacy.json — host context (cores, ISA, SHA-256 and PRG
+#       kernels, build type, git revision), then bench_privacy rounds/s of
+#       masked vs unmasked 8-site TCP federations (clean and with one site
+#       dropped mid-run, so masked rounds pay the unmask-recovery wave),
+#       plus a DP noise grid: final-model RMSE against the clip-only
+#       reference and the accountant's epsilon per sigma (-1 encodes
+#       infinite spend).
 #   BENCH_crash.json — bench_crash rounds/s of an 8-site threaded federation
 #       with the round journal off, fsyncing once per round (budget 1.10x
 #       against journal-off) and fsyncing every record, plus the replay

@@ -1,9 +1,13 @@
 #include "flare/filters.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
+#include "core/bytes.h"
 #include "core/error.h"
+#include "core/keyed_stream_kernel.h"
+#include "flare/privacy_kernels.h"
 
 namespace cppflare::flare {
 
@@ -11,21 +15,61 @@ void FilterChain::process(Dxo& dxo, const FLContext& ctx) const {
   for (const auto& f : filters_) f->process(dxo, ctx);
 }
 
-void GaussianPrivacyFilter::process(Dxo& dxo, const FLContext&) {
+GaussianPrivacyFilter::GaussianPrivacyFilter(double sigma, std::uint64_t seed)
+    : sigma_(sigma) {
+  core::ByteWriter seed_key;
+  seed_key.write_u64(seed);
+  key_ = core::hmac_sha256(seed_key.bytes(),
+                           reinterpret_cast<const std::uint8_t*>("dp-noise"), 8);
+}
+
+void GaussianPrivacyFilter::process(Dxo& dxo, const FLContext& ctx) {
   if (dxo.kind() == DxoKind::kMetrics) return;
-  for (auto& [name, blob] : dxo.data().entries()) {
-    for (float& v : blob.values) {
-      v += static_cast<float>(rng_.normal(0.0, sigma_));
-    }
+  if (ctx.current_round != round_) {
+    round_ = ctx.current_round;
+    calls_ = 0;
   }
+  core::ByteWriter nonce_bytes;
+  nonce_bytes.write_u64(static_cast<std::uint64_t>(round_));
+  nonce_bytes.write_u32(calls_++);
+  core::KeyedStream::Nonce nonce{};
+  std::copy(nonce_bytes.bytes().begin(), nonce_bytes.bytes().end(), nonce.begin());
+  const core::KeyedStream stream(key_, nonce);
+  const core::KeyedStreamKernel kernel = core::keyed_stream_active_kernel();
+  const auto sigma = static_cast<float>(sigma_);
+  // Chunks start at multiples of 1024 words, so at whole Box–Muller groups.
+  for_each_chunk(dxo.data(), [&](std::uint64_t first, float* values, std::size_t n) {
+    const std::size_t groups = (n + 31) / 32;
+    std::uint32_t words[kPrivacyChunkWords];
+    float noise[kPrivacyChunkWords];
+    // R11-exempt: KeyedStream::read returns void (Wal::read shares the name)
+    stream.read(first, 32 * groups, words);
+    gaussian_from_words(kernel, words, groups, noise);
+    add_scaled(sigma, noise, values, n);
+  });
 }
 
 void NormClipFilter::process(Dxo& dxo, const FLContext&) {
   if (dxo.kind() == DxoKind::kMetrics) return;
-  double sq = 0.0;
+  // Eight interleaved partial sums (element i of a blob into partial i % 8)
+  // break the add latency chain so the pass vectorizes; the order is fixed,
+  // so the norm is the same on every run.
+  double partial[8] = {};
   for (const auto& [name, blob] : dxo.data().entries()) {
-    for (float v : blob.values) sq += static_cast<double>(v) * v;
+    const float* v = blob.values.data();
+    const std::size_t n = blob.values.size();
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+      for (std::size_t k = 0; k < 8; ++k) {
+        partial[k] += static_cast<double>(v[i + k]) * v[i + k];
+      }
+    }
+    for (std::size_t k = 0; i < n; ++i, ++k) {
+      partial[k] += static_cast<double>(v[i]) * v[i];
+    }
   }
+  double sq = 0.0;
+  for (const double p : partial) sq += p;
   const double norm = std::sqrt(sq);
   // A NaN/Inf norm means the payload itself is non-finite; scaling by
   // max_norm/NaN would smear NaN over every value. Pass it through and let

@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "core/rng.h"
+#include "core/sha256.h"
 #include "flare/dxo.h"
 #include "flare/fl_context.h"
 
@@ -37,17 +37,27 @@ class FilterChain {
 };
 
 /// Adds i.i.d. N(0, sigma^2) noise to every weight value.
+///
+/// The noise is a pure function of (seed, round, call index within that
+/// round): the ChaCha20 keystream (core::KeyedStream) under key
+/// HMAC-SHA256(le64(seed), "dp-noise") and nonce le64(round) ‖ le32(call)
+/// feeds a float Box–Muller (flare/privacy_kernels.h), element i of the
+/// flattened update taking keystream word i. A second call in the same round
+/// draws fresh noise; a filter rebuilt after a restart reproduces round r's
+/// first release, so a re-trained round re-releases the same noise instead
+/// of spending more epsilon. Each value moves by at most 5.77 sigma.
 class GaussianPrivacyFilter : public Filter {
  public:
-  GaussianPrivacyFilter(double sigma, std::uint64_t seed)
-      : sigma_(sigma), rng_(seed) {}
+  GaussianPrivacyFilter(double sigma, std::uint64_t seed);
   void process(Dxo& dxo, const FLContext& ctx) override;
   std::string name() const override { return "GaussianPrivacy"; }
   double sigma() const { return sigma_; }
 
  private:
   double sigma_;
-  core::Rng rng_;
+  core::Digest key_;
+  std::int64_t round_ = 0;
+  std::uint32_t calls_ = 0;  // releases so far in round_
 };
 
 /// Rescales the payload so its global L2 norm is at most `max_norm`

@@ -2,28 +2,18 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
+#include <cstring>
+#include <numeric>
 
+#include "core/bytes.h"
 #include "core/error.h"
-#include "core/rng.h"
+#include "core/keyed_stream_kernel.h"
 #include "core/sha256.h"
+#include "flare/privacy_kernels.h"
 
 namespace cppflare::flare {
 
 namespace {
-
-/// Quantize to a signed fixed-point word, saturating so non-finite or
-/// out-of-range values cannot trip UB in llround; wrap-around is then
-/// confined to the (documented) aggregate-headroom contract.
-std::uint32_t quantize(float v, std::int64_t frac_bits) {
-  const double scaled = static_cast<double>(v) *
-                        static_cast<double>(std::int64_t{1} << frac_bits);
-  if (!std::isfinite(scaled)) return 0;
-  constexpr double kMax = 2147483647.0;
-  const double clamped = std::max(-kMax, std::min(kMax, scaled));
-  return static_cast<std::uint32_t>(
-      static_cast<std::int32_t>(std::llround(clamped)));
-}
 
 float dequantize(std::uint32_t word, std::int64_t frac_bits) {
   const auto q = static_cast<std::int32_t>(word);
@@ -31,14 +21,14 @@ float dequantize(std::uint32_t word, std::int64_t frac_bits) {
                             static_cast<double>(std::int64_t{1} << frac_bits));
 }
 
-/// One pair's deterministic mask stream for a round: both members fold the
-/// pairwise key into the same seed and draw identical uint32 words.
-core::Rng pair_stream(const std::vector<std::uint8_t>& pair_key,
+/// One pair's mask key for a round: HMAC-SHA256(pair key, "mask" ‖ le64(round)).
+/// Both members of the pair derive the same key.
+core::Digest mask_key(const std::vector<std::uint8_t>& pair_key,
                       std::int64_t round) {
-  std::uint64_t seed = 0x5ec0de;
-  for (std::uint8_t b : pair_key) seed = seed * 131 + b;
-  seed ^= static_cast<std::uint64_t>(round) * 0x9e3779b97f4a7c15ull;
-  return core::Rng(seed);
+  core::ByteWriter message;
+  message.write_raw(reinterpret_cast<const std::uint8_t*>("mask"), 4);
+  message.write_u64(static_cast<std::uint64_t>(round));
+  return core::hmac_sha256(pair_key, message.bytes());
 }
 
 }  // namespace
@@ -80,30 +70,41 @@ SecureAggMaskFilter::SecureAggMaskFilter(std::string self_site,
   }
 }
 
-void SecureAggMaskFilter::process(Dxo& dxo, const FLContext& ctx) {
-  if (dxo.kind() == DxoKind::kMetrics) return;
-  // Quantize once, then work purely modulo 2^32 in the float bit slots.
-  for (auto& [name, blob] : dxo.data().entries()) {
-    for (float& v : blob.values) {
-      v = std::bit_cast<float>(quantize(v, frac_bits_));
-    }
+void SecureAggMaskFilter::apply_masks(nn::StateDict& dict,
+                                      const std::vector<std::size_t>& peers,
+                                      std::int64_t round) const {
+  std::vector<core::KeyedStream> streams;
+  std::vector<bool> adds;
+  for (const std::size_t p : peers) {
+    streams.emplace_back(mask_key(pair_keys_[p], round), core::KeyedStream::Nonce{});
+    // The lexicographically smaller site adds each word, the larger
+    // subtracts it (mod 2^32).
+    adds.push_back(self_site_ < other_sites_[p]);
   }
-  for (std::size_t p = 0; p < other_sites_.size(); ++p) {
-    // Both pair members derive the same stream; the lexicographically
-    // smaller site adds each word, the larger subtracts it (mod 2^32).
-    const bool add = self_site_ < other_sites_[p];
-    core::Rng stream = pair_stream(pair_keys_[p], ctx.current_round);
-    // Iterate blobs in map order (deterministic and identical across the
-    // pair because the dicts are congruent by protocol).
-    for (auto& [name, blob] : dxo.data().entries()) {
-      for (float& v : blob.values) {
-        const auto mask = static_cast<std::uint32_t>(stream.engine()());
-        const std::uint32_t word = std::bit_cast<std::uint32_t>(v);
-        v = std::bit_cast<float>(add ? word + mask : word - mask);
+  const core::KeyedStreamKernel kernel = core::keyed_stream_active_kernel();
+  for_each_chunk(dict, [&](std::uint64_t first, float* values, std::size_t n) {
+    std::uint32_t words[kPrivacyChunkWords];
+    std::uint32_t mask[kPrivacyChunkWords];
+    quantize_words(kernel, values, words, n, frac_bits_);
+    for (std::size_t s = 0; s < streams.size(); ++s) {
+      streams[s].read(first, n, mask);
+      if (adds[s]) {
+        for (std::size_t i = 0; i < n; ++i) words[i] += mask[i];
+      } else {
+        for (std::size_t i = 0; i < n; ++i) words[i] -= mask[i];
       }
     }
-  }
-  skeleton_ = dxo.data().zeros_like();
+    std::memcpy(values, words, n * sizeof(std::uint32_t));
+  });
+}
+
+void SecureAggMaskFilter::process(Dxo& dxo, const FLContext& ctx) {
+  if (dxo.kind() == DxoKind::kMetrics) return;
+  std::vector<std::size_t> peers(other_sites_.size());
+  std::iota(peers.begin(), peers.end(), std::size_t{0});
+  apply_masks(dxo.data(), peers, ctx.current_round);
+  skeleton_ = nn::StateDict{};
+  for (const auto& [name, blob] : dxo.data().entries()) skeleton_.insert(name, {blob.shape, {}});
 }
 
 Dxo SecureAggMaskFilter::unmask_share(const std::vector<std::string>& dropped,
@@ -117,24 +118,23 @@ Dxo SecureAggMaskFilter::unmask_share(
   if (skeleton_.empty() && fallback_skeleton.empty()) {
     throw Error("SecureAggMaskFilter: unmask_share before any masked upload");
   }
-  // Zeros, in the element order process used; a restarted process that
-  // never masked this round falls back to the server-supplied template.
+  // Zeros (which quantize to word 0) in the element order process used; a
+  // restarted process that never masked this round falls back to the
+  // server-supplied template. A blob holds the product of its shape in
+  // values, as StateDict::deserialize enforces on every upload.
   nn::StateDict sum = skeleton_.empty() ? fallback_skeleton : skeleton_;
+  for (auto& [name, blob] : sum.entries()) {
+    std::int64_t count = 1;
+    for (const std::int64_t d : blob.shape) count *= d;
+    blob.values.assign(static_cast<std::size_t>(count), 0.0f);
+  }
+  std::vector<std::size_t> peers;
   for (std::size_t p = 0; p < other_sites_.size(); ++p) {
-    if (std::find(dropped.begin(), dropped.end(), other_sites_[p]) ==
-        dropped.end()) {
-      continue;
-    }
-    const bool add = self_site_ < other_sites_[p];
-    core::Rng stream = pair_stream(pair_keys_[p], round);
-    for (auto& [name, blob] : sum.entries()) {
-      for (float& v : blob.values) {
-        const auto mask = static_cast<std::uint32_t>(stream.engine()());
-        const std::uint32_t word = std::bit_cast<std::uint32_t>(v);
-        v = std::bit_cast<float>(add ? word + mask : word - mask);
-      }
+    if (std::find(dropped.begin(), dropped.end(), other_sites_[p]) != dropped.end()) {
+      peers.push_back(p);
     }
   }
+  apply_masks(sum, peers, round);
   return Dxo(DxoKind::kWeights, std::move(sum));
 }
 

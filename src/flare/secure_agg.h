@@ -5,14 +5,24 @@
 // setup; production systems derive it with Diffie-Hellman). Before
 // uploading, site s quantizes every update value to a signed fixed-point
 // word q = round(v * 2^frac_bits), then adds, for every other site o, a
-// pseudorandom uint32 mask stream seeded by (pair key, round) — modulo
-// 2^32, with sign +1 if s < o lexicographically and -1 otherwise — and
-// ships the masked word bit-cast into the float slot. Summing the words
+// pseudorandom uint32 mask stream for (pair key, round) — modulo 2^32,
+// with sign +1 if s < o lexicographically and -1 otherwise — and ships
+// the masked word bit-cast into the float slot. Summing the words
 // modulo 2^32 cancels every mask *exactly* (modular addition is
 // associative and commutative, unlike float addition), so the server
 // learns only the quantized aggregate:
 //
 //   sum_s (q_s + m_s) = sum_s q_s  (mod 2^32)   since  sum_s m_s = 0.
+//
+// Mask streams: the pair's round key is HMAC-SHA256(pair key, "mask" ‖
+// le64(round)); the stream is ChaCha20 (core::KeyedStream) under that key
+// with an all-zero nonce, the key being unique per (pair, round). Word i of
+// the stream masks element i of the update flattened in map order, so one
+// chunked pass quantizes and applies every peer's stream, and the chunks
+// split over compute threads with bit-identical output at every budget.
+// ChaCha20 is a keyed PRG: a peer's observed mask words do not predict the
+// rest of its stream, which pairwise masking (Bonawitz et al., CCS 2017)
+// assumes.
 //
 // Dropout recovery: when a site's contribution is missing, the survivors'
 // masks against it no longer cancel. The server then asks each survivor
@@ -94,12 +104,19 @@ class SecureAggMaskFilter : public Filter {
   std::int64_t frac_bits() const { return frac_bits_; }
 
  private:
+  /// Quantizes `dict` in place and adds (or subtracts) the (pair, round)
+  /// mask stream of each listed peer, word i of every stream landing on
+  /// element i of the flattened dict: one chunked pass for all peers.
+  void apply_masks(nn::StateDict& dict, const std::vector<std::size_t>& peers,
+                   std::int64_t round) const;
+
   std::string self_site_;
   std::vector<std::string> other_sites_;
   std::vector<std::vector<std::uint8_t>> pair_keys_;  // parallel to other_sites_
   std::int64_t frac_bits_;
-  /// Shape template of the last masked upload (zeros), recorded so
-  /// unmask_share can draw streams in the exact element order process used.
+  /// Shape template of the last masked upload: names and shapes with no
+  /// values, so unmask_share can draw streams in the exact element order
+  /// process used without holding a zero copy of the update.
   nn::StateDict skeleton_;
 };
 

@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
 #include "core/error.h"
+#include "core/keyed_stream.h"
+#include "core/keyed_stream_kernel.h"
+#include "core/parallel.h"
+#include "flare/privacy_kernels.h"
 
 namespace cppflare::flare {
 namespace {
@@ -49,6 +54,198 @@ TEST(GaussianFilter, NoiseVariesPerCall) {
   filter.process(b, ctx);
   EXPECT_NE(a.data().at("a").values, b.data().at("a").values);
 }
+
+TEST(GaussianFilter, MomentsMatchAStandardNormal) {
+  // 2^20 draws: the standard error of the mean is 0.001 and of the
+  // kurtosis about 0.005, so these bounds sit many errors out.
+  constexpr std::size_t kN = std::size_t{1} << 20;
+  GaussianPrivacyFilter filter(1.0, 31);
+  Dxo dxo = weights_dxo(std::vector<float>(kN, 0.0f));
+  FLContext ctx;
+  filter.process(dxo, ctx);
+  double sum = 0.0, sum2 = 0.0, sum4 = 0.0, max_abs = 0.0;
+  std::size_t beyond_3 = 0;
+  for (const float v : dxo.data().at("a").values) {
+    const double z = v;
+    sum += z;
+    sum2 += z * z;
+    sum4 += z * z * z * z;
+    max_abs = std::max(max_abs, std::abs(z));
+    beyond_3 += std::abs(z) > 3.0 ? 1 : 0;
+  }
+  const double n = static_cast<double>(kN);
+  const double mean = sum / n;
+  const double var = sum2 / n - mean * mean;
+  EXPECT_NEAR(mean, 0.0, 0.005);
+  EXPECT_NEAR(std::sqrt(var), 1.0, 0.01);
+  EXPECT_NEAR((sum4 / n) / (var * var), 3.0, 0.05);
+  // P(|z| > 3) = 0.0026998; its standard error here is 5e-5.
+  EXPECT_NEAR(static_cast<double>(beyond_3) / n, 0.0026998, 0.0003);
+  EXPECT_LE(max_abs, std::sqrt(48.0 * std::log(2.0)) + 1e-5);
+}
+
+TEST(GaussianFilter, NoiseIsAPureFunctionOfSeedRoundAndCall) {
+  FLContext round3, round4;
+  round3.current_round = 3;
+  round4.current_round = 4;
+  const auto release = [](GaussianPrivacyFilter& f, const FLContext& ctx) {
+    Dxo dxo = weights_dxo(std::vector<float>(257, 0.5f));
+    f.process(dxo, ctx);
+    return dxo.data().at("a").values;
+  };
+  GaussianPrivacyFilter live(0.5, 9);
+  const std::vector<float> r3_first = release(live, round3);
+  const std::vector<float> r3_second = release(live, round3);
+  const std::vector<float> r4_first = release(live, round4);
+  EXPECT_NE(r3_first, r3_second);  // a second release draws fresh noise
+  EXPECT_NE(r3_first, r4_first);
+  // A filter rebuilt after a restart re-releases round r's first noise, so
+  // a re-trained round spends no extra epsilon.
+  GaussianPrivacyFilter restarted(0.5, 9);
+  EXPECT_EQ(release(restarted, round4), r4_first);
+  GaussianPrivacyFilter restarted_again(0.5, 9);
+  EXPECT_EQ(release(restarted_again, round3), r3_first);
+  EXPECT_EQ(release(restarted_again, round3), r3_second);
+}
+
+TEST(GaussianFilter, NoiseIsTheDocumentedKeyedStream) {
+  // key = HMAC-SHA256(le64(seed), "dp-noise"), nonce = le64(round) ‖
+  // le32(call), word i of the stream feeding element i's Box–Muller.
+  constexpr std::uint64_t kSeed = 0x0102030405060708ull;
+  constexpr std::size_t kN = 40;
+  std::vector<std::uint8_t> seed_key = {8, 7, 6, 5, 4, 3, 2, 1};
+  const std::string label = "dp-noise";
+  const core::Digest key = core::hmac_sha256(
+      seed_key, reinterpret_cast<const std::uint8_t*>(label.data()), label.size());
+  const core::KeyedStream::Nonce nonce = {6, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0};
+  std::vector<std::uint32_t> words(64);
+  core::KeyedStream(key, nonce).read(0, words.size(), words.data());
+  std::vector<float> z(64), want(kN, 0.25f);
+  gaussian_from_words(core::KeyedStreamKernel::kScalar, words.data(), 2, z.data());
+  add_scaled(2.0f, z.data(), want.data(), kN);
+
+  GaussianPrivacyFilter filter(2.0, kSeed);
+  FLContext ctx;
+  ctx.current_round = 6;
+  Dxo first = weights_dxo(std::vector<float>(kN, 0.25f));
+  Dxo second = weights_dxo(std::vector<float>(kN, 0.25f));
+  filter.process(first, ctx);
+  filter.process(second, ctx);  // call index 1
+  EXPECT_EQ(second.data().at("a").values, want);
+}
+
+TEST(GaussianFilter, UploadsAreBitEqualAtEveryComputeBudget) {
+  // Blob sizes put chunk boundaries inside blobs and blob boundaries
+  // inside chunks.
+  nn::StateDict update;
+  std::size_t k = 0;
+  for (const std::int64_t n : {70001, 3, 100000, 1, 5000}) {
+    std::vector<float> values(static_cast<std::size_t>(n));
+    for (float& v : values) v = 0.001f * static_cast<float>(k++ % 1000);
+    std::string name = "p";
+    name += std::to_string(n);
+    update.insert(name, {{n}, std::move(values)});
+  }
+  const std::size_t saved = core::compute_threads();
+  std::vector<nn::StateDict> uploads;
+  for (const std::size_t budget : {1, 2, 4}) {
+    core::set_compute_threads(budget);
+    DpGaussianFilter filter(1e9, 0.5, 77);
+    Dxo dxo(DxoKind::kWeightDiff, update);
+    FLContext ctx;
+    ctx.current_round = 2;
+    filter.process(dxo, ctx);
+    uploads.push_back(dxo.data());
+  }
+  core::set_compute_threads(saved);
+  for (std::size_t b = 1; b < uploads.size(); ++b) {
+    for (const auto& [name, blob] : uploads[0].entries()) {
+      const auto& other = uploads[b].at(name).values;
+      ASSERT_EQ(other.size(), blob.values.size());
+      EXPECT_EQ(std::memcmp(other.data(), blob.values.data(),
+                            blob.values.size() * sizeof(float)), 0)
+          << name << " at budget index " << b;
+    }
+  }
+  EXPECT_NE(uploads[0].at("p3").values, update.at("p3").values);
+}
+
+class GaussianKernelTest : public ::testing::TestWithParam<core::KeyedStreamKernel> {
+ protected:
+  void SetUp() override {
+    if (!core::keyed_stream_kernel_supported(GetParam())) {
+      GTEST_SKIP() << core::keyed_stream_kernel_name(GetParam()) << " unsupported";
+    }
+  }
+};
+
+TEST_P(GaussianKernelTest, BitEqualToScalar) {
+  // Keystream words plus edge words: u1 at its extremes and u2 on every
+  // quadrant boundary and one step either side of it.
+  std::vector<std::uint32_t> words(32 * 2053);
+  core::KeyedStream(core::Digest{}, core::KeyedStream::Nonce{})
+      .read(0, words.size(), words.data());
+  const std::uint32_t u1_edges[] = {0, 0xff, 0x100, 0x7fffffff, 0x80000000,
+                                    0xfffffeff, 0xffffff00, 0xffffffff};
+  std::vector<std::uint32_t> u2_edges;
+  for (std::uint32_t q = 0; q <= 8; ++q) {
+    const std::uint32_t j = q << 21;  // multiples of an eighth turn
+    for (const std::uint32_t d : {0u, 1u, 0xffffffu}) {
+      u2_edges.push_back(((j + d) & 0xffffff) << 8);
+      u2_edges.push_back((((j + d) & 0xffffff) << 8) | 0xff);
+    }
+  }
+  std::size_t at = 0;
+  for (const std::uint32_t u1 : u1_edges) {
+    for (const std::uint32_t u2 : u2_edges) {
+      const std::size_t group = at / 16, lane = at % 16;
+      words[32 * group + lane] = u1;
+      words[32 * group + 16 + lane] = u2;
+      ++at;
+    }
+  }
+  const std::size_t groups = words.size() / 32;
+  std::vector<float> want(words.size()), got(words.size());
+  gaussian_from_words(core::KeyedStreamKernel::kScalar, words.data(), groups, want.data());
+  gaussian_from_words(GetParam(), words.data(), groups, got.data());
+  EXPECT_EQ(std::memcmp(want.data(), got.data(), want.size() * sizeof(float)), 0);
+}
+
+// On the process's kernel; BitEqualToScalar carries the result to the
+// other tiers.
+TEST(GaussianKernel, EveryU1GivesAFiniteRadiusWithinTheTailBound) {
+  // u2 = 0 makes z = r for all 2^24 values of u1's numerator.
+  const double bound = std::sqrt(48.0 * std::log(2.0)) + 1e-5;
+  constexpr std::size_t kGroups = 1 << 15;
+  std::vector<std::uint32_t> words(32 * kGroups, 0);
+  std::vector<float> z(words.size());
+  float smallest = 1.0f;
+  for (std::uint32_t j = 0; j < (1u << 24); j += 16 * kGroups) {
+    for (std::size_t g = 0; g < kGroups; ++g) {
+      for (std::uint32_t i = 0; i < 16; ++i) {
+        words[32 * g + i] = (j + 16 * static_cast<std::uint32_t>(g) + i) << 8;
+      }
+    }
+    gaussian_from_words(core::keyed_stream_active_kernel(), words.data(), kGroups,
+                        z.data());
+    for (std::size_t g = 0; g < kGroups; ++g) {
+      for (std::size_t i = 0; i < 16; ++i) {
+        const float r = z[32 * g + i];
+        ASSERT_TRUE(std::isfinite(r) && r >= 0.0f && r <= bound)
+            << "u1 numerator " << (words[32 * g + i] >> 8) << " gives " << r;
+        smallest = std::min(smallest, r);
+        ASSERT_EQ(z[32 * g + 16 + i], 0.0f);  // r sin 0
+      }
+    }
+  }
+  EXPECT_EQ(smallest, 0.0f);  // u1 = 1
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, GaussianKernelTest, ::testing::ValuesIn(core::kAllKeyedStreamKernels),
+    [](const ::testing::TestParamInfo<core::KeyedStreamKernel>& info) {
+      return std::string(core::keyed_stream_kernel_name(info.param));
+    });
 
 TEST(NormClip, ScalesDownLargeUpdates) {
   NormClipFilter filter(1.0);

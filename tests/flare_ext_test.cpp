@@ -5,10 +5,17 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <thread>
 
+#include "core/keyed_stream.h"
+#include "core/keyed_stream_kernel.h"
 #include "core/logging.h"
+#include "core/parallel.h"
+#include "core/sha256.h"
 #include "flare/model_selector.h"
+#include "flare/privacy_kernels.h"
 #include "flare/secure_agg.h"
 #include "flare/server.h"
 #include "flare/simulator.h"
@@ -244,6 +251,144 @@ TEST_F(SecureAggTest, MasksDifferAcrossRounds) {
   filter.process(b, r1);
   EXPECT_NE(a.data().at("w").values, b.data().at("w").values);
 }
+
+TEST_F(SecureAggTest, MaskWordsAreThePairsKeyedStream) {
+  // Key schedule: HMAC-SHA256(pair key, "mask" ‖ le64(round)), zero nonce,
+  // word i of the stream on element i. site-1 < site-2, so site-1 adds.
+  const std::vector<std::string> sites = {"site-1", "site-2"};
+  SecureAggregationDealer dealer("proj", 14);
+  SecureAggMaskFilter filter("site-1", sites, dealer);
+  FLContext ctx;
+  ctx.current_round = 0x0102;
+  Dxo dxo(DxoKind::kWeights, dict_of(std::vector<float>(37, 0.0f)));
+  filter.process(dxo, ctx);
+  const std::uint8_t message[12] = {'m', 'a', 's', 'k', 0x02, 0x01, 0, 0, 0, 0, 0, 0};
+  const core::KeyedStream stream(
+      core::hmac_sha256(dealer.pair_key("site-1", "site-2"), message, sizeof(message)),
+      core::KeyedStream::Nonce{});
+  std::vector<std::uint32_t> words(37);
+  stream.read(0, words.size(), words.data());
+  const auto& masked = dxo.data().at("w").values;
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(masked[i]), words[i]) << i;
+  }
+}
+
+TEST_F(SecureAggTest, MaskedUploadsAreBitEqualAtEveryComputeBudget) {
+  const std::vector<std::string> sites = {"site-1", "site-2", "site-3", "site-4"};
+  SecureAggregationDealer dealer("proj", 15);
+  nn::StateDict update;
+  std::size_t k = 0;
+  for (const std::int64_t n : {70001, 3, 100000, 1, 5000}) {
+    std::vector<float> values(static_cast<std::size_t>(n));
+    for (float& v : values) v = 0.001f * static_cast<float>(k++ % 1000) - 0.5f;
+    std::string name = "p";
+    name += std::to_string(n);
+    update.insert(name, {{n}, std::move(values)});
+  }
+  const std::size_t saved = core::compute_threads();
+  std::vector<nn::StateDict> uploads, shares;
+  for (const std::size_t budget : {1, 2, 4}) {
+    core::set_compute_threads(budget);
+    SecureAggMaskFilter filter("site-2", sites, dealer);
+    Dxo dxo(DxoKind::kWeightDiff, update);
+    FLContext ctx;
+    ctx.current_round = 5;
+    filter.process(dxo, ctx);
+    uploads.push_back(dxo.data());
+    shares.push_back(filter.unmask_share({"site-1", "site-4"}, 5).data());
+  }
+  core::set_compute_threads(saved);
+  for (const auto* set : {&uploads, &shares}) {
+    for (std::size_t b = 1; b < set->size(); ++b) {
+      for (const auto& [name, blob] : (*set)[0].entries()) {
+        const auto& other = (*set)[b].at(name).values;
+        ASSERT_EQ(other.size(), blob.values.size());
+        EXPECT_EQ(std::memcmp(other.data(), blob.values.data(),
+                              blob.values.size() * sizeof(float)), 0)
+            << name << " at budget index " << b;
+      }
+    }
+  }
+}
+
+class QuantizeKernelTest : public ::testing::TestWithParam<core::KeyedStreamKernel> {
+ protected:
+  void SetUp() override {
+    if (!core::keyed_stream_kernel_supported(GetParam())) {
+      GTEST_SKIP() << core::keyed_stream_kernel_name(GetParam()) << " unsupported";
+    }
+  }
+};
+
+// The scalar reference's semantics on the edges a vector quantize gets
+// wrong: llround's ties away from zero, 0.5 - ulp, saturation, non-finite
+// inputs and -0.0.
+TEST(QuantizeTest, ReferenceSemantics) {
+  const float step = std::ldexp(1.0f, -16);
+  const float below_half = std::nextafter(0.5f, 0.0f);
+  const float inf = std::numeric_limits<float>::infinity();
+  const struct {
+    float v;
+    std::int32_t q;
+  } table[] = {
+      {0.0f, 0}, {-0.0f, 0}, {2.5f * step, 3}, {-2.5f * step, -3},
+      {0.5f * step, 1}, {-0.5f * step, -1}, {1.5f * step, 2}, {-1.5f * step, -2},
+      {below_half * step, 0}, {-below_half * step, 0},
+      {std::nextafter(1.5f, 0.0f) * step, 1}, {32767.0f, 32767 * 65536},
+      {32768.0f, 2147483647}, {-32768.0f, -2147483647},
+      {std::numeric_limits<float>::max(), 2147483647},
+      {-std::numeric_limits<float>::max(), -2147483647},
+      {inf, 0}, {-inf, 0}, {std::nanf(""), 0}, {-std::nanf(""), 0},
+      {std::numeric_limits<float>::denorm_min(), 0},
+  };
+  for (const auto& row : table) {
+    EXPECT_EQ(quantize(row.v, 16), static_cast<std::uint32_t>(row.q)) << row.v;
+  }
+}
+
+TEST_P(QuantizeKernelTest, BitEqualToScalarOnEdgesAndRandomValues) {
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<float> values = {
+      0.0f, -0.0f, inf, -inf, std::nanf(""), -std::nanf(""),
+      std::numeric_limits<float>::signaling_NaN(),
+      std::numeric_limits<float>::max(), -std::numeric_limits<float>::max(),
+      std::numeric_limits<float>::min(), std::numeric_limits<float>::denorm_min(),
+      -std::numeric_limits<float>::denorm_min()};
+  for (int e = -40; e <= 40; ++e) {
+    for (const float m : {0.5f, 1.0f, 1.5f, 2.5f, std::nextafter(0.5f, 0.0f),
+                          std::nextafter(0.5f, 1.0f), std::nextafter(1.5f, 0.0f),
+                          std::nextafter(2.0f, 0.0f), 2147483520.0f * 0x1p-31f}) {
+      values.push_back(std::ldexp(m, e));
+      values.push_back(-std::ldexp(m, e));
+    }
+  }
+  // Random bit patterns: every exponent, both signs, NaN payloads.
+  std::vector<std::uint32_t> bits(4099);
+  core::KeyedStream(core::Digest{}, core::KeyedStream::Nonce{})
+      .read(0, bits.size(), bits.data());
+  for (const std::uint32_t b : bits) values.push_back(std::bit_cast<float>(b));
+  for (const std::int64_t frac_bits : {1, 16, 30}) {
+    // Every start offset, so each value also lands in a vector remainder.
+    for (std::size_t offset = 0; offset < 17; ++offset) {
+      const std::size_t n = values.size() - offset;
+      std::vector<std::uint32_t> got(n);
+      quantize_words(GetParam(), values.data() + offset, got.data(), n, frac_bits);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(got[i], quantize(values[offset + i], frac_bits))
+            << "value " << values[offset + i] << " (bits 0x" << std::hex
+            << std::bit_cast<std::uint32_t>(values[offset + i]) << std::dec
+            << ") frac_bits " << frac_bits;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, QuantizeKernelTest, ::testing::ValuesIn(core::kAllKeyedStreamKernels),
+    [](const ::testing::TestParamInfo<core::KeyedStreamKernel>& info) {
+      return std::string(core::keyed_stream_kernel_name(info.param));
+    });
 
 TEST_F(SecureAggTest, ValidatesParticipants) {
   SecureAggregationDealer dealer("proj", 13);

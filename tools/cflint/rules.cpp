@@ -103,6 +103,7 @@ class RuleRunner {
     r12_secure_agg_containment();
     r13_durable_writes_only();
     r14_server_via_job_runner();
+    r15_privacy_keyed_stream_only();
   }
 
  private:
@@ -623,6 +624,28 @@ class RuleRunner {
     }
   }
 
+  // R15: the privacy filters draw every mask word and every DP noise value
+  // from core::KeyedStream (ChaCha20, a keyed PRG). A non-cryptographic
+  // generator in secure_agg.* or filters.* — core::Rng, the MT19937
+  // engines, any <random> distribution — would make masks and noise
+  // predictable from observed output again (DESIGN.md §14).
+  void r15_privacy_keyed_stream_only() {
+    if (!starts_with(path_, "src/flare/secure_agg.") &&
+        !starts_with(path_, "src/flare/filters.")) {
+      return;
+    }
+    for (const Token& t : toks_) {
+      if (t.kind != TokKind::kIdent) continue;
+      if (t.text != "Rng" && t.text != "mt19937" && t.text != "mt19937_64" &&
+          !ends_with(t.text, "_distribution")) {
+        continue;
+      }
+      flag(15, t, "'" + t.text + "' in a privacy filter; draw mask words and "
+                  "noise from core::KeyedStream, never a non-cryptographic "
+                  "generator");
+    }
+  }
+
   const std::string& path_;
   const std::vector<Token>& toks_;
   const std::map<int, std::set<int>>& exemptions_;
@@ -689,6 +712,8 @@ const char* rule_summary(int rule) {
                     "(durable_write / Wal), never raw streams";
     case 14: return "FederatedServer is constructed only by the JobRunner "
                     "registry (src/flare/jobs.*)";
+    case 15: return "privacy filters (src/flare/secure_agg.*, filters.*) draw "
+                    "from core::KeyedStream, never Rng/MT19937/<random>";
     default: return "";
   }
 }

@@ -248,6 +248,25 @@ const std::vector<Case>& cases() {
        "// R14-exempt: fixture proves the exemption path\n"
        "void f() { FederatedServer server(cfg, reg, model, agg); }\n",
        {}},
+
+      {"R15 non-cryptographic generator in a privacy filter", "src/flare/filters.cpp",
+       "// core::Rng in a comment is fine\n"
+       "const char* s = \"std::mt19937_64\";\n"
+       "void f() { core::Rng rng(7); }\n"
+       "void g() { std::mt19937_64 e(1); std::mt19937 m(2); }\n"
+       "float h(E& e) { return std::normal_distribution<float>(0, 1)(e); }\n",
+       {{15, 3}, {15, 4}, {15, 4}, {15, 5}}},
+      {"R15 keyed stream and other units allowed", "src/flare/secure_agg.h",
+       "#pragma once\n"
+       "void f(const core::KeyedStream& s, std::uint32_t* w) { s.read(0, 16, w); }\n",
+       {}},
+      {"R15 out of scope path", "src/flare/poison.cpp",
+       "void f() { core::Rng rng(7); std::uniform_int_distribution<int> d(0, 1); }\n",
+       {}},
+      {"R15 exempt", "src/flare/secure_agg.cpp",
+       "// R15-exempt: fixture proves the exemption path\n"
+       "void f() { core::Rng rng(7); }\n",
+       {}},
   };
   return kCases;
 }
