@@ -4,16 +4,22 @@
 // range argument, so one run sweeps 1..N threads and `scripts/bench.sh` can
 // record the scaling curve in a single JSON file. A budget above the host's
 // cores would measure oversubscription, not scaling: such rows are skipped
-// and say so in their error message.
+// and say so in their error message. The JSON context carries the host
+// (bench_common.h), including the GEMM tier every row ran at.
 #include <benchmark/benchmark.h>
 #include <sched.h>
+#include <sys/resource.h>
 
 #include <string>
 
+#include "bench_common.h"
 #include "core/parallel.h"
+#include "data/clinical_gen.h"
 #include "models/lstm_classifier.h"
 #include "nn/lstm.h"
 #include "nn/transformer.h"
+#include "optim/optimizer.h"
+#include "tensor/gemm_kernel.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
 
@@ -41,6 +47,11 @@ bool use_threads(benchmark::State& state, std::int64_t threads) {
   state.SetLabel(budget);
   return true;
 }
+
+const bool kHostContext = [] {
+  benchmark::AddCustomContext("host", bench::host_context_json());
+  return true;
+}();
 
 void BM_GemmNN(benchmark::State& state) {
   if (!use_threads(state, state.range(1))) return;
@@ -95,6 +106,36 @@ BENCHMARK(BM_GemmTN)
     ->Args({512, 1})
     ->Args({512, 2})
     ->Args({512, 4});
+
+// The GEMMs of one training step of the paper's BERT (hidden 128, 6 heads
+// of 22, FFN 512) on a batch of 16 x 32 tokens, at one thread: range(0) is
+// the form (0 nn, 1 nt, 2 tn), then m, k, n as passed to the kernel. The
+// linear layers run nt forward and nn/tn backward over 512 token rows; the
+// attention runs 32 x 22 x 32 products per head.
+void BM_GemmPaper(benchmark::State& state) {
+  if (!use_threads(state, 1)) return;
+  static const char* const kForms[] = {"nn", "nt", "tn"};
+  const std::int64_t form = state.range(0);
+  const std::int64_t m = state.range(1), k = state.range(2), n = state.range(3);
+  std::vector<float> a(m * k, 0.5f), b(form == 2 ? m * n : k * n, 0.25f);
+  std::vector<float> c(form == 2 ? k * n : m * n);
+  const auto gemm = form == 0 ? tensor::gemm_nn : form == 1 ? tensor::gemm_nt
+                                                             : tensor::gemm_tn;
+  for (auto _ : state) {
+    gemm(a.data(), b.data(), c.data(), m, k, n);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
+  state.SetLabel(std::string(tensor::gemm_kernel_name(tensor::gemm_active_kernel())) +
+                 " " + kForms[form]);
+}
+BENCHMARK(BM_GemmPaper)
+    ->ArgNames({"form", "m", "k", "n"})
+    ->ArgsProduct({{0, 1, 2}, {512}, {128}, {132}})   // Q, K, V projections
+    ->ArgsProduct({{0, 1, 2}, {512}, {132}, {128}})   // attention output
+    ->ArgsProduct({{0, 1, 2}, {512}, {128}, {512}})   // FFN up
+    ->ArgsProduct({{0, 1, 2}, {512}, {512}, {128}})   // FFN down
+    ->ArgsProduct({{0, 1, 2}, {32}, {22}, {32}});     // one attention head
 
 void BM_SoftmaxLastdim(benchmark::State& state) {
   core::Rng rng(1);
@@ -200,5 +241,64 @@ void BM_BertMiniTrainStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BertMiniTrainStep)->Arg(1)->Arg(4);
+
+/// Minor page faults and system CPU time of this process so far.
+struct Faults {
+  long minor = 0;
+  double sys_ms = 0.0;
+  static Faults now() {
+    rusage u{};
+    getrusage(RUSAGE_SELF, &u);
+    return {u.ru_minflt, u.ru_stime.tv_sec * 1e3 + u.ru_stime.tv_usec / 1e3};
+  }
+};
+
+/// One local training step of the paper's job: Table II's BERT on the
+/// clinical vocabulary, a batch of 16 sequences of 32 tokens, dropout on,
+/// forward, backward and an Adam step — what each site of roundbench's
+/// clinical-bert-tcp runs per round. The counters report the fresh pages a
+/// steady-state step faults in and the kernel time that costs.
+void BM_BertTrainStep(benchmark::State& state) {
+  if (!use_threads(state, state.range(0))) return;
+  train::ExperimentScale scale;
+  scale.max_seq_len = 32;
+  scale.num_drugs = 120;
+  scale.num_diagnoses = 160;
+  scale.num_procedures = 80;
+  const data::ClinicalCohortGenerator generator(scale.generator_config());
+  const auto vocab = static_cast<std::int64_t>(generator.build_vocabulary().size());
+  core::Rng rng(12);
+  auto model = models::make_classifier(models::ModelConfig::bert(vocab, 32), rng);
+  model->set_training(true);
+  optim::Adam opt(model->parameters(), 1e-3f);
+  data::Batch batch;
+  batch.batch_size = 16;
+  batch.seq_len = 32;
+  core::Rng ids_rng(13);
+  for (int i = 0; i < 16; ++i) {
+    for (int t = 0; t < 32; ++t) batch.ids.push_back(ids_rng.uniform_int(5, vocab - 1));
+    batch.lengths.push_back(32 - (i % 4) * 5);
+    batch.labels.push_back(i % 2);
+  }
+  core::Rng fw(14);
+  const auto step = [&] {
+    tensor::Tensor loss =
+        tensor::cross_entropy(model->class_logits(batch, fw), batch.labels);
+    model->zero_grad();
+    loss.backward();
+    opt.step();
+    return loss.item();
+  };
+  step();  // warm-up: first-touch of parameters, optimizer state and caches
+  const Faults before = Faults::now();
+  for (auto _ : state) benchmark::DoNotOptimize(step());
+  const Faults after = Faults::now();
+  const auto steps = static_cast<double>(state.iterations());
+  state.counters["minor_faults_per_step"] =
+      static_cast<double>(after.minor - before.minor) / steps;
+  state.counters["sys_ms_per_step"] = (after.sys_ms - before.sys_ms) / steps;
+}
+// Long enough for several steps, so the per-step counters average.
+BENCHMARK(BM_BertTrainStep)->Arg(1)->Arg(4)->MinTime(2.0)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -2,14 +2,19 @@
 //
 // All kernels *accumulate* into C (C += op(A) * op(B)); callers zero C when
 // they want a plain product. Accumulating form is what autograd needs when
-// several edges contribute to one gradient buffer. Loop orders are chosen so
-// the innermost loop walks contiguous memory and vectorizes under -O3.
+// several edges contribute to one gradient buffer.
 //
-// The kernels are cache-blocked and dispatch their output-row panels through
-// the compute backend (tensor/backend.h): panels run concurrently on the
-// process-wide pool, each output row is produced by exactly one panel, and
-// the per-row accumulation order is fixed independent of blocking and thread
-// budget — results are bitwise identical for 1 vs N compute threads.
+// Contract: each C element is one fused multiply-add chain over the
+// reduction index in ascending order, starting from C's prior value —
+// c = fma(a_p, b_p, c) for p = 0, 1, ... The result is therefore a pure
+// function of the inputs: it does not depend on blocking, on the compute
+// thread budget, on the ISA tier (tensor/gemm_kernel.h) or on the build's
+// optimization level.
+//
+// Implementation: op(B) is packed once per call into 16-column panels; the
+// output rows are split into 6-row panels dispatched through the compute
+// backend (tensor/backend.h), each producing a 6x16 register tile per B
+// panel. Each output row belongs to exactly one chunk.
 #pragma once
 
 #include <cstdint>

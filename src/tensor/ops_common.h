@@ -4,6 +4,7 @@
 
 #include <utility>
 
+#include "tensor/storage.h"
 #include "tensor/tensor.h"
 
 namespace cppflare::tensor::detail {
@@ -24,7 +25,7 @@ inline bool tracked(const ImplPtr& p) {
 inline Tensor make_result(Shape shape, std::vector<ImplPtr> parents, BackwardFn fn) {
   auto impl = std::make_shared<TensorImpl>();
   impl->shape = std::move(shape);
-  impl->data.assign(static_cast<std::size_t>(numel_of(impl->shape)), 0.0f);
+  impl->data = storage::acquire(static_cast<std::size_t>(numel_of(impl->shape)));
   bool record = grad_enabled();
   if (record) {
     bool any = false;

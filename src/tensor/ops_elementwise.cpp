@@ -1,5 +1,6 @@
 #include <cmath>
 
+#include "tensor/activation_kernels.h"
 #include "tensor/backend.h"
 #include "tensor/ops.h"
 #include "tensor/ops_common.h"
@@ -252,40 +253,27 @@ Tensor sigmoid(const Tensor& a) {
   return out;
 }
 
-namespace {
-constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
-constexpr float kGeluA = 0.044715f;
-}  // namespace
-
 Tensor gelu(const Tensor& a) {
   TensorImpl* pa = a.impl().get();
   Tensor out = make_result(a.shape(), {a.impl()}, [pa](const TensorImpl& self) {
     const float* xa = pa->data.data();
     const float* g = self.grad.data();
     float* ga = pa->grad.data();
-    const std::int64_t n = static_cast<std::int64_t>(self.grad.size());
-    backend::parallel_rows(
-        n, 2 * kTranscendentalWork, [=](std::int64_t i0, std::int64_t i1) {
-          for (std::int64_t i = i0; i < i1; ++i) {
-            const float x = xa[i];
-            const float u = kGeluC * (x + kGeluA * x * x * x);
-            const float t = std::tanh(u);
-            const float du = kGeluC * (1.0f + 3.0f * kGeluA * x * x);
-            const float dy = 0.5f * (1.0f + t) + 0.5f * x * (1.0f - t * t) * du;
-            ga[i] += g[i] * dy;
-          }
-        });
+    const GemmKernel kernel = gemm_active_kernel();
+    backend::parallel_rows(static_cast<std::int64_t>(self.grad.size()),
+                           2 * kTranscendentalWork,
+                           [=](std::int64_t i0, std::int64_t i1) {
+                             gelu_rows(kernel, xa + i0, g + i0, ga + i0,
+                                       static_cast<std::size_t>(i1 - i0));
+                           });
   });
   const float* da = a.data();
   float* dst = out.data();
+  const GemmKernel kernel = gemm_active_kernel();
   backend::parallel_rows(out.numel(), kTranscendentalWork,
                          [=](std::int64_t i0, std::int64_t i1) {
-                           for (std::int64_t i = i0; i < i1; ++i) {
-                             const float x = da[i];
-                             dst[i] = 0.5f * x *
-                                      (1.0f + std::tanh(kGeluC *
-                                                        (x + kGeluA * x * x * x)));
-                           }
+                           gelu_rows(kernel, da + i0, nullptr, dst + i0,
+                                     static_cast<std::size_t>(i1 - i0));
                          });
   return out;
 }
@@ -293,16 +281,17 @@ Tensor gelu(const Tensor& a) {
 Tensor dropout(const Tensor& a, float p, core::Rng& rng) {
   if (p <= 0.0f) return mul_scalar(a, 1.0f);  // keeps graph shape uniform
   if (p >= 1.0f) throw Error("dropout: p must be < 1");
-  auto mask = std::make_shared<std::vector<float>>(a.numel());
+  // A constant tensor, so the mask's storage is recycled like any other.
+  Tensor mask = Tensor::zeros(a.shape());
   const float keep_scale = 1.0f / (1.0f - p);
   // Mask generation stays serial: the rng stream must be consumed in element
   // order or training ceases to be reproducible across thread budgets.
-  for (float& m : *mask) m = rng.bernoulli(p) ? 0.0f : keep_scale;
+  for (float& m : mask.vec()) m = rng.bernoulli(p) ? 0.0f : keep_scale;
   TensorImpl* pa = a.impl().get();
   Tensor out = make_result(
       a.shape(), {a.impl()}, [pa, mask](const TensorImpl& self) {
         const float* g = self.grad.data();
-        const float* mk = mask->data();
+        const float* mk = mask.data();
         float* ga = pa->grad.data();
         const std::int64_t n = static_cast<std::int64_t>(self.grad.size());
         backend::parallel_rows(n, 2, [=](std::int64_t i0, std::int64_t i1) {
@@ -310,7 +299,7 @@ Tensor dropout(const Tensor& a, float p, core::Rng& rng) {
         });
       });
   const float* da = a.data();
-  const float* mk = mask->data();
+  const float* mk = mask.data();
   float* dst = out.data();
   backend::parallel_rows(out.numel(), 1, [=](std::int64_t i0, std::int64_t i1) {
     for (std::int64_t i = i0; i < i1; ++i) dst[i] = da[i] * mk[i];

@@ -3,6 +3,8 @@
 #include <sstream>
 #include <unordered_set>
 
+#include "tensor/storage.h"
+
 namespace cppflare::tensor {
 
 namespace {
@@ -31,10 +33,23 @@ NoGradGuard::~NoGradGuard() { g_grad_enabled = previous_; }
 
 bool grad_enabled() { return g_grad_enabled; }
 
+TensorImpl::~TensorImpl() {
+  storage::release(data);
+  storage::release(grad);
+}
+
+void TensorImpl::ensure_grad() {
+  if (grad.size() == data.size()) return;
+  storage::release(grad);
+  grad = storage::acquire(data.size());
+}
+
+void TensorImpl::release_grad() { storage::release(grad); }
+
 Tensor Tensor::zeros(Shape shape, bool requires_grad) {
   auto impl = std::make_shared<TensorImpl>();
   impl->shape = std::move(shape);
-  impl->data.assign(static_cast<std::size_t>(numel_of(impl->shape)), 0.0f);
+  impl->data = storage::acquire(static_cast<std::size_t>(numel_of(impl->shape)));
   impl->requires_grad = requires_grad;
   return Tensor(std::move(impl));
 }
@@ -132,6 +147,10 @@ void Tensor::backward() {
       for (const ImplPtr& parent : node->parents) parent->ensure_grad();
       node->backward_fn(*node);
     }
+    // Every consumer of this node ran before it in reverse topological
+    // order, so nothing reads or writes its gradient from here on. The
+    // freed buffer is what the next ensure_grad of the same size reuses.
+    if (!node->requires_grad) node->release_grad();
   }
 }
 

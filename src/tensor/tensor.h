@@ -41,6 +41,8 @@ using ImplPtr = std::shared_ptr<TensorImpl>;
 using BackwardFn = std::function<void(const TensorImpl& self)>;
 
 struct TensorImpl {
+  // `data` and `grad` come from, and return to, the per-thread storage
+  // cache (tensor/storage.h).
   std::vector<float> data;
   Shape shape;
   bool requires_grad = false;
@@ -51,10 +53,16 @@ struct TensorImpl {
   BackwardFn backward_fn;
   std::vector<ImplPtr> parents;
 
+  TensorImpl() = default;
+  TensorImpl(const TensorImpl&) = delete;
+  TensorImpl& operator=(const TensorImpl&) = delete;
+  ~TensorImpl();
+
   std::int64_t numel() const { return numel_of(shape); }
-  void ensure_grad() {
-    if (grad.size() != data.size()) grad.assign(data.size(), 0.0f);
-  }
+  /// Allocates a zeroed grad buffer unless one of the right size exists.
+  void ensure_grad();
+  /// Drops the grad buffer back to the storage cache.
+  void release_grad();
 };
 
 /// RAII guard disabling gradient recording on this thread (evaluation mode).
@@ -111,7 +119,9 @@ class Tensor {
 
   // ---- autograd --------------------------------------------------------
   /// Runs reverse-mode differentiation seeded with d(self)/d(self) = 1.
-  /// `self` must be a scalar (numel == 1).
+  /// `self` must be a scalar (numel == 1). Only nodes that require grad
+  /// keep their gradient afterwards: every other node's grad buffer is
+  /// released as soon as the sweep is past it.
   void backward();
 
   /// Clears this node's gradient buffer (used on parameters between steps).

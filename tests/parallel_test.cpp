@@ -15,11 +15,14 @@
 
 #include "core/error.h"
 #include "core/rng.h"
+#include "data/clinical_gen.h"
+#include "models/lstm_classifier.h"
 #include "nn/lstm.h"
 #include "nn/transformer.h"
 #include "optim/optimizer.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
+#include "train/experiment.h"
 
 namespace cppflare {
 namespace {
@@ -254,6 +257,49 @@ TEST(Determinism, TrainingStateDictBitwise1vs4) {
     EXPECT_EQ(std::memcmp(blob.values.data(), other.data(),
                           other.size() * sizeof(float)),
               0)
+        << "parameter " << name << " differs between thread budgets";
+  }
+}
+
+TEST(Determinism, BertTrainingStepBitwise1vs4) {
+  // One local step of the paper's job at its shapes: Table II's BERT on the
+  // clinical vocabulary, 16 sequences of 32 tokens, dropout on, one Adam
+  // step. Every GEMM, GELU and softmax of the step is on this path.
+  train::ExperimentScale scale;
+  scale.max_seq_len = 32;
+  scale.num_drugs = 120;
+  scale.num_diagnoses = 160;
+  scale.num_procedures = 80;
+  const auto vocab = static_cast<std::int64_t>(
+      data::ClinicalCohortGenerator(scale.generator_config()).build_vocabulary().size());
+  auto step = [vocab](std::size_t budget) {
+    core::set_compute_threads(budget);
+    core::Rng rng(21);
+    auto model = models::make_classifier(models::ModelConfig::bert(vocab, 32), rng);
+    model->set_training(true);
+    optim::Adam opt(model->parameters(), 1e-3f);
+    data::Batch batch;
+    batch.batch_size = 16;
+    batch.seq_len = 32;
+    core::Rng ids(22);
+    for (int i = 0; i < 16; ++i) {
+      for (int t = 0; t < 32; ++t) batch.ids.push_back(ids.uniform_int(5, vocab - 1));
+      batch.lengths.push_back(32 - (i % 4) * 5);
+      batch.labels.push_back(i % 2);
+    }
+    core::Rng fw(23);
+    Tensor loss = tensor::cross_entropy(model->class_logits(batch, fw), batch.labels);
+    loss.backward();
+    opt.step();
+    return model->state_dict();
+  };
+  const nn::StateDict serial = step(1);
+  const nn::StateDict parallel = step(4);
+  ASSERT_TRUE(serial.congruent_with(parallel));
+  for (const auto& [name, blob] : serial.entries()) {
+    const auto& other = parallel.at(name).values;
+    ASSERT_EQ(blob.values.size(), other.size());
+    EXPECT_EQ(std::memcmp(blob.values.data(), other.data(), other.size() * sizeof(float)), 0)
         << "parameter " << name << " differs between thread budgets";
   }
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "tensor/ops.h"
+#include "tensor/storage.h"
 #include "test_util.h"
 
 namespace cppflare::tensor {
@@ -337,6 +338,67 @@ TEST(TensorAutogradPlumbing, ZeroGradClears) {
   a.zero_grad();
   EXPECT_EQ(a.grad()[0], 0.0f);
   EXPECT_EQ(a.grad()[1], 0.0f);
+}
+
+TEST(TensorAutogradPlumbing, InteriorGradsAreReleasedAfterBackward) {
+  // loss = sum((x w^T + b) * 2), so dloss/dw = 2 * column sums of x, dloss/db = 2 per row.
+  Tensor x = Tensor::from_data({2, 3}, {1, 2, 3, 4, 5, 6}, true);
+  Tensor w = Tensor::from_data({1, 3}, {0.5f, -1, 2}, true);
+  Tensor b = Tensor::from_data({1}, {0.25f}, true);
+  Tensor constant = Tensor::from_data({2, 1}, {2, 2});
+  Tensor h = linear(x, w, b);
+  Tensor scaled = mul(h, constant);
+  Tensor loss = sum_all(scaled);
+  loss.backward();
+  EXPECT_TRUE(h.impl()->grad.empty());
+  EXPECT_TRUE(scaled.impl()->grad.empty());
+  EXPECT_TRUE(loss.impl()->grad.empty());
+  EXPECT_TRUE(constant.impl()->grad.empty());
+  expect_tensor_eq(Tensor::from_data({3}, w.grad()), {10, 14, 18});
+  expect_tensor_eq(Tensor::from_data({1}, b.grad()), {4});
+  expect_tensor_eq(Tensor::from_data({6}, x.grad()), {1, -2, 4, 1, -2, 4});
+}
+
+TEST(TensorStorage, ReleasedBuffersAreReusedZeroed) {
+  const std::size_t n = 4 * tensor::storage::kStorageMinFloats;
+  std::vector<float> first = tensor::storage::acquire(n);
+  first[7] = 3.0f;
+  const float* address = first.data();
+  const std::size_t cached = tensor::storage::cached_bytes();
+  tensor::storage::release(first);
+  EXPECT_TRUE(first.empty());
+  EXPECT_EQ(tensor::storage::cached_bytes(), cached + n * sizeof(float));
+  std::vector<float> second = tensor::storage::acquire(n);
+  EXPECT_EQ(second.data(), address);
+  EXPECT_EQ(second.size(), n);
+  for (const float v : second) ASSERT_EQ(v, 0.0f);
+  EXPECT_EQ(tensor::storage::cached_bytes(), cached);
+  tensor::storage::release(second);
+}
+
+TEST(TensorStorage, SmallBuffersBypassTheCache) {
+  const std::size_t cached = tensor::storage::cached_bytes();
+  std::vector<float> small = tensor::storage::acquire(16);
+  tensor::storage::release(small);
+  EXPECT_EQ(tensor::storage::cached_bytes(), cached);
+}
+
+TEST(TensorStorage, CacheStaysWithinItsBoundAndKeepsTheNewest) {
+  // Reserved, never touched: the cache goes by capacity, so twice its bound
+  // in 9 MiB buffers costs address space, not memory.
+  const std::size_t n = std::size_t{9} << 18;
+  const float* newest = nullptr;
+  for (std::size_t i = 0; i * n * sizeof(float) < 2 * tensor::storage::kStorageCacheBytes; ++i) {
+    std::vector<float> buffer;
+    buffer.reserve(n);
+    newest = buffer.data();
+    tensor::storage::release(buffer);
+  }
+  EXPECT_LE(tensor::storage::cached_bytes(), tensor::storage::kStorageCacheBytes);
+  EXPECT_GE(tensor::storage::cached_bytes(),
+            tensor::storage::kStorageCacheBytes - n * sizeof(float));
+  std::vector<float> again = tensor::storage::acquire(n);
+  EXPECT_EQ(again.data(), newest);
 }
 
 TEST(TensorAutogradPlumbing, GradsAccumulateAcrossUses) {
