@@ -13,6 +13,7 @@
 #include <string>
 
 #include "bench_common.h"
+#include "core/keyed_stream_kernel.h"
 #include "core/parallel.h"
 #include "data/clinical_gen.h"
 #include "models/lstm_classifier.h"
@@ -122,7 +123,7 @@ void BM_GemmPaper(benchmark::State& state) {
   const auto gemm = form == 0 ? tensor::gemm_nn : form == 1 ? tensor::gemm_nt
                                                              : tensor::gemm_tn;
   for (auto _ : state) {
-    gemm(a.data(), b.data(), c.data(), m, k, n);
+    gemm(a.data(), b.data(), c.data(), m, k, n, tensor::GemmOut::kAccumulate);
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
@@ -217,6 +218,63 @@ void BM_CrossEntropy(benchmark::State& state) {
 }
 BENCHMARK(BM_CrossEntropy);
 
+/// Dropout forward and backward over the elements one paper-config BERT
+/// step drops (≈2.8M), at p = 0.1: the keyed mask words are generated in
+/// both passes. Labelled with the ChaCha20 kernel that produced them.
+void BM_Dropout(benchmark::State& state) {
+  if (!use_threads(state, state.range(0))) return;
+  constexpr std::int64_t kElements = 2'800'000;
+  core::Rng rng(15);
+  Tensor x = Tensor::randn({kElements}, rng, 0.0f, 1.0f, /*requires_grad=*/true);
+  x.impl()->ensure_grad();
+  std::vector<float> upstream(kElements, 1.0f);
+  for (auto _ : state) {
+    Tensor y = tensor::dropout(x, 0.1f, rng);
+    tensor::TensorImpl& node = *y.impl();
+    node.grad.swap(upstream);
+    node.backward_fn(node);
+    node.grad.swap(upstream);
+    benchmark::DoNotOptimize(x.impl()->grad.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kElements);
+  state.SetLabel(std::string("prg=") +
+                 core::keyed_stream_kernel_name(core::keyed_stream_active_kernel()) + ", " +
+                 std::to_string(state.range(0)) + " threads on " +
+                 std::to_string(host_cores()) + " cores");
+}
+BENCHMARK(BM_Dropout)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+
+/// The clinical vocabulary size of roundbench's paper job.
+std::int64_t paper_vocab() {
+  train::ExperimentScale scale;
+  scale.max_seq_len = 32;
+  scale.num_drugs = 120;
+  scale.num_diagnoses = 160;
+  scale.num_procedures = 80;
+  const data::ClinicalCohortGenerator generator(scale.generator_config());
+  return static_cast<std::int64_t>(generator.build_vocabulary().size());
+}
+
+/// One Adam update of Table II's BERT (2.47M parameters) from fixed
+/// gradients.
+void BM_AdamStep(benchmark::State& state) {
+  core::Rng rng(16);
+  auto model = models::make_classifier(models::ModelConfig::bert(paper_vocab(), 32), rng);
+  std::int64_t params = 0;
+  for (Tensor& p : model->parameters()) {
+    for (float& g : p.mutable_grad()) g = static_cast<float>(rng.normal(0.0, 1e-2));
+    params += p.numel();
+  }
+  optim::Adam opt(model->parameters(), 1e-3f);
+  for (auto _ : state) {
+    opt.step();
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * params);
+  state.SetLabel(std::to_string(params) + " params");
+}
+BENCHMARK(BM_AdamStep)->Unit(benchmark::kMillisecond);
+
 void BM_BertMiniTrainStep(benchmark::State& state) {
   if (!use_threads(state, state.range(0))) return;
   core::Rng rng(9);
@@ -260,13 +318,7 @@ struct Faults {
 /// steady-state step faults in and the kernel time that costs.
 void BM_BertTrainStep(benchmark::State& state) {
   if (!use_threads(state, state.range(0))) return;
-  train::ExperimentScale scale;
-  scale.max_seq_len = 32;
-  scale.num_drugs = 120;
-  scale.num_diagnoses = 160;
-  scale.num_procedures = 80;
-  const data::ClinicalCohortGenerator generator(scale.generator_config());
-  const auto vocab = static_cast<std::int64_t>(generator.build_vocabulary().size());
+  const std::int64_t vocab = paper_vocab();
   core::Rng rng(12);
   auto model = models::make_classifier(models::ModelConfig::bert(vocab, 32), rng);
   model->set_training(true);

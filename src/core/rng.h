@@ -33,6 +33,9 @@ class Rng {
     return std::normal_distribution<double>(mean, stddev)(engine_);
   }
 
+  /// One raw 64-bit word of the engine, e.g. to seed a keyed stream.
+  std::uint64_t next_u64() { return engine_(); }
+
   /// True with probability p.
   bool bernoulli(double p) {
     return std::bernoulli_distribution(p)(engine_);

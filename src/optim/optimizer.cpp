@@ -83,27 +83,46 @@ Adam::Adam(std::vector<tensor::Tensor> params, float lr, float beta1, float beta
   }
 }
 
+namespace {
+
+/// One step's scalars, copied out of the optimizer so the row loop reads
+/// only locals and its restrict-qualified buffers.
+struct AdamScalars {
+  float lr, beta1, beta2, eps, weight_decay, bc1, bc2;
+};
+
+/// The Adam update of one parameter tensor. Distinct buffers and by-value
+/// scalars let the loop vectorize; with contraction off (CMakeLists.txt)
+/// each lane rounds the same operations in the same order as a scalar pass,
+/// so the bits do not depend on the vector width.
+template <bool kDecay>
+void adam_row(float* __restrict w, const float* __restrict g, float* __restrict m,
+              float* __restrict v, std::int64_t n, const AdamScalars s) {
+  const float one_minus_beta1 = 1.0f - s.beta1;
+  const float one_minus_beta2 = 1.0f - s.beta2;
+  for (std::int64_t i = 0; i < n; ++i) {
+    float grad = g[i];
+    if constexpr (kDecay) grad += s.weight_decay * w[i];
+    m[i] = s.beta1 * m[i] + one_minus_beta1 * grad;
+    v[i] = s.beta2 * v[i] + one_minus_beta2 * grad * grad;
+    const float mhat = m[i] / s.bc1;
+    const float vhat = v[i] / s.bc2;
+    w[i] -= s.lr * mhat / (std::sqrt(vhat) + s.eps);
+  }
+}
+
+}  // namespace
+
 void Adam::step() {
   ++t_;
-  const float bc1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));
-  const float bc2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
+  const AdamScalars s{lr_, beta1_, beta2_, eps_, weight_decay_,
+                      1.0f - std::pow(beta1_, static_cast<float>(t_)),
+                      1.0f - std::pow(beta2_, static_cast<float>(t_))};
   for (std::size_t pi = 0; pi < params_.size(); ++pi) {
     auto& p = params_[pi];
     if (p.impl()->grad.empty()) continue;
-    float* w = p.data();
-    const float* g = p.impl()->grad.data();
-    float* m = m_[pi].data();
-    float* v = v_[pi].data();
-    const std::int64_t n = p.numel();
-    for (std::int64_t i = 0; i < n; ++i) {
-      float grad = g[i];
-      if (weight_decay_ != 0.0f) grad += weight_decay_ * w[i];
-      m[i] = beta1_ * m[i] + (1.0f - beta1_) * grad;
-      v[i] = beta2_ * v[i] + (1.0f - beta2_) * grad * grad;
-      const float mhat = m[i] / bc1;
-      const float vhat = v[i] / bc2;
-      w[i] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
-    }
+    const auto row = weight_decay_ != 0.0f ? adam_row<true> : adam_row<false>;
+    row(p.data(), p.impl()->grad.data(), m_[pi].data(), v_[pi].data(), p.numel(), s);
   }
 }
 

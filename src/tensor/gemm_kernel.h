@@ -13,6 +13,8 @@
 
 #include <cstdint>
 
+#include "tensor/kernels.h"
+
 namespace cppflare::tensor {
 
 enum class GemmKernel : std::uint8_t { kScalar, kAvx2 };
@@ -32,10 +34,13 @@ const char* gemm_kernel_name(GemmKernel kernel);
 /// gemm_nn/nt/tn (tensor/kernels.h) computed at `kernel`'s tier, which must
 /// be supported.
 void gemm_nn_with(GemmKernel kernel, const float* a, const float* b, float* c,
-                  std::int64_t m, std::int64_t k, std::int64_t n);
+                  std::int64_t m, std::int64_t k, std::int64_t n,
+                  GemmOut out = GemmOut::kAccumulate);
 void gemm_nt_with(GemmKernel kernel, const float* a, const float* b, float* c,
-                  std::int64_t m, std::int64_t k, std::int64_t n);
+                  std::int64_t m, std::int64_t k, std::int64_t n,
+                  GemmOut out = GemmOut::kAccumulate);
 void gemm_tn_with(GemmKernel kernel, const float* a, const float* b, float* c,
-                  std::int64_t m, std::int64_t k, std::int64_t n);
+                  std::int64_t m, std::int64_t k, std::int64_t n,
+                  GemmOut out = GemmOut::kAccumulate);
 
 }  // namespace cppflare::tensor

@@ -29,12 +29,14 @@ constexpr std::int64_t kNr = 16;
 // One product C[rows, n] += op(A)[rows, depth] * op(B)[depth, n], with
 // op(A)(i, p) = a[i * a_row + p * a_col] and op(B) packed: panel q holds
 // op(B)(p, 16q + j) at bp[q * 16 * depth + p * 16 + j], zero past column n.
+// Without load_c the accumulators start at +0 and C is only written.
 struct Product {
   const float* a;
   std::int64_t a_row, a_col;
   const float* bp;
   float* c;
   std::int64_t depth, n;
+  bool load_c;
 };
 
 /// Computes output rows [i0, i0 + rows), rows <= kMr, across every panel.
@@ -45,7 +47,7 @@ void tile_scalar(const Product& pr, std::int64_t i0, std::int64_t rows) {
     const std::int64_t cols = std::min(kNr, pr.n - j0);
     const float* panel = pr.bp + j0 * pr.depth;
     float acc[kMr][kNr] = {};
-    for (std::int64_t r = 0; r < rows; ++r) {
+    for (std::int64_t r = 0; r < rows && pr.load_c; ++r) {
       std::copy_n(pr.c + (i0 + r) * pr.n + j0, cols, acc[r]);
     }
     for (std::int64_t p = 0; p < pr.depth; ++p) {
@@ -65,8 +67,9 @@ void tile_scalar(const Product& pr, std::int64_t i0, std::int64_t rows) {
 // R rows of 16 accumulators stay in 2R ymm registers for the whole depth
 // loop: per step, two panel loads and R broadcasts feed 2R fmas. An edge
 // panel (n not a multiple of 16) goes through a zero-padded staging tile,
-// so no load or store leaves C.
-template <int R>
+// so no load or store leaves C. The load of C is a template parameter: a
+// runtime branch around it costs the accumulators their registers.
+template <int R, bool kLoadC>
 __attribute__((target("avx2,fma"))) void tile_avx2_rows(const Product& pr,
                                                         std::int64_t i0) {
   const std::int64_t depth = pr.depth, a_col = pr.a_col;
@@ -79,7 +82,7 @@ __attribute__((target("avx2,fma"))) void tile_avx2_rows(const Product& pr,
     float* crow[R];
     for (int r = 0; r < R; ++r) {
       crow[r] = cols == kNr ? c0 + r * pr.n : edge[r];
-      if (cols < kNr) {
+      if (kLoadC && cols < kNr) {
         std::fill_n(edge[r], kNr, 0.0f);
         std::copy_n(c0 + r * pr.n, cols, edge[r]);
       }
@@ -87,8 +90,8 @@ __attribute__((target("avx2,fma"))) void tile_avx2_rows(const Product& pr,
     __m256 lo[R], hi[R];
 #pragma GCC unroll 6
     for (int r = 0; r < R; ++r) {
-      lo[r] = _mm256_loadu_ps(crow[r]);
-      hi[r] = _mm256_loadu_ps(crow[r] + 8);
+      lo[r] = kLoadC ? _mm256_loadu_ps(crow[r]) : _mm256_setzero_ps();
+      hi[r] = kLoadC ? _mm256_loadu_ps(crow[r] + 8) : _mm256_setzero_ps();
     }
     const float* bk = pr.bp + j0 * depth;
     std::int64_t off = 0;
@@ -114,15 +117,21 @@ __attribute__((target("avx2,fma"))) void tile_avx2_rows(const Product& pr,
   _mm256_zeroupper();
 }
 
-void tile_avx2(const Product& pr, std::int64_t i0, std::int64_t rows) {
+template <bool kLoadC>
+void tile_avx2_for(const Product& pr, std::int64_t i0, std::int64_t rows) {
   switch (rows) {
-    case 1: return tile_avx2_rows<1>(pr, i0);
-    case 2: return tile_avx2_rows<2>(pr, i0);
-    case 3: return tile_avx2_rows<3>(pr, i0);
-    case 4: return tile_avx2_rows<4>(pr, i0);
-    case 5: return tile_avx2_rows<5>(pr, i0);
-    default: return tile_avx2_rows<6>(pr, i0);
+    case 1: return tile_avx2_rows<1, kLoadC>(pr, i0);
+    case 2: return tile_avx2_rows<2, kLoadC>(pr, i0);
+    case 3: return tile_avx2_rows<3, kLoadC>(pr, i0);
+    case 4: return tile_avx2_rows<4, kLoadC>(pr, i0);
+    case 5: return tile_avx2_rows<5, kLoadC>(pr, i0);
+    default: return tile_avx2_rows<6, kLoadC>(pr, i0);
   }
+}
+
+void tile_avx2(const Product& pr, std::int64_t i0, std::int64_t rows) {
+  if (pr.load_c) return tile_avx2_for<true>(pr, i0, rows);
+  tile_avx2_for<false>(pr, i0, rows);
 }
 #endif
 
@@ -173,9 +182,9 @@ const float* pack_b(const float* b, std::int64_t b_row, std::int64_t b_col,
   return out;
 }
 
-/// C[rows, n] += op(A) * op(B) with the strides above; B is packed here,
+/// C[rows, n] (+)= op(A) * op(B) with the strides above; B is packed here,
 /// once, before the row panels are dispatched.
-void multiply(GemmKernel kernel, const float* a, std::int64_t a_row,
+void multiply(GemmKernel kernel, GemmOut out, const float* a, std::int64_t a_row,
               std::int64_t a_col, const float* b, std::int64_t b_row,
               std::int64_t b_col, float* c, std::int64_t rows, std::int64_t depth,
               std::int64_t n) {
@@ -183,8 +192,14 @@ void multiply(GemmKernel kernel, const float* a, std::int64_t a_row,
     throw Error(std::string("gemm: kernel ") + gemm_kernel_name(kernel) +
                 " is not supported on this CPU");
   }
-  if (rows <= 0 || n <= 0 || depth <= 0) return;
-  const Product pr{a, a_row, a_col, pack_b(b, b_row, b_col, depth, n), c, depth, n};
+  if (rows <= 0 || n <= 0) return;
+  const bool load_c = out == GemmOut::kAccumulate;
+  if (depth <= 0) {
+    if (!load_c) std::fill_n(c, rows * n, 0.0f);  // the empty sum
+    return;
+  }
+  const Product pr{a, a_row, a_col, pack_b(b, b_row, b_col, depth, n), c, depth, n,
+                   load_c};
   const TileFn tile = tile_of(kernel);
   const std::int64_t panels = (rows + kMr - 1) / kMr;
   backend::parallel_rows(panels, 2 * kMr * depth * n,
@@ -220,37 +235,37 @@ const char* gemm_kernel_name(GemmKernel kernel) {
 }
 
 void gemm_nn_with(GemmKernel kernel, const float* a, const float* b, float* c,
-                  std::int64_t m, std::int64_t k, std::int64_t n) {
-  multiply(kernel, a, k, 1, b, n, 1, c, m, k, n);
+                  std::int64_t m, std::int64_t k, std::int64_t n, GemmOut out) {
+  multiply(kernel, out, a, k, 1, b, n, 1, c, m, k, n);
 }
 
 void gemm_nt_with(GemmKernel kernel, const float* a, const float* b, float* c,
-                  std::int64_t m, std::int64_t k, std::int64_t n) {
-  multiply(kernel, a, k, 1, b, 1, k, c, m, k, n);
+                  std::int64_t m, std::int64_t k, std::int64_t n, GemmOut out) {
+  multiply(kernel, out, a, k, 1, b, 1, k, c, m, k, n);
 }
 
 void gemm_tn_with(GemmKernel kernel, const float* a, const float* b, float* c,
-                  std::int64_t m, std::int64_t k, std::int64_t n) {
+                  std::int64_t m, std::int64_t k, std::int64_t n, GemmOut out) {
   // C[K,N]: output row i is column i of A, the reduction runs over A's rows.
-  multiply(kernel, a, 1, k, b, n, 1, c, k, m, n);
+  multiply(kernel, out, a, 1, k, b, n, 1, c, k, m, n);
 }
 
 void gemm_nn(const float* a, const float* b, float* c, std::int64_t m,
-             std::int64_t k, std::int64_t n) {
+             std::int64_t k, std::int64_t n, GemmOut out) {
   CF_TRACE_SPAN("tensor.gemm_nn");
-  gemm_nn_with(gemm_active_kernel(), a, b, c, m, k, n);
+  gemm_nn_with(gemm_active_kernel(), a, b, c, m, k, n, out);
 }
 
 void gemm_nt(const float* a, const float* b, float* c, std::int64_t m,
-             std::int64_t k, std::int64_t n) {
+             std::int64_t k, std::int64_t n, GemmOut out) {
   CF_TRACE_SPAN("tensor.gemm_nt");
-  gemm_nt_with(gemm_active_kernel(), a, b, c, m, k, n);
+  gemm_nt_with(gemm_active_kernel(), a, b, c, m, k, n, out);
 }
 
 void gemm_tn(const float* a, const float* b, float* c, std::int64_t m,
-             std::int64_t k, std::int64_t n) {
+             std::int64_t k, std::int64_t n, GemmOut out) {
   CF_TRACE_SPAN("tensor.gemm_tn");
-  gemm_tn_with(gemm_active_kernel(), a, b, c, m, k, n);
+  gemm_tn_with(gemm_active_kernel(), a, b, c, m, k, n, out);
 }
 
 }  // namespace cppflare::tensor

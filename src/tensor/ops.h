@@ -33,8 +33,10 @@ Tensor sigmoid(const Tensor& a);
 /// GELU, tanh approximation (as used by BERT).
 Tensor gelu(const Tensor& a);
 
-/// Inverted dropout: keeps values with probability 1-p and rescales by
-/// 1/(1-p). Identity when p == 0. Callers pass p = 0 in evaluation mode.
+/// Inverted dropout: keeps values with probability 1 - t/2^32, where
+/// t = round(p * 2^32), and rescales them by 1/(1-p). Identity when p == 0.
+/// Callers pass p = 0 in evaluation mode. Takes one word from `rng` per
+/// call; the mask is a keyed stream derived from it (DESIGN.md §8).
 Tensor dropout(const Tensor& a, float p, core::Rng& rng);
 
 // ---- matrix products ---------------------------------------------------------

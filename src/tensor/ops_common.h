@@ -22,10 +22,15 @@ inline bool tracked(const ImplPtr& p) {
 /// Backward closures must reference parents through raw pointers captured at
 /// construction; the recorded `parents` vector keeps them alive for as long
 /// as the result exists, and untracked results never invoke the closure.
+///
+/// The data buffer is not zeroed (storage::acquire_for_overwrite): every op's
+/// forward writes each output element, and the GEMM-fed ones run the
+/// kernels' overwrite form.
 inline Tensor make_result(Shape shape, std::vector<ImplPtr> parents, BackwardFn fn) {
   auto impl = std::make_shared<TensorImpl>();
   impl->shape = std::move(shape);
-  impl->data = storage::acquire(static_cast<std::size_t>(numel_of(impl->shape)));
+  impl->data =
+      storage::acquire_for_overwrite(static_cast<std::size_t>(numel_of(impl->shape)));
   bool record = grad_enabled();
   if (record) {
     bool any = false;

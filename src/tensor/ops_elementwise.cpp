@@ -1,5 +1,9 @@
+#include <algorithm>
 #include <cmath>
 
+#include "core/bytes.h"
+#include "core/keyed_stream.h"
+#include "core/sha256.h"
 #include "tensor/activation_kernels.h"
 #include "tensor/backend.h"
 #include "tensor/ops.h"
@@ -14,6 +18,53 @@ namespace {
 // Rough scalar cost of one transcendental-bearing element; tuned only well
 // enough that small activations stay serial and large ones chunk sensibly.
 constexpr std::int64_t kTranscendentalWork = 8;
+
+// Dropout mask words are generated per chunk of this many elements, on the
+// stack.
+constexpr std::int64_t kDropoutChunk = 1024;
+
+/// One dropout call's mask: element i is kept iff word i of `stream` is at
+/// least `threshold`. A pure function of (key, i), so any chunking of the
+/// index range, and the backward pass, regenerate the same mask.
+struct DropoutMask {
+  core::KeyedStream stream;
+  std::uint32_t threshold;
+  float scale;
+
+  /// Calls fn(first, count, factor) over [i0, i1) in stack chunks, where
+  /// factor[j] is element first + j's mask value: `scale` if kept, else 0.
+  template <typename Fn>
+  void for_each_chunk(std::int64_t i0, std::int64_t i1, Fn&& fn) const {
+    // Locals, so the select below is a vector compare-and-blend.
+    const std::uint32_t t = threshold;
+    const float keep = scale;
+    std::uint32_t words[kDropoutChunk];
+    float factor[kDropoutChunk];
+    for (std::int64_t first = i0; first < i1; first += kDropoutChunk) {
+      const std::int64_t count = std::min(kDropoutChunk, i1 - first);
+      // R11-exempt: KeyedStream::read returns void (Wal::read shares the name)
+      stream.read(static_cast<std::uint64_t>(first), static_cast<std::size_t>(count),
+                  words);
+      for (std::int64_t j = 0; j < count; ++j) factor[j] = words[j] >= t ? keep : 0.0f;
+      fn(first, count, static_cast<const float*>(factor));
+    }
+  }
+};
+
+/// The mask key schedule: one engine word from the caller's generator keys
+/// ChaCha20 with SHA-256("dropout" ‖ le64(word)) and a zero nonce.
+DropoutMask dropout_mask(float p, core::Rng& rng) {
+  core::ByteWriter seed;
+  seed.write_raw(reinterpret_cast<const std::uint8_t*>("dropout"), 7);
+  seed.write_u64(rng.next_u64());
+  const core::Digest key = core::Sha256::hash(seed.bytes().data(), seed.bytes().size());
+  // t = round(p * 2^32) < 2^32 for p < 1; an element survives with
+  // probability exactly 1 - t / 2^32.
+  const auto threshold =
+      static_cast<std::uint32_t>(std::llround(static_cast<double>(p) * 4294967296.0));
+  return {core::KeyedStream(key, core::KeyedStream::Nonce{}), threshold,
+          1.0f / (1.0f - p)};
+}
 
 }  // namespace
 
@@ -281,28 +332,32 @@ Tensor gelu(const Tensor& a) {
 Tensor dropout(const Tensor& a, float p, core::Rng& rng) {
   if (p <= 0.0f) return mul_scalar(a, 1.0f);  // keeps graph shape uniform
   if (p >= 1.0f) throw Error("dropout: p must be < 1");
-  // A constant tensor, so the mask's storage is recycled like any other.
-  Tensor mask = Tensor::zeros(a.shape());
-  const float keep_scale = 1.0f / (1.0f - p);
-  // Mask generation stays serial: the rng stream must be consumed in element
-  // order or training ceases to be reproducible across thread budgets.
-  for (float& m : mask.vec()) m = rng.bernoulli(p) ? 0.0f : keep_scale;
+  // No mask tensor: forward and backward each regenerate the mask words in
+  // their own chunks, so nothing is stored and nothing runs serially.
+  const DropoutMask mask = dropout_mask(p, rng);
+  constexpr std::int64_t kWork = 4;  // a keystream word plus a multiply
   TensorImpl* pa = a.impl().get();
   Tensor out = make_result(
       a.shape(), {a.impl()}, [pa, mask](const TensorImpl& self) {
         const float* g = self.grad.data();
-        const float* mk = mask.data();
         float* ga = pa->grad.data();
         const std::int64_t n = static_cast<std::int64_t>(self.grad.size());
-        backend::parallel_rows(n, 2, [=](std::int64_t i0, std::int64_t i1) {
-          for (std::int64_t i = i0; i < i1; ++i) ga[i] += g[i] * mk[i];
+        backend::parallel_rows(n, kWork, [=, &mask](std::int64_t i0, std::int64_t i1) {
+          mask.for_each_chunk(i0, i1, [=](std::int64_t first, std::int64_t count,
+                                          const float* factor) {
+            for (std::int64_t j = 0; j < count; ++j) {
+              ga[first + j] += g[first + j] * factor[j];
+            }
+          });
         });
       });
   const float* da = a.data();
-  const float* mk = mask.data();
   float* dst = out.data();
-  backend::parallel_rows(out.numel(), 1, [=](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) dst[i] = da[i] * mk[i];
+  backend::parallel_rows(out.numel(), kWork, [=, &mask](std::int64_t i0, std::int64_t i1) {
+    mask.for_each_chunk(i0, i1, [=](std::int64_t first, std::int64_t count,
+                                    const float* factor) {
+      for (std::int64_t j = 0; j < count; ++j) dst[first + j] = da[first + j] * factor[j];
+    });
   });
   return out;
 }

@@ -43,7 +43,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
                              gemm_tn(pa->data.data(), self.grad.data(),
                                      pb->grad.data(), m, k, n);
                            });
-  gemm_nn(a.data(), b.data(), out.data(), m, k, n);
+  gemm_nn(a.data(), b.data(), out.data(), m, k, n, GemmOut::kOverwrite);
   return out;
 }
 
@@ -86,7 +86,7 @@ Tensor linear(const Tensor& x, const Tensor& w, const Tensor& b) {
           });
         }
       });
-  gemm_nt(x.data(), w.data(), out.data(), m, k, n);
+  gemm_nt(x.data(), w.data(), out.data(), m, k, n, GemmOut::kOverwrite);
   if (has_bias) {
     float* dst = out.data();
     const float* bias = b.data();
@@ -135,7 +135,7 @@ Tensor bmm(const Tensor& a, const Tensor& b) {
         batch, 2 * m * k * n, [=](std::int64_t b0, std::int64_t b1) {
           for (std::int64_t bi = b0; bi < b1; ++bi) {
             gemm_nn(pad + bi * m * k, pbd + bi * k * n, pod + bi * m * n, m, k,
-                    n);
+                    n, GemmOut::kOverwrite);
           }
         });
   }
@@ -176,7 +176,7 @@ Tensor bmm_nt(const Tensor& a, const Tensor& b) {
         batch, 2 * m * k * n, [=](std::int64_t b0, std::int64_t b1) {
           for (std::int64_t bi = b0; bi < b1; ++bi) {
             gemm_nt(pad + bi * m * k, pbd + bi * n * k, pod + bi * m * n, m, k,
-                    n);
+                    n, GemmOut::kOverwrite);
           }
         });
   }

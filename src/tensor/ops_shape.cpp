@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <numeric>
 
 #include "tensor/backend.h"
@@ -40,29 +41,42 @@ std::vector<std::int64_t> strides_of(const Shape& shape) {
 
 /// Copies `src` (laid out as `src_shape`) into `dst` permuted by `perm`:
 /// dst index (i_perm[0], ..., i_perm[r-1]) = src index (i_0, ..., i_{r-1}).
-/// When `transpose_direction` is true the roles are swapped, which realizes
-/// the inverse permutation without computing it explicitly.
+/// When `inverse` is true the roles are swapped and dst accumulates, which
+/// realizes the inverse permutation's gradient without computing it.
+///
+/// A perm that keeps its trailing axes in place (attention's {0, 2, 1, 3}
+/// head split and merge) moves whole contiguous runs of them, so the walk
+/// runs over the leading axes only and copies or accumulates one run at a
+/// time. Element for element it does the same stores and adds as the
+/// one-float walk, so the bits are the same.
 void permute_copy(const float* src, float* dst, const Shape& src_shape,
                   const std::vector<std::int64_t>& perm, bool inverse) {
-  const std::size_t rank = src_shape.size();
+  std::size_t rank = src_shape.size();
+  std::int64_t run = 1;
+  while (rank > 0 && perm[rank - 1] == static_cast<std::int64_t>(rank) - 1) {
+    run *= src_shape[rank - 1];
+    --rank;
+  }
+  const Shape outer(src_shape.begin(), src_shape.begin() + rank);
   Shape dst_shape(rank);
-  for (std::size_t i = 0; i < rank; ++i) dst_shape[i] = src_shape[perm[i]];
+  for (std::size_t i = 0; i < rank; ++i) dst_shape[i] = outer[perm[i]];
   const auto dst_strides = strides_of(dst_shape);
 
-  const std::int64_t total = numel_of(src_shape);
+  const std::int64_t total = numel_of(outer);
+  if (total == 0 || run == 0) return;
   // dst position of source axis k is perm^{-1}(k); precompute the stride the
-  // destination offset moves by when source index k increments.
+  // destination run offset moves by when source index k increments.
   std::vector<std::int64_t> dst_stride_for_src_axis(rank, 0);
   for (std::size_t d = 0; d < rank; ++d) {
     dst_stride_for_src_axis[perm[d]] = dst_strides[d];
   }
-  const auto src_strides = strides_of(src_shape);
+  const auto src_strides = strides_of(outer);
 
-  // Walk the source linearly per chunk; the destination offset is seeded from
-  // the chunk's first multi-index and then maintained incrementally. Forward
-  // writes dst[dst_off] (a bijection of linear), inverse writes dst[linear] —
-  // either way chunk outputs are disjoint.
-  backend::parallel_rows(total, 2, [&](std::int64_t l0, std::int64_t l1) {
+  // Walk the source runs linearly per chunk; the destination run offset is
+  // seeded from the chunk's first multi-index and then maintained
+  // incrementally. Forward writes run dst_off (a bijection of linear),
+  // inverse writes run linear — either way chunk outputs are disjoint.
+  backend::parallel_rows(total, 2 * run, [&](std::int64_t l0, std::int64_t l1) {
     std::vector<std::int64_t> idx(rank, 0);
     std::int64_t dst_off = 0;
     std::int64_t rem = l0;
@@ -73,16 +87,18 @@ void permute_copy(const float* src, float* dst, const Shape& src_shape,
     }
     for (std::int64_t linear = l0; linear < l1; ++linear) {
       if (inverse) {
-        dst[linear] += src[dst_off];
+        float* to = dst + linear * run;
+        const float* from = src + dst_off * run;
+        for (std::int64_t j = 0; j < run; ++j) to[j] += from[j];
       } else {
-        dst[dst_off] = src[linear];
+        std::copy_n(src + linear * run, run, dst + dst_off * run);
       }
       // Increment the multi-index (row-major, last axis fastest).
       for (std::size_t k = rank; k-- > 0;) {
         idx[k] += 1;
         dst_off += dst_stride_for_src_axis[k];
-        if (idx[k] < src_shape[k]) break;
-        dst_off -= dst_stride_for_src_axis[k] * src_shape[k];
+        if (idx[k] < outer[k]) break;
+        dst_off -= dst_stride_for_src_axis[k] * outer[k];
         idx[k] = 0;
       }
     }

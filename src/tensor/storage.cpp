@@ -30,7 +30,6 @@ class Cache {
 
   void put(std::vector<float>&& buffer) {
     const std::size_t capacity = buffer.capacity();
-    buffer.clear();
     lru_.push_front(std::move(buffer));
     by_capacity_[capacity].push_back(lru_.begin());
     bytes_ += capacity * sizeof(float);
@@ -61,12 +60,25 @@ Cache& cache() {
   return c;
 }
 
+/// A cached buffer of capacity n, or an empty vector.
+std::vector<float> take(std::size_t n) {
+  if (n < kStorageMinFloats || tls_cache_gone) return {};
+  return cache().take(n);
+}
+
 }  // namespace
 
 std::vector<float> acquire(std::size_t n) {
-  std::vector<float> out;
-  if (n >= kStorageMinFloats && !tls_cache_gone) out = cache().take(n);
+  std::vector<float> out = take(n);
   out.assign(n, 0.0f);
+  return out;
+}
+
+std::vector<float> acquire_for_overwrite(std::size_t n) {
+  // A released buffer keeps its size, so a reused one of the same shape
+  // resizes in place; only a shorter one zero-fills its tail.
+  std::vector<float> out = take(n);
+  out.resize(n);
   return out;
 }
 

@@ -1,7 +1,7 @@
 // Recycled float storage for tensor data and gradient buffers (internal).
 //
 // A training step allocates the same set of buffer sizes every step: every
-// activation, every gradient, every dropout mask. Freed to malloc, the
+// activation and every gradient. Freed to malloc, the
 // large ones go back to the kernel (unmapped or trimmed) and the next step
 // faults them in again page by page. Instead, a TensorImpl hands its
 // buffers to a per-thread cache when it dies, and the next allocation of
@@ -25,6 +25,11 @@ inline constexpr std::size_t kStorageCacheBytes = std::size_t{256} << 20;
 /// A zero-filled buffer of n floats; reuses a cached buffer of capacity n
 /// when this thread holds one.
 std::vector<float> acquire(std::size_t n);
+
+/// A buffer of n floats with unspecified contents (stale values of a reused
+/// buffer, zeros of a fresh one); the caller writes every element before
+/// anything reads it.
+std::vector<float> acquire_for_overwrite(std::size_t n);
 
 /// Empties `buffer`, keeping its allocation in this thread's cache when it
 /// qualifies.

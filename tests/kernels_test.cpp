@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -147,10 +148,10 @@ void oracle(Form form, const std::vector<float>& a, const std::vector<float>& b,
 
 void run_gemm(GemmKernel kernel, Form form, const std::vector<float>& a,
               const std::vector<float>& b, std::vector<float>& c, int m, int k,
-              int n) {
-  if (form == Form::kNN) gemm_nn_with(kernel, a.data(), b.data(), c.data(), m, k, n);
-  if (form == Form::kNT) gemm_nt_with(kernel, a.data(), b.data(), c.data(), m, k, n);
-  if (form == Form::kTN) gemm_tn_with(kernel, a.data(), b.data(), c.data(), m, k, n);
+              int n, GemmOut out = GemmOut::kAccumulate) {
+  if (form == Form::kNN) gemm_nn_with(kernel, a.data(), b.data(), c.data(), m, k, n, out);
+  if (form == Form::kNT) gemm_nt_with(kernel, a.data(), b.data(), c.data(), m, k, n, out);
+  if (form == Form::kTN) gemm_tn_with(kernel, a.data(), b.data(), c.data(), m, k, n, out);
 }
 
 /// Inputs for one product; C starts non-zero, so accumulation is covered.
@@ -226,6 +227,30 @@ TEST_P(GemmTierTest, EveryFormMatchesFmaOracleBitwise) {
                                        "x" + std::to_string(n));
       if (HasFailure()) return;
     }
+  }
+}
+
+TEST_P(GemmTierTest, OverwriteEqualsAccumulatingIntoZeroBitwise) {
+  // The overwrite form never reads C: NaN in C must not reach the output,
+  // and the bits must be those of the chain started from a zeroed C.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const Form form : {Form::kNN, Form::kNT, Form::kTN}) {
+    for (const auto& [m, k, n] : exact_cases()) {
+      Operands o = operands(form, m, k, n);
+      std::vector<float> want(o.c.size(), 0.0f);
+      oracle(form, o.a, o.b, want, m, k, n);
+      std::fill(o.c.begin(), o.c.end(), nan);
+      run_gemm(GetParam().kernel, form, o.a, o.b, o.c, m, k, n, GemmOut::kOverwrite);
+      expect_bits_equal(o.c, want, std::string("overwrite ") + form_name(form) + " " +
+                                       std::to_string(m) + "x" + std::to_string(k) +
+                                       "x" + std::to_string(n));
+      if (HasFailure()) return;
+    }
+    // An empty reduction (k = 0; m = 0 for tn) overwrites C with the empty sum.
+    std::vector<float> c(12, nan);
+    const bool tn = form == Form::kTN;
+    run_gemm(GetParam().kernel, form, {}, {}, c, tn ? 0 : 3, tn ? 3 : 0, 4, GemmOut::kOverwrite);
+    expect_bits_equal(c, std::vector<float>(12, 0.0f), std::string("k=0 ") + form_name(form));
   }
 }
 

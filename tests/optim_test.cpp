@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+
+#include "core/rng.h"
 #include "tensor/ops.h"
 
 namespace cppflare::optim {
@@ -68,6 +72,50 @@ TEST(Adam, WeightDecayShrinksWeights) {
   w.mutable_grad();  // allocate zero grad buffer
   for (int i = 0; i < 50; ++i) adam.step();
   EXPECT_LT(std::fabs(w.data()[0]), 10.0f);
+}
+
+TEST(Adam, VectorStepIsBitwiseTheScalarLoop) {
+  // The update written out one element at a time, as Adam::step computed
+  // it before it became a vectorized row loop. This file is compiled with
+  // -ffp-contract=off (tests/CMakeLists.txt) like src/optim, so neither
+  // side fuses a multiply-add.
+  const float lr = 1e-3f, beta1 = 0.9f, beta2 = 0.999f, eps = 1e-8f;
+  for (const float weight_decay : {0.0f, 0.01f}) {
+    core::Rng rng(61);
+    // Sizes with ragged vector tails.
+    std::vector<Tensor> params = {Tensor::randn({1000}, rng, 0.0f, 1.0f, true),
+                                  Tensor::randn({37}, rng, 0.0f, 1.0f, true)};
+    std::vector<std::vector<float>> w, m, v;
+    for (const Tensor& p : params) {
+      w.push_back(p.vec());
+      m.emplace_back(p.vec().size(), 0.0f);
+      v.emplace_back(p.vec().size(), 0.0f);
+    }
+    Adam adam(params, lr, beta1, beta2, eps, weight_decay);
+    for (int t = 1; t <= 5; ++t) {
+      const float bc1 = 1.0f - std::pow(beta1, static_cast<float>(t));
+      const float bc2 = 1.0f - std::pow(beta2, static_cast<float>(t));
+      for (std::size_t pi = 0; pi < params.size(); ++pi) {
+        std::vector<float>& g = params[pi].mutable_grad();
+        for (float& x : g) x = static_cast<float>(rng.normal(0.0, 1.0));
+        for (std::size_t i = 0; i < g.size(); ++i) {
+          float grad = g[i];
+          if (weight_decay != 0.0f) grad += weight_decay * w[pi][i];
+          m[pi][i] = beta1 * m[pi][i] + (1.0f - beta1) * grad;
+          v[pi][i] = beta2 * v[pi][i] + (1.0f - beta2) * grad * grad;
+          const float mhat = m[pi][i] / bc1;
+          const float vhat = v[pi][i] / bc2;
+          w[pi][i] -= lr * mhat / (std::sqrt(vhat) + eps);
+        }
+      }
+      adam.step();
+      for (std::size_t pi = 0; pi < params.size(); ++pi) {
+        EXPECT_EQ(std::memcmp(params[pi].data(), w[pi].data(), w[pi].size() * sizeof(float)),
+                  0)
+            << "weight_decay " << weight_decay << " step " << t << " param " << pi;
+      }
+    }
+  }
 }
 
 TEST(Optimizer, RejectsEmptyOrNonGradParams) {

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cstdio>
 #include <cstring>
 #include <mutex>
 #include <set>
@@ -231,6 +233,52 @@ TEST(Determinism, LstmForwardBackwardBitwise1vs4) {
   }
 }
 
+// Dropout-on twins of the two cases above: the keyed mask is a function of
+// (key, element index), so it is the same at every budget.
+TEST(Determinism, TransformerDropoutForwardBackwardBitwise1vs4) {
+  auto run = [] {
+    core::Rng rng(13);
+    nn::TransformerEncoderLayer layer(32, 2, 16, 64, /*dropout_p=*/0.1f, rng);
+    Tensor x = Tensor::randn({4, 8, 32}, rng);
+    core::Rng fw(14);
+    Tensor y = layer.forward(x, Tensor(), fw);
+    FwdBwd r;
+    r.out = snapshot(y);
+    tensor::mean_all(y).backward();
+    for (const Tensor& p : layer.parameters()) r.grads.push_back(p.grad());
+    return r;
+  };
+  const FwdBwd serial = run_at_budget(1, run);
+  const FwdBwd parallel = run_at_budget(4, run);
+  expect_bitwise_equal(serial.out, parallel.out, "transformer out");
+  ASSERT_EQ(serial.grads.size(), parallel.grads.size());
+  for (std::size_t i = 0; i < serial.grads.size(); ++i) {
+    expect_bitwise_equal(serial.grads[i], parallel.grads[i], "transformer grad");
+  }
+}
+
+TEST(Determinism, LstmDropoutForwardBackwardBitwise1vs4) {
+  auto run = [] {
+    core::Rng rng(15);
+    nn::Lstm lstm(24, 32, 2, /*dropout_p=*/0.1f, rng);
+    Tensor x = Tensor::randn({4, 12, 24}, rng);
+    core::Rng fw(16);
+    Tensor y = lstm.forward(x, fw);
+    FwdBwd r;
+    r.out = snapshot(y);
+    tensor::mean_all(y).backward();
+    for (const Tensor& p : lstm.parameters()) r.grads.push_back(p.grad());
+    return r;
+  };
+  const FwdBwd serial = run_at_budget(1, run);
+  const FwdBwd parallel = run_at_budget(4, run);
+  expect_bitwise_equal(serial.out, parallel.out, "lstm out");
+  ASSERT_EQ(serial.grads.size(), parallel.grads.size());
+  for (std::size_t i = 0; i < serial.grads.size(); ++i) {
+    expect_bitwise_equal(serial.grads[i], parallel.grads[i], "lstm grad");
+  }
+}
+
 TEST(Determinism, TrainingStateDictBitwise1vs4) {
   auto train = [](std::size_t budget) {
     core::set_compute_threads(budget);
@@ -261,10 +309,10 @@ TEST(Determinism, TrainingStateDictBitwise1vs4) {
   }
 }
 
-TEST(Determinism, BertTrainingStepBitwise1vs4) {
-  // One local step of the paper's job at its shapes: Table II's BERT on the
-  // clinical vocabulary, 16 sequences of 32 tokens, dropout on, one Adam
-  // step. Every GEMM, GELU and softmax of the step is on this path.
+/// One local step of the paper's job at its shapes: Table II's BERT on the
+/// clinical vocabulary, 16 sequences of 32 tokens, dropout on, one Adam
+/// step. Every GEMM, GELU, softmax and dropout of the step is on this path.
+nn::StateDict paper_bert_step(std::size_t budget) {
   train::ExperimentScale scale;
   scale.max_seq_len = 32;
   scale.num_drugs = 120;
@@ -272,29 +320,30 @@ TEST(Determinism, BertTrainingStepBitwise1vs4) {
   scale.num_procedures = 80;
   const auto vocab = static_cast<std::int64_t>(
       data::ClinicalCohortGenerator(scale.generator_config()).build_vocabulary().size());
-  auto step = [vocab](std::size_t budget) {
-    core::set_compute_threads(budget);
-    core::Rng rng(21);
-    auto model = models::make_classifier(models::ModelConfig::bert(vocab, 32), rng);
-    model->set_training(true);
-    optim::Adam opt(model->parameters(), 1e-3f);
-    data::Batch batch;
-    batch.batch_size = 16;
-    batch.seq_len = 32;
-    core::Rng ids(22);
-    for (int i = 0; i < 16; ++i) {
-      for (int t = 0; t < 32; ++t) batch.ids.push_back(ids.uniform_int(5, vocab - 1));
-      batch.lengths.push_back(32 - (i % 4) * 5);
-      batch.labels.push_back(i % 2);
-    }
-    core::Rng fw(23);
-    Tensor loss = tensor::cross_entropy(model->class_logits(batch, fw), batch.labels);
-    loss.backward();
-    opt.step();
-    return model->state_dict();
-  };
-  const nn::StateDict serial = step(1);
-  const nn::StateDict parallel = step(4);
+  core::set_compute_threads(budget);
+  core::Rng rng(21);
+  auto model = models::make_classifier(models::ModelConfig::bert(vocab, 32), rng);
+  model->set_training(true);
+  optim::Adam opt(model->parameters(), 1e-3f);
+  data::Batch batch;
+  batch.batch_size = 16;
+  batch.seq_len = 32;
+  core::Rng ids(22);
+  for (int i = 0; i < 16; ++i) {
+    for (int t = 0; t < 32; ++t) batch.ids.push_back(ids.uniform_int(5, vocab - 1));
+    batch.lengths.push_back(32 - (i % 4) * 5);
+    batch.labels.push_back(i % 2);
+  }
+  core::Rng fw(23);
+  Tensor loss = tensor::cross_entropy(model->class_logits(batch, fw), batch.labels);
+  loss.backward();
+  opt.step();
+  return model->state_dict();
+}
+
+TEST(Determinism, BertTrainingStepBitwise1vs4) {
+  const nn::StateDict serial = paper_bert_step(1);
+  const nn::StateDict parallel = paper_bert_step(4);
   ASSERT_TRUE(serial.congruent_with(parallel));
   for (const auto& [name, blob] : serial.entries()) {
     const auto& other = parallel.at(name).values;
@@ -302,6 +351,27 @@ TEST(Determinism, BertTrainingStepBitwise1vs4) {
     EXPECT_EQ(std::memcmp(blob.values.data(), other.data(), other.size() * sizeof(float)), 0)
         << "parameter " << name << " differs between thread budgets";
   }
+}
+
+TEST(Determinism, BertStepGoldenHash) {
+  // FNV-1a over every state-dict entry (name bytes, then value bits, in
+  // name order) after the paper-config step. Release (x86-64-v3) and the
+  // sanitizer builds (-O1, baseline x86-64) must both match: the training
+  // path is compiled without multiply-add contraction, the GEMM and GELU
+  // tiers are picked by CPUID, and the dropout mask is a keyed stream.
+  const nn::StateDict state = paper_bert_step(1);
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint8_t byte) { h = (h ^ byte) * 0x100000001b3ull; };
+  for (const auto& [name, blob] : state.entries()) {
+    for (const char c : name) mix(static_cast<std::uint8_t>(c));
+    for (const float v : blob.values) {
+      std::uint32_t bits = std::bit_cast<std::uint32_t>(v);
+      for (int byte = 0; byte < 4; ++byte, bits >>= 8) mix(static_cast<std::uint8_t>(bits));
+    }
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx", static_cast<unsigned long long>(h));
+  EXPECT_STREQ(hex, "1b07c8d2cec7f802");
 }
 
 }  // namespace

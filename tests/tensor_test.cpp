@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <thread>
+
+#include "core/bytes.h"
+#include "core/keyed_stream.h"
+#include "core/sha256.h"
 #include "tensor/ops.h"
 #include "tensor/storage.h"
 #include "test_util.h"
@@ -294,6 +302,241 @@ TEST(TensorOpsForward, DropoutScalesSurvivors) {
   EXPECT_GT(kept, 400);
   EXPECT_LT(kept, 600);
   EXPECT_THROW(dropout(a, 1.0f, rng), Error);
+}
+
+/// Dropout's threshold t = round(p * 2^32) and its keep probability.
+std::uint32_t dropout_threshold(float p) {
+  return static_cast<std::uint32_t>(std::llround(static_cast<double>(p) * 4294967296.0));
+}
+
+/// The keyed stream of the next dropout call on `rng` (which is advanced
+/// exactly as dropout advances it): SHA-256("dropout" ‖ le64(word)) keying
+/// ChaCha20 with a zero nonce.
+core::KeyedStream next_dropout_stream(core::Rng& rng) {
+  core::ByteWriter seed;
+  seed.write_raw(reinterpret_cast<const std::uint8_t*>("dropout"), 7);
+  seed.write_u64(rng.next_u64());
+  return core::KeyedStream(core::Sha256::hash(seed.bytes().data(), seed.bytes().size()),
+                           core::KeyedStream::Nonce{});
+}
+
+void expect_same_bits(const float* got, const float* want, std::size_t n,
+                      const std::string& what) {
+  EXPECT_EQ(std::memcmp(got, want, n * sizeof(float)), 0) << what;
+}
+
+TEST(TensorDropout, KeepRateIsBinomialWithinFiveSigma) {
+  const std::int64_t n = std::int64_t{1} << 20;
+  NoGradGuard guard;
+  Tensor a = Tensor::full({n}, 1.0f);
+  for (const float p : {0.1f, 0.5f}) {
+    core::Rng rng(101);
+    Tensor d = dropout(a, p, rng);
+    const float scale = 1.0f / (1.0f - p);
+    std::int64_t kept = 0;
+    for (std::int64_t i = 0; i < n; ++i) {
+      const float v = d.data()[i];
+      ASSERT_TRUE(v == 0.0f || v == scale) << "p=" << p << " element " << i;
+      kept += v != 0.0f;
+    }
+    const double q = 1.0 - dropout_threshold(p) / 4294967296.0;
+    const double mean = static_cast<double>(n) * q;
+    const double sigma = std::sqrt(static_cast<double>(n) * q * (1.0 - q));
+    EXPECT_LE(std::fabs(static_cast<double>(kept) - mean), 5.0 * sigma)
+        << "p=" << p << " kept " << kept << " of " << n;
+  }
+}
+
+TEST(TensorDropout, MaskIsTheKeyedStreamAtEveryChunkOffset) {
+  const std::int64_t n = 70001;  // several parallel chunks, ragged tail
+  const float p = 0.3f;
+  core::Rng init(102);
+  Tensor a = Tensor::randn({n}, init, 0.0f, 1.0f, /*requires_grad=*/true);
+  Tensor w = Tensor::randn({n}, init);
+
+  core::Rng rng(103);
+  core::Rng probe = rng;
+  const core::KeyedStream stream = next_dropout_stream(probe);
+  std::vector<std::uint32_t> words(static_cast<std::size_t>(n));
+  stream.read(0, words.size(), words.data());
+  // The same words read in ragged pieces at arbitrary offsets.
+  std::vector<std::uint32_t> pieces(words.size());
+  for (std::size_t first = 0, len = 1; first < pieces.size(); first += len, len = len * 7 % 3001 + 1) {
+    const std::size_t count = std::min(len, pieces.size() - first);
+    stream.read(first, count, pieces.data() + first);
+  }
+  ASSERT_EQ(std::memcmp(words.data(), pieces.data(), words.size() * sizeof(std::uint32_t)), 0);
+
+  Tensor d = dropout(a, p, rng);
+  EXPECT_EQ(rng.next_u64(), probe.next_u64()) << "dropout draws exactly one word";
+  const std::uint32_t t = dropout_threshold(p);
+  const float scale = 1.0f / (1.0f - p);
+  std::vector<float> want(words.size()), want_grad(words.size());
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    const float factor = words[i] >= t ? scale : 0.0f;
+    want[i] = a.data()[i] * factor;
+    want_grad[i] = 0.0f + w.data()[i] * factor;  // accumulated into a zeroed grad
+  }
+  expect_same_bits(d.data(), want.data(), want.size(), "forward");
+  sum_all(mul(d, w)).backward();
+  expect_same_bits(a.grad().data(), want_grad.data(), want_grad.size(), "backward");
+
+  // A longer tensor is chunked differently; its prefix mask is the same.
+  core::Rng longer_rng(103);
+  Tensor longer = Tensor::full({3 * n + 5}, 1.0f);
+  Tensor dl = dropout(longer, p, longer_rng);
+  for (std::int64_t i = 0; i < n; ++i) {
+    ASSERT_EQ(dl.data()[i] != 0.0f, words[i] >= t) << "element " << i;
+  }
+}
+
+/// The one-float-at-a-time walk: out[dst index] = in[src index].
+std::vector<float> permute_reference(const std::vector<float>& in, const Shape& shape,
+                                     const std::vector<std::int64_t>& perm) {
+  const std::size_t rank = shape.size();
+  Shape out_shape(rank);
+  for (std::size_t d = 0; d < rank; ++d) out_shape[d] = shape[perm[d]];
+  std::vector<float> out(in.size());
+  std::vector<std::int64_t> idx(rank, 0);
+  for (std::size_t linear = 0; linear < in.size(); ++linear) {
+    std::int64_t rem = static_cast<std::int64_t>(linear);
+    for (std::size_t k = rank; k-- > 0;) {
+      idx[k] = rem % shape[k];
+      rem /= shape[k];
+    }
+    std::int64_t dst = 0;
+    for (std::size_t d = 0; d < rank; ++d) dst = dst * out_shape[d] + idx[perm[d]];
+    out[static_cast<std::size_t>(dst)] = in[linear];
+  }
+  return out;
+}
+
+TEST(TensorPermute, RunCopyMatchesTheElementWalkForwardAndInverse) {
+  const std::vector<std::pair<Shape, std::vector<std::int64_t>>> cases = {
+      {{16, 32, 6, 22}, {0, 2, 1, 3}},  // the paper's head split
+      {{16, 6, 32, 22}, {0, 2, 1, 3}},  // and merge
+      {{2, 3, 4, 5}, {1, 0, 2, 3}},     // two trailing axes kept
+      {{2, 3, 4, 5}, {3, 2, 1, 0}},     // last axis moves: element walk
+      {{3, 5, 7}, {1, 0, 2}},
+      {{3, 5, 7}, {2, 0, 1}},
+      {{4, 9}, {1, 0}},
+      {{4, 9}, {0, 1}},                 // identity: one run
+      {{11}, {0}},
+  };
+  for (const auto& [shape, perm] : cases) {
+    const std::string what = shape_to_string(shape) + " perm " +
+                             shape_to_string(Shape(perm.begin(), perm.end()));
+    core::Rng rng(104);
+    Tensor a = Tensor::randn(shape, rng, 0.0f, 1.0f, /*requires_grad=*/true);
+    Tensor y = permute(a, perm);
+    const std::vector<float> want = permute_reference(a.vec(), shape, perm);
+    expect_same_bits(y.data(), want.data(), want.size(), "forward " + what);
+
+    // Backward: a's grad is the inverse permutation of the upstream grad w.
+    // Permuting the source indices tells which source element lands at
+    // output j, so grad[source[j]] = w[j].
+    Tensor w = Tensor::randn(y.shape(), rng);
+    sum_all(mul(y, w)).backward();
+    std::vector<float> ids(want.size());
+    for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<float>(i);
+    const std::vector<float> source = permute_reference(ids, shape, perm);
+    std::vector<float> want_grad(want.size());
+    for (std::size_t j = 0; j < source.size(); ++j) {
+      want_grad[static_cast<std::size_t>(source[j])] = w.data()[j];
+    }
+    expect_same_bits(a.grad().data(), want_grad.data(), want_grad.size(),
+                     "inverse " + what);
+  }
+}
+
+TEST(TensorStorage, OutputsDoNotDependOnRecycledStorage) {
+  // Every op's forward output has numel kN, so a NaN-filled buffer of that
+  // capacity released just before the op is the one it gets. Each run has
+  // its own thread, hence its own empty cache: the fresh run keeps every
+  // output alive (nothing is recycled), the poisoned run recycles NaN.
+  static constexpr std::int64_t kN = 4096;
+  const auto every_op = [](bool poison) {
+    const auto poison_cache = [poison] {
+      for (int i = 0; poison && i < 2; ++i) {
+        std::vector<float> buffer(kN, std::numeric_limits<float>::quiet_NaN());
+        storage::release(buffer);
+      }
+    };
+    core::Rng rng(105);
+    const Tensor x = Tensor::randn({64, 64}, rng);
+    const Tensor y = Tensor::randn({64, 64}, rng);
+    const Tensor bias = Tensor::randn({64}, rng);
+    const Tensor b3 = Tensor::randn({4, 32, 16}, rng);
+    const Tensor c3 = Tensor::randn({4, 16, 32}, rng);
+    const Tensor x4 = Tensor::randn({4, 8, 8, 16}, rng);
+    const Tensor x3 = Tensor::randn({64, 5, 64}, rng);
+    const Tensor wide = Tensor::randn({64, 80}, rng);
+    const Tensor left = Tensor::randn({64, 16}, rng);
+    const Tensor right = Tensor::randn({64, 48}, rng);
+    const Tensor emb = Tensor::randn({100, 64}, rng);
+    std::vector<Tensor> steps;
+    for (int i = 0; i < 4; ++i) steps.push_back(Tensor::randn({16, 64}, rng));
+    std::vector<std::int64_t> ids(64);
+    for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<std::int64_t>(i * 37 % 100);
+    std::vector<std::int64_t> pick(64);
+    for (std::size_t i = 0; i < pick.size(); ++i) pick[i] = static_cast<std::int64_t>(i % 5);
+    core::Rng drop_rng(106);
+
+    const std::vector<std::function<Tensor()>> ops = {
+        [&] { return add(x, y); },
+        [&] { return sub(x, y); },
+        [&] { return mul(x, y); },
+        [&] { return add_scalar(x, 0.5f); },
+        [&] { return mul_scalar(x, 0.5f); },
+        [&] { return neg(x); },
+        [&] { return add_bias(x, bias); },
+        [&] { return relu(x); },
+        [&] { return tanh_op(x); },
+        [&] { return sigmoid(x); },
+        [&] { return gelu(x); },
+        [&] { return dropout(x, 0.25f, drop_rng); },
+        [&] { return matmul(x, y); },
+        [&] { return linear(x, y, bias); },
+        [&] { return linear(x, y, Tensor()); },
+        [&] { return bmm(b3, c3); },
+        [&] { return bmm_nt(b3, b3); },
+        [&] { return reshape(x, {16, 256}); },
+        [&] { return permute(x4, {0, 2, 1, 3}); },
+        [&] { return permute(x4, {3, 2, 1, 0}); },
+        [&] { return select_dim1(x3, 2); },
+        [&] { return slice_cols(wide, 8, 64); },
+        [&] { return concat_cols({left, right}); },
+        [&] { return stack_dim1(steps); },
+        [&] { return gather_dim1(x3, pick); },
+        [&] { return softmax_lastdim(x); },
+        [&] { return layer_norm(x, bias, bias); },
+        [&] { return embedding(emb, ids); },
+    };
+    std::vector<std::vector<float>> outputs;
+    std::vector<Tensor> alive;
+    for (const auto& op : ops) {
+      poison_cache();
+      Tensor out = op();
+      EXPECT_EQ(out.numel(), kN);
+      outputs.push_back(out.vec());
+      if (!poison) alive.push_back(out);
+    }
+    if (poison) {
+      // The poisoning reaches the allocator: an overwrite buffer is NaN.
+      poison_cache();
+      const std::vector<float> probe = storage::acquire_for_overwrite(kN);
+      EXPECT_TRUE(std::isnan(probe[0]));
+    }
+    return outputs;
+  };
+  std::vector<std::vector<float>> fresh, poisoned;
+  std::thread([&] { fresh = every_op(false); }).join();
+  std::thread([&] { poisoned = every_op(true); }).join();
+  ASSERT_EQ(fresh.size(), poisoned.size());
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    expect_same_bits(poisoned[i].data(), fresh[i].data(), fresh[i].size(),
+                     "op #" + std::to_string(i));
+  }
 }
 
 TEST(TensorAutogradPlumbing, NoGradGuardSuppressesGraph) {

@@ -104,6 +104,7 @@ class RuleRunner {
     r13_durable_writes_only();
     r14_server_via_job_runner();
     r15_privacy_keyed_stream_only();
+    r16_tensor_ops_keyed_stream_only();
   }
 
  private:
@@ -646,6 +647,25 @@ class RuleRunner {
     }
   }
 
+  // R16: tensor ops draw their randomness (dropout's mask) from a keyed,
+  // counter-addressed core::KeyedStream seeded by one word of the caller's
+  // generator. A per-element draw from a <random> distribution or an
+  // MT19937 engine in src/tensor/ops_*.cpp has to run serially in element
+  // order, which is the cost the keyed stream removed (DESIGN.md §8).
+  void r16_tensor_ops_keyed_stream_only() {
+    if (!starts_with(path_, "src/tensor/ops_") || !ends_with(path_, ".cpp")) return;
+    for (const Token& t : toks_) {
+      if (t.kind != TokKind::kIdent) continue;
+      if (t.text != "bernoulli" && !starts_with(t.text, "mt19937") &&
+          !ends_with(t.text, "_distribution")) {
+        continue;
+      }
+      flag(16, t, "'" + t.text + "' in a tensor op; derive a core::KeyedStream "
+                  "from one core::Rng word and read the words in parallel chunks, "
+                  "never a serial per-element draw");
+    }
+  }
+
   const std::string& path_;
   const std::vector<Token>& toks_;
   const std::map<int, std::set<int>>& exemptions_;
@@ -714,6 +734,8 @@ const char* rule_summary(int rule) {
                     "registry (src/flare/jobs.*)";
     case 15: return "privacy filters (src/flare/secure_agg.*, filters.*) draw "
                     "from core::KeyedStream, never Rng/MT19937/<random>";
+    case 16: return "tensor ops (src/tensor/ops_*.cpp) draw from a keyed "
+                    "core::KeyedStream, never bernoulli/MT19937/<random> per element";
     default: return "";
   }
 }

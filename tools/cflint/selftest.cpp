@@ -267,6 +267,25 @@ const std::vector<Case>& cases() {
        "// R15-exempt: fixture proves the exemption path\n"
        "void f() { core::Rng rng(7); }\n",
        {}},
+
+      {"R16 serial per-element draw in a tensor op", "src/tensor/ops_elementwise.cpp",
+       "// rng.bernoulli(p) in a comment is fine\n"
+       "const char* s = \"std::mt19937_64\";\n"
+       "void f(core::Rng& rng, float* m) { m[0] = rng.bernoulli(0.1) ? 0 : 1; }\n"
+       "void g() { std::mt19937_64 e(1); std::mt19937 m(2); }\n"
+       "float h(E& e) { return std::uniform_real_distribution<float>(0, 1)(e); }\n",
+       {{16, 3}, {16, 4}, {16, 4}, {16, 5}}},
+      {"R16 one generator word and a keyed stream allowed", "src/tensor/ops_nn.cpp",
+       "std::uint64_t f(core::Rng& rng) { return rng.next_u64(); }\n"
+       "void g(const core::KeyedStream& s, std::uint32_t* w) { s.read(0, 16, w); }\n",
+       {}},
+      {"R16 out of scope path", "src/tensor/tensor.cpp",
+       "float f(core::Rng& rng) { return rng.bernoulli(0.5) ? 1.0f : 0.0f; }\n",
+       {}},
+      {"R16 exempt", "src/tensor/ops_shape.cpp",
+       "// R16-exempt: fixture proves the exemption path\n"
+       "bool f(core::Rng& rng) { return rng.bernoulli(0.5); }\n",
+       {}},
   };
   return kCases;
 }
