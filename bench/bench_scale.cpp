@@ -1,13 +1,14 @@
 // Coordinator scaling bench.
 //
-// Measures what the reactor transport + long-poll dispatch + multiplexed
-// simulator buy at scale: rounds/s, peak file-descriptor count, and peak
-// thread count for 8/64-site loopback-TCP federations (thread-per-site
-// clients against the epoll reactor) and 64/256-site in-process multiplexed
-// federations (all sites on 8 pool workers). Also re-measures the faulty-run
-// overhead factor of the standard 8-site fault plan, whose pre-reactor
-// baseline was 4.16x (BENCH_faults.json): long-poll dispatch removes the
-// polling storms that amplified injected delays.
+// Measures what the reactor transport + long-poll dispatch + the one
+// pooled site driver buy at scale: rounds/s, peak file-descriptor count,
+// and peak thread count for 8/64-site loopback-TCP federations (a pool
+// worker per site, since a TCP send holds its worker, against the epoll
+// reactor) and 64/256-site in-process federations (all sites on 8 pool
+// workers). Also re-measures the faulty-run overhead factor of the standard
+// 8-site fault plan, whose pre-reactor baseline was 4.16x
+// (BENCH_faults.json): long-poll dispatch removes the polling storms that
+// amplified injected delays. The JSON records the host it ran on.
 #include <dirent.h>
 
 #include <atomic>
@@ -218,13 +219,14 @@ int main(int argc, char** argv) {
   core::LogConfig::instance().set_threshold(core::LogLevel::kError);
 
   std::printf("Coordinator scaling: reactor transport + long-poll dispatch\n");
+  std::printf("host: %s\n", bench::host_context_json().c_str());
   std::vector<ScaleResult> results;
-  // Thread-per-site clients over loopback TCP against the epoll reactor.
+  // Loopback TCP against the epoll reactor: one pool worker per site.
   results.push_back(run_scale(8, 30, /*tcp=*/true, /*site_workers=*/0));
   print_result(results.back());
   results.push_back(run_scale(64, 10, /*tcp=*/true, /*site_workers=*/0));
   print_result(results.back());
-  // Multiplexed in-process mode: all sites on 8 pool workers.
+  // In-process: all sites on 8 pool workers.
   results.push_back(run_scale(64, 10, /*tcp=*/false, /*site_workers=*/8));
   print_result(results.back());
   results.push_back(run_scale(256, 5, /*tcp=*/false, /*site_workers=*/8));
@@ -239,7 +241,8 @@ int main(int argc, char** argv) {
   std::printf("  overhead factor: %.2fx (baseline 4.16x)\n", overhead);
 
   if (json_path != nullptr) {
-    std::string json = "{\n  \"configs\": [\n";
+    std::string json =
+        "{\n  \"host\": " + bench::host_context_json() + ",\n  \"configs\": [\n";
     for (std::size_t i = 0; i < results.size(); ++i) {
       append_json(json, results[i], i + 1 == results.size());
     }

@@ -10,7 +10,7 @@
 #   4. tidy          clang-tidy over src/ (skipped loudly when not installed)
 #   5. tests         full suite under ASan+UBSan, the served TCP path
 #                    (scripts/tcp_smoke.sh) under ASan+UBSan, then the
-#                    threaded subset under TSan
+#                    threaded subset and the served TCP path under TSan
 #   6. roundbench    every benchmark workload once at smoke size, with its
 #                    correctness checks (clinical-bert-tcp's byte-exact
 #                    durability and journal-compaction checks among them)
@@ -80,6 +80,9 @@ cmake --build --preset tsan -j "${JOBS}"
 export TSAN_OPTIONS="suppressions=${REPO_ROOT}/scripts/tsan.supp:history_size=7"
 ctest --preset tsan -j "${JOBS}" -R \
   '^(stress_concurrency_test|parallel_test|kernels_test|thread_pool_test|tcp_test|simulator_test|server_client_test|integration_fl_test|cross_site_test|faults_test|secure_recovery_test|poison_test|trace_test|scale_test|journal_test|crash_recovery_test|jobs_test)$'
+
+step "tsan: served TCP path (each client's run() moves across threads)"
+"${SCRIPT_DIR}/tcp_smoke.sh" build-tsan
 
 step "roundbench: smoke every workload"
 python3 roundbench/run.py --smoke-all

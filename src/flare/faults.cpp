@@ -22,11 +22,8 @@ bool FaultyConnection::faults_left() const {
   return plan_.max_faults < 0 || injected_ < plan_.max_faults;
 }
 
-std::vector<std::uint8_t> FaultyConnection::call(
-    const std::vector<std::uint8_t>& request) {
-  if (!inner_) {
-    throw TransportError("fault: connection is down");
-  }
+void FaultyConnection::send(const std::vector<std::uint8_t>& request, Done done) {
+  if (!inner_) return done({}, transport_failure("fault: connection is down"));
   const std::int64_t index = call_index_++;
   stats_->calls += 1;
 
@@ -44,7 +41,7 @@ std::vector<std::uint8_t> FaultyConnection::call(
     stats_->disconnects += 1;
     inner_.reset();
     LOG(warn).msg("injected disconnect at call " + std::to_string(index));
-    throw TransportError("fault: connection lost");
+    return done({}, transport_failure("fault: connection lost"));
   }
 
   bool drop_response = false;
@@ -52,7 +49,7 @@ std::vector<std::uint8_t> FaultyConnection::call(
     injected_ += 1;
     if (drop_parity_++ % 2 == 0) {
       stats_->dropped_requests += 1;
-      throw TransportError("fault: request dropped");
+      return done({}, transport_failure("fault: request dropped"));
     }
     stats_->dropped_responses += 1;
     drop_response = true;
@@ -74,18 +71,29 @@ std::vector<std::uint8_t> FaultyConnection::call(
     delivered[byte] ^= static_cast<std::uint8_t>(1u << bit);
   }
 
-  std::vector<std::uint8_t> response = inner_->call(delivered);
-  if (want_duplicate && faults_left()) {
+  const bool duplicate = want_duplicate && faults_left();
+  if (duplicate) {
     injected_ += 1;
     stats_->duplicates += 1;
+  }
+  // The caller hears back once every copy of the frame was answered.
+  const auto deliver = [drop_response](const Done& to, std::vector<std::uint8_t> reply,
+                                       std::exception_ptr error) {
+    if (!error && drop_response) error = transport_failure("fault: response dropped");
+    to(error ? std::vector<std::uint8_t>{} : std::move(reply), std::move(error));
+  };
+  auto frame = std::make_shared<const std::vector<std::uint8_t>>(std::move(delivered));
+  const std::shared_ptr<Connection> inner = inner_;
+  inner->send(*frame, [inner, frame, duplicate, deliver, done = std::move(done)](
+                          std::vector<std::uint8_t> reply, std::exception_ptr error) {
+    if (error || !duplicate) return deliver(done, std::move(reply), std::move(error));
     // The network replays the same sealed bytes; the receiver's sequence
     // tracking rejects them, and that rejection never reaches the caller.
-    (void)inner_->call(delivered);
-  }
-  if (drop_response) {
-    throw TransportError("fault: response dropped");
-  }
-  return response;
+    inner->send(*frame, [deliver, done, reply = std::move(reply)](
+                            std::vector<std::uint8_t>, std::exception_ptr) mutable {
+      deliver(done, std::move(reply), nullptr);
+    });
+  });
 }
 
 }  // namespace cppflare::flare

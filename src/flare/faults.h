@@ -19,7 +19,7 @@
 
 namespace cppflare::flare {
 
-/// Probabilities are evaluated per call(), in a fixed order (disconnect,
+/// Probabilities are evaluated per send(), in a fixed order (disconnect,
 /// drop, delay, duplicate, corrupt), so the injected sequence is a pure
 /// function of the seed and the call index.
 struct FaultPlan {
@@ -75,10 +75,11 @@ class FaultyConnection : public Connection {
   FaultyConnection(std::unique_ptr<Connection> inner, FaultPlan plan,
                    std::shared_ptr<FaultStats> stats = nullptr);
 
-  /// Throws TransportError for injected drops/disconnects; otherwise
-  /// delivers (possibly delayed, duplicated, or corrupted) and returns the
-  /// genuine response.
-  std::vector<std::uint8_t> call(const std::vector<std::uint8_t>& request) override;
+  /// Completes with a TransportError for injected drops/disconnects;
+  /// otherwise delivers (possibly delayed, duplicated, or corrupted) and
+  /// completes with the genuine response. A duplicated frame's caller hears
+  /// back only once both deliveries completed.
+  void send(const std::vector<std::uint8_t>& request, Done done) override;
 
   const FaultStats& stats() const { return *stats_; }
   bool disconnected() const { return !inner_; }
@@ -86,7 +87,9 @@ class FaultyConnection : public Connection {
  private:
   bool faults_left() const;
 
-  std::unique_ptr<Connection> inner_;
+  /// Shared with in-flight completions: a duplicated frame is re-sent from
+  /// the first delivery's completion.
+  std::shared_ptr<Connection> inner_;
   FaultPlan plan_;
   std::shared_ptr<FaultStats> stats_;
   core::Rng rng_;

@@ -8,7 +8,6 @@
 #include "core/error.h"
 #include "core/logging.h"
 #include "core/parallel.h"
-#include "core/thread_pool.h"
 #include "core/trace.h"
 #include "flare/observability.h"
 #include "flare/secure_agg.h"
@@ -17,114 +16,6 @@
 #define CPPFLARE_LOG_COMPONENT "SimulatorRunner"
 
 namespace cppflare::flare {
-
-namespace {
-
-/// Completion state shared by all multiplexed sites. `stopping` is the
-/// teardown handshake: once the runner sets it (under mu), site callbacks
-/// stop posting continuations to the worker pool, which makes destroying
-/// the pool safe even if a stray parked reply arrives late.
-struct MultiplexRun {
-  core::Mutex mu;
-  core::CondVar cv;
-  std::int64_t remaining CF_GUARDED_BY(mu) = 0;
-  bool stopping CF_GUARDED_BY(mu) = false;
-  std::vector<std::string> failed CF_GUARDED_BY(mu);
-};
-
-/// One site of the multiplexed simulator: runs a SiteSession as continuations
-/// over the server's async dispatcher. A site never owns a thread; each
-/// response is posted as a continuation to the shared worker pool, and
-/// while the site waits for a task its get_task is *parked server-side*,
-/// occupying no worker at all. That is what lets 256 sites run on 8
-/// workers: at any instant only the sites actually training or decoding
-/// hold a thread.
-///
-/// Threading: a site has exactly one exchange outstanding at a time, and
-/// each continuation schedules the next, so the session is accessed
-/// serially; the pool's queue mutex provides the happens-before edges
-/// between consecutive continuations.
-class SimSite : public std::enable_shared_from_this<SimSite> {
- public:
-  SimSite(Credential credential, std::string job_id, std::int64_t long_poll_ms,
-          std::shared_ptr<Learner> learner, AsyncDispatcher dispatch,
-          core::ThreadPool* pool, std::shared_ptr<MultiplexRun> run,
-          std::int64_t max_retries)
-      : session_(std::move(credential), std::move(job_id), long_poll_ms,
-                 std::move(learner)),
-        dispatch_(std::move(dispatch)),
-        pool_(pool),
-        run_(std::move(run)),
-        max_retries_(max_retries) {}
-
-  SiteSession& session() { return session_; }
-
-  void start() {
-    auto self = shared_from_this();
-    pool_->post([self] { self->send(); });
-  }
-
- private:
-  /// Dispatches the session's next frame. The respond callback only
-  /// enqueues; all real work happens on a pool worker.
-  void send() {
-    auto self = shared_from_this();
-    dispatch_(session_.next_frame(), [self](std::vector<std::uint8_t> response) {
-      self->enqueue(std::move(response));
-    });
-  }
-
-  /// Called from whatever thread completes the exchange (a pool worker for
-  /// immediate replies, the server's ticker or another site's worker for
-  /// parked ones). Posts the continuation unless the run is tearing down.
-  void enqueue(std::vector<std::uint8_t> response) {
-    core::MutexLock lock(run_->mu);
-    if (run_->stopping) return;  // runner gave up on us; pool may be dying
-    auto self = shared_from_this();
-    // std::function needs a copyable callable: share the buffer so the
-    // pool's copies of the closure never copy the frame.
-    auto buf = std::make_shared<const std::vector<std::uint8_t>>(std::move(response));
-    pool_->post([self, buf] { self->resume(*buf); });
-  }
-
-  /// In-process transport loses no frames, but the server can still ask for
-  /// a resend (kRetryable): resend at once, up to the retry budget.
-  void resume(const std::vector<std::uint8_t>& response) {
-    try {
-      try {
-        if (session_.on_reply(response) == SiteSession::Outcome::kDone) {
-          finish({});
-          return;
-        }
-        retries_ = 0;
-      } catch (const TransportError&) {
-        if (max_retries_ >= 0 && ++retries_ > max_retries_) throw;
-      }
-      send();
-    } catch (const std::exception& e) {
-      finish(e.what());
-    }
-  }
-
-  void finish(const std::string& error) {
-    if (!error.empty()) {
-      LOG(error).msg("site failed:").msg(error).kv("site", session_.site_name());
-    }
-    core::MutexLock lock(run_->mu);
-    if (!error.empty()) run_->failed.push_back(session_.site_name());
-    run_->remaining -= 1;
-    run_->cv.notify_all();
-  }
-
-  SiteSession session_;
-  AsyncDispatcher dispatch_;
-  core::ThreadPool* pool_;
-  std::shared_ptr<MultiplexRun> run_;
-  std::int64_t max_retries_;
-  std::int64_t retries_ = 0;
-};
-
-}  // namespace
 
 std::map<std::string, double> SimulationResult::site_metrics() const {
   return metrics.gauges_with_prefix(metric_names::kSitePrefix);
@@ -239,40 +130,27 @@ SimulationResult SimulatorRunner::run() {
   const std::int64_t trace_t0 = core::Tracer::instance().now_ns();
   LOG(info).msg("Create the simulate clients.");
 
+  // One pool drives every site. An in-process send parks server-side and
+  // holds no worker, so `site_workers` bounds the pool; a TCP send holds its
+  // worker until the reply arrives, so TCP runs get one worker per site.
+  const std::int64_t workers = std::max<std::int64_t>(
+      1, config_.site_workers > 0 && !config_.use_tcp ? config_.site_workers
+                                                      : config_.num_clients);
   // Divide the machine between site workers and kernel threads before any
   // kernel runs, so every site's training shares one budgeted compute pool
-  // instead of each site oversubscribing the host. In multiplexed mode the
-  // site-thread count is the pool size, not the site count.
+  // instead of each site oversubscribing the host.
   if (config_.compute_threads > 0) {
     core::set_compute_threads(
         static_cast<std::size_t>(config_.compute_threads));
   } else if (config_.compute_threads == 0) {
     const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
-    const std::size_t sites = static_cast<std::size_t>(std::max<std::int64_t>(
-        1, config_.site_workers > 0 ? config_.site_workers
-                                    : config_.num_clients));
-    const std::size_t per_site = hw > sites ? hw - sites + 1 : 1;
-    core::set_compute_threads_if_default(per_site);
+    const auto pool = static_cast<std::size_t>(workers);
+    core::set_compute_threads_if_default(hw > pool ? hw - pool + 1 : 1);
   }
   LOG(info)
       .msg("Compute budget")
-      .kv("site_workers", config_.site_workers > 0 ? config_.site_workers
-                                                   : config_.num_clients)
+      .kv("site_workers", workers)
       .kv("compute_threads", static_cast<std::int64_t>(core::compute_threads()));
-
-  if (config_.site_workers > 0) {
-    if (config_.use_tcp) {
-      throw ConfigError(
-          "SimulatorRunner: site_workers (multiplexed mode) is in-process "
-          "only; use_tcp requires the thread-per-site mode");
-    }
-    if (fault_planner_) {
-      throw ConfigError(
-          "SimulatorRunner: fault planners wrap per-site connections and are "
-          "not supported with site_workers; use the thread-per-site mode");
-    }
-    return run_multiplexed(start, trace_t0);
-  }
 
   std::unique_ptr<TcpServer> tcp_server;
   if (config_.use_tcp) {
@@ -309,7 +187,8 @@ SimulationResult SimulatorRunner::run() {
     };
   };
 
-  std::vector<std::unique_ptr<FederatedClient>> clients;
+  std::vector<std::unique_ptr<FederatedClient>> owned;
+  std::vector<FederatedClient*> clients;
   for (std::int64_t i = 0; i < config_.num_clients; ++i) {
     const std::string& name = site_names_[static_cast<std::size_t>(i)];
     ClientConfig client_config;
@@ -320,114 +199,40 @@ SimulationResult SimulatorRunner::run() {
     auto client = std::make_unique<FederatedClient>(
         client_config, registry_.at(name), make_factory(i, name), factory_(i, name));
     setup_site(i, client->session());
-    clients.push_back(std::move(client));
+    clients.push_back(client.get());
+    owned.push_back(std::move(client));
   }
 
-  // One worker per site, as SimulatorRunner multiplexes clients. A scoped
-  // pool (not raw std::thread) so site workers are accounted for in the same
-  // machine-division story as the compute pool above.
-  std::vector<std::string> failed_sites;
-  std::exception_ptr first_failure;
-  {
-    core::ThreadPool site_pool(clients.size());
-    std::vector<std::future<void>> done;
-    done.reserve(clients.size());
-    for (std::size_t i = 0; i < clients.size(); ++i) {
-      done.push_back(site_pool.submit([&, i] { clients[i]->run(); }));
-    }
-    for (std::size_t i = 0; i < done.size(); ++i) {
-      try {
-        done[i].get();
-      } catch (...) {
-        LOG(error).msg("client failed").kv("site", clients[i]->site_name());
-        failed_sites.push_back(clients[i]->site_name());
-        if (!first_failure) first_failure = std::current_exception();
-      }
-    }
-  }
-  const bool success = server_->wait_until_finished(config_.timeout_ms);
-  if (tcp_server) tcp_server->stop();
-  if (!success && !server_->aborted()) {
-    // Nothing to salvage: the server neither finished nor aborted. Failed
-    // clients are the likeliest cause — surface the first one.
-    if (first_failure) std::rethrow_exception(first_failure);
-    throw Error("SimulatorRunner: run did not finish within timeout");
-  }
-  // A degraded but completed run (some clients failed, quorum still met) and
-  // an aborted run both report through the result instead of throwing.
-  return finalize(start, trace_t0, std::move(failed_sites));
-}
-
-SimulationResult SimulatorRunner::run_multiplexed(
-    std::chrono::steady_clock::time_point start, std::int64_t trace_t0) {
-  LOG(info)
-      .msg("Multiplexed mode")
-      .kv("sites", config_.num_clients)
-      .kv("site_workers", config_.site_workers);
-  auto run_state = std::make_shared<MultiplexRun>();
-  {
-    core::MutexLock lock(run_state->mu);
-    run_state->remaining = config_.num_clients;
-  }
-  std::vector<std::string> failed_sites;
+  // Every site ends by receiving kStop (run finished or aborted) or by
+  // failing, so the wait covers completion, abort and total failure alike.
   bool timed_out = false;
-  {
-    core::ThreadPool pool(static_cast<std::size_t>(config_.site_workers));
-    std::vector<std::shared_ptr<SimSite>> sites;
-    sites.reserve(static_cast<std::size_t>(config_.num_clients));
-    for (std::int64_t i = 0; i < config_.num_clients; ++i) {
-      const std::string& name = site_names_[static_cast<std::size_t>(i)];
-      sites.push_back(std::make_shared<SimSite>(
-          registry_.at(name), config_.job_id, config_.long_poll_ms,
-          factory_(i, name), job_runner_->async_router(), &pool, run_state,
-          config_.client_retry.max_retries));
-      setup_site(i, sites.back()->session());
-    }
-    for (const auto& site : sites) site->start();
-
-    // Every site ends by receiving kStop (run finished or aborted) or by
-    // failing, so `remaining == 0` covers normal completion, abort, and
-    // the everyone-failed case alike.
-    bool drained;
-    {
-      core::MutexLock lock(run_state->mu);
-      drained = run_state->cv.wait_for_ms(
-          run_state->mu, config_.timeout_ms,
-          [&]() CF_REQUIRES(run_state->mu) { return run_state->remaining == 0; });
-    }
-    if (!drained) {
-      if (!server_->aborted()) {
+  const std::vector<std::exception_ptr> errors = FederatedClient::run_all(
+      clients, static_cast<std::size_t>(workers), config_.timeout_ms, [&] {
+        if (server_->aborted()) return;
         timed_out = true;
         // Aborting completes every parked poll with kStop, which is what
-        // lets the stuck sites drain below.
+        // lets the stuck sites end.
         server_->abort("SimulatorRunner: run did not finish within timeout");
-      }
-      core::MutexLock lock(run_state->mu);
-      drained = run_state->cv.wait_for_ms(
-          run_state->mu, 60000,
-          [&]() CF_REQUIRES(run_state->mu) { return run_state->remaining == 0; });
-    }
-    {
-      core::MutexLock lock(run_state->mu);
-      run_state->stopping = true;  // late replies must not touch the pool
-      failed_sites = run_state->failed;
-      if (!drained) {
-        LOG(error)
-            .msg("site state machines did not drain; abandoning")
-            .kv("undrained", run_state->remaining);
-      }
-    }
-  }  // joins the site worker pool
+      });
+  if (tcp_server) tcp_server->stop();
   if (timed_out) {
     throw Error("SimulatorRunner: run did not finish within timeout");
   }
-  if (!server_->wait_until_finished(1000) && !server_->aborted()) {
-    // All sites are done but the server never finished: every site failed
-    // before the run could complete.
-    throw Error("SimulatorRunner: every site failed before the run finished" +
-                (failed_sites.empty() ? std::string()
-                                      : " (first: " + failed_sites.front() + ")"));
+  std::vector<std::string> failed_sites;
+  std::exception_ptr first_failure;
+  for (std::size_t i = 0; i < errors.size(); ++i) {
+    if (!errors[i]) continue;
+    failed_sites.push_back(site_names_[i]);
+    if (!first_failure) first_failure = errors[i];
   }
+  if (!server_->wait_until_finished(0) && !server_->aborted()) {
+    // Every site ended before the run did, so every site failed: surface
+    // the lowest-index failure with its type.
+    if (first_failure) std::rethrow_exception(first_failure);
+    throw Error("SimulatorRunner: every site ended before the run finished");
+  }
+  // A degraded but completed run (some clients failed, quorum still met) and
+  // an aborted run both report through the result instead of throwing.
   return finalize(start, trace_t0, std::move(failed_sites));
 }
 

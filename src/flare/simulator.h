@@ -2,14 +2,15 @@
 //
 // The C++ analogue of NVFlare's SimulatorRunner used throughout the paper's
 // demonstration (Fig. 3): provisions N sites, builds the server with a
-// ScatterAndGather workflow, runs one SiteSession per client (a thread each,
-// or multiplexed over a worker pool with `site_workers`), runs E rounds and
-// returns the final global model plus per-round aggregated metrics. The
-// transport is in-process by default or loopback TCP (`use_tcp`) to exercise
-// the real wire path. A `FaultPlanner` can wrap any site's connections in
-// the fault-injection decorator (flare/faults.h), a `PoisonPlanner` can make
-// any site adversarial at the model level (flare/poison.h), and `resume`
-// restarts a killed run from its persisted checkpoint.
+// ScatterAndGather workflow, runs one FederatedClient per site — the same
+// driver a deployed site runs — with every site on one worker pool, runs E
+// rounds and returns the final global model plus per-round aggregated
+// metrics. The transport is in-process by default or loopback TCP
+// (`use_tcp`) to exercise the real wire path. A `FaultPlanner` can wrap any
+// site's connections in the fault-injection decorator (flare/faults.h), a
+// `PoisonPlanner` can make any site adversarial at the model level
+// (flare/poison.h), and `resume` restarts a killed run from its persisted
+// checkpoint.
 #pragma once
 
 #include <chrono>
@@ -111,13 +112,11 @@ struct SimulatorConfig {
   /// Long-poll budget each client sends with get_task: the server parks the
   /// poll until a task is ready or this much time passed.
   std::int64_t long_poll_ms = 10000;
-  /// Single-box scaling knob. 0 (default): one dedicated worker thread per
-  /// site — fine up to tens of sites. > 0: multiplex all sites over a pool
-  /// of this many workers, each site's SiteSession run by continuations
-  /// on the server's async dispatcher (a 256-site federation runs on 8
-  /// workers). Both modes run the same protocol machine and per-site setup.
-  /// The multiplexed mode has no per-site connection: it throws ConfigError
-  /// when combined with use_tcp or a fault planner.
+  /// Workers in the pool that runs every site's client as continuations
+  /// (0 = one per site). A waiting site holds no worker in-process (its
+  /// long-poll parks server-side), so 256 sites run on 8 workers. With
+  /// use_tcp the pool has one worker per site whatever this says: a TCP
+  /// send holds its worker until the reply arrives.
   std::int64_t site_workers = 0;
   /// Abort if the run has not finished after this long.
   std::int64_t timeout_ms = 30 * 60 * 1000;
@@ -137,7 +136,7 @@ struct SimulatorConfig {
   SimDpConfig dp;
   /// Per-site compute-thread budget for the shared kernel pool
   /// (core/parallel.h). > 0 forces that budget; 0 divides the machine between
-  /// site workers and kernels (max(1, hw_threads - num_clients + 1)), unless
+  /// site workers and kernels (max(1, hw_threads - pool size + 1)), unless
   /// the budget was already pinned by CPPFLARE_COMPUTE_THREADS or an explicit
   /// set_compute_threads call; < 0 leaves the budget completely untouched.
   std::int64_t compute_threads = -1;
@@ -182,8 +181,8 @@ struct [[nodiscard]] SimulationResult {
   /// clipping alone offers no DP guarantee.
   double dp_epsilon_spent = 0.0;
   double dp_delta = 0.0;
-  /// Sites whose client threads failed (e.g. retry budget exhausted) while
-  /// the run still completed without them.
+  /// Sites whose clients failed (e.g. retry budget exhausted, learner threw)
+  /// while the run still completed without them, in site-index order.
   std::vector<std::string> failed_sites;
   /// Round the server resumed from (-1 for a fresh run).
   std::int64_t resumed_from_round = -1;
@@ -197,7 +196,7 @@ class SimulatorRunner {
   using LearnerFactory = std::function<std::shared_ptr<Learner>(
       std::int64_t site_index, const std::string& site_name)>;
   /// Optional hook to customize each site's protocol session (e.g. add
-  /// outbound filters); runs in both execution modes.
+  /// outbound filters).
   using ClientCustomizer = std::function<void(SiteSession&)>;
   /// Decides the fault plan for one connection attempt: `incarnation` is
   /// 0 for a site's first connection and increments on every reconnect.
@@ -235,20 +234,17 @@ class SimulatorRunner {
 
   /// Runs the federation to completion (or abort — see
   /// SimulationResult::aborted). Throws only when the run can make no
-  /// progress at all: every client failed, or the timeout expired without
-  /// the server finishing or aborting.
+  /// progress at all: every client failed (the lowest-index site's failure
+  /// is rethrown with its type, as soon as the last site ends), or the
+  /// timeout expired without the server finishing or aborting.
   SimulationResult run();
 
  private:
-  /// The site_workers > 0 path: event-driven sites multiplexed on a pool.
-  SimulationResult run_multiplexed(std::chrono::steady_clock::time_point start,
-                                   std::int64_t trace_t0);
-  /// Per-site setup shared by both paths: the customizer, then DP and
-  /// pre-scaling, then poison, and the mask filter (with its unmask
-  /// provider) last.
+  /// Per-site setup: the customizer, then DP and pre-scaling, then poison,
+  /// and the mask filter (with its unmask provider) last.
   void setup_site(std::int64_t index, SiteSession& session) const;
-  /// Shared tail of both paths: snapshot server state into the result,
-  /// close out tracing, log the outcome.
+  /// Snapshot server state into the result, close out tracing, log the
+  /// outcome.
   SimulationResult finalize(std::chrono::steady_clock::time_point start,
                             std::int64_t trace_t0,
                             std::vector<std::string> failed_sites);

@@ -9,12 +9,12 @@
 //
 // The machine owns no clock, thread or connection. `next_frame()` seals the
 // current step's request and `on_reply()` verifies the answer and advances,
-// so exactly one exchange is outstanding at a time. Two loops move it:
-// FederatedClient::run() blocks one thread per site on any Connection (with
-// reconnect, backoff and an idle bound), and the simulator's multiplexed
-// mode posts each reply as a continuation on a shared worker pool.
+// so exactly one exchange is outstanding at a time. One driver moves it:
+// FederatedClient (flare/client.h) runs it as continuations on a worker pool
+// over any Connection, with reconnect, backoff and an idle bound, for
+// simulated and deployed sites alike.
 //
-// Error classification lives here, once, for both loops:
+// Error classification lives here, once:
 //  * unverifiable replies and kRetryable errors throw TransportError — the
 //    caller resends the same step, re-sealed under a fresh sequence number;
 //  * kUnknownSession re-registers, then resends the interrupted step with

@@ -194,11 +194,17 @@ TcpConnection::~TcpConnection() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-std::vector<std::uint8_t> TcpConnection::call(
-    const std::vector<std::uint8_t>& request) {
-  CF_TRACE_SPAN("tcp.call");
-  write_frame(fd_, request);
-  return read_frame(fd_);
+void TcpConnection::send(const std::vector<std::uint8_t>& request, Done done) {
+  std::vector<std::uint8_t> reply;
+  std::exception_ptr error;
+  try {
+    CF_TRACE_SPAN("tcp.call");
+    write_frame(fd_, request);
+    reply = read_frame(fd_);
+  } catch (...) {
+    error = std::current_exception();
+  }
+  done(std::move(reply), std::move(error));
 }
 
 }  // namespace cppflare::flare

@@ -74,8 +74,9 @@ class TcpServer {
   std::unique_ptr<EpollReactor> reactor_;
 };
 
-/// Client connection to a TcpServer. `call` is blocking and NOT
-/// thread-safe; use one connection per client thread.
+/// Client connection to a TcpServer. `send` writes the frame, blocks until
+/// the reply frame is read and completes `done` inline: a TCP exchange holds
+/// its thread for the round trip. Not thread-safe; one exchange at a time.
 class TcpConnection : public Connection {
  public:
   TcpConnection(const std::string& host, std::uint16_t port);
@@ -84,7 +85,7 @@ class TcpConnection : public Connection {
   TcpConnection(const TcpConnection&) = delete;
   TcpConnection& operator=(const TcpConnection&) = delete;
 
-  std::vector<std::uint8_t> call(const std::vector<std::uint8_t>& request) override;
+  void send(const std::vector<std::uint8_t>& request, Done done) override;
 
  private:
   int fd_ = -1;

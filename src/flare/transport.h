@@ -1,10 +1,12 @@
 // Client->server request/response transports.
 //
-// The protocol layer only needs one primitive: a blocking `call` that
-// delivers sealed request bytes and returns sealed response bytes. Two
-// implementations exist:
-//  * InProcConnection — a call into the server's AsyncDispatcher, used by
-//    the simulator (NVFlare SimulatorRunner equivalent) and tests;
+// The protocol layer only needs one primitive: `Connection::send`, which
+// delivers sealed request bytes and completes through a continuation with
+// the sealed response or an error (`call` is a blocking helper over it).
+// Two implementations exist, and FaultyConnection (faults.h) decorates
+// either:
+//  * InProcConnection — hands the frame to the server's AsyncDispatcher,
+//    used by the simulator (NVFlare SimulatorRunner equivalent) and tests;
 //  * TcpConnection/TcpServer (tcp.h) — real sockets for multi-process runs.
 //
 // The server side is asynchronous: an `AsyncDispatcher` takes the request
@@ -17,9 +19,11 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <future>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -56,39 +60,76 @@ inline AsyncDispatcher make_async(Dispatcher dispatcher) {
   };
 }
 
+/// The error a `Connection::Done` gets for a failed exchange. The temporary
+/// exception dies inside this call: its copies share a reference-counted
+/// message whose count ThreadSanitizer cannot see, and `done` may hand the
+/// error to another thread at once.
+inline std::exception_ptr transport_failure(const std::string& what) {
+  return std::make_exception_ptr(TransportError(what));
+}
 
+/// A client's channel to the server. The one transport method is `send`:
+/// deliver sealed request bytes and report the outcome through `done`,
+/// exactly once, with either the sealed reply (`error` null) or the failure
+/// that replaced it. `done` may run inline, before `send` returns (a socket
+/// read, an immediate server answer), or later on another thread (a parked
+/// long-poll). One exchange at a time per connection.
 class Connection {
  public:
+  using Done = std::function<void(std::vector<std::uint8_t> reply,
+                                  std::exception_ptr error)>;
+
   virtual ~Connection() = default;
-  virtual std::vector<std::uint8_t> call(const std::vector<std::uint8_t>& request) = 0;
+  virtual void send(const std::vector<std::uint8_t>& request, Done done) = 0;
+
+  /// Blocking helper over `send`: waits for the reply and rethrows the
+  /// failure with its type.
+  std::vector<std::uint8_t> call(const std::vector<std::uint8_t>& request) {
+    auto reply = std::make_shared<std::promise<std::vector<std::uint8_t>>>();
+    std::future<std::vector<std::uint8_t>> got = reply->get_future();
+    send(request, [reply](std::vector<std::uint8_t> bytes, std::exception_ptr error) {
+      if (error) {
+        reply->set_exception(std::move(error));
+      } else {
+        reply->set_value(std::move(bytes));
+      }
+    });
+    return got.get();
+  }
 };
 
-/// In-process connection over an AsyncDispatcher: `call` blocks the calling
-/// thread until the server completes the request, so a parked long-poll
-/// costs a blocked caller thread (exactly like a socket client) instead of a
-/// retry loop. The completion may run on another thread (whichever server
-/// thread drains the park); the promise/future pair carries it back here.
+/// In-process connection over an AsyncDispatcher: `send` hands the frame to
+/// the server and returns, so a parked long-poll holds no thread. The reply
+/// arrives on whichever server thread completes it. A completion the server
+/// drops unanswered (teardown with the request still parked) reaches `done`
+/// as a TransportError: to the caller that is a dead channel.
 class InProcConnection : public Connection {
  public:
   explicit InProcConnection(AsyncDispatcher dispatcher)
       : dispatcher_(std::move(dispatcher)) {}
 
-  std::vector<std::uint8_t> call(const std::vector<std::uint8_t>& request) override {
-    auto reply = std::make_shared<std::promise<std::vector<std::uint8_t>>>();
-    std::future<std::vector<std::uint8_t>> got = reply->get_future();
-    dispatcher_(request, [reply](std::vector<std::uint8_t> response) {
-      reply->set_value(std::move(response));
+  void send(const std::vector<std::uint8_t>& request, Done done) override {
+    auto pending = std::make_shared<Pending>(std::move(done));
+    dispatcher_(request, [pending](std::vector<std::uint8_t> response) {
+      pending->answered = true;
+      pending->done(std::move(response), nullptr);
     });
-    try {
-      return got.get();
-    } catch (const std::future_error&) {
-      // The server dropped the completion without answering (teardown with
-      // the request still parked) — to the caller that is a dead channel.
-      throw TransportError("in-process channel closed with request pending");
-    }
   }
 
  private:
+  /// Shared by every copy of the server's completion; the last copy to go
+  /// reports a drop.
+  struct Pending {
+    explicit Pending(Done d) : done(std::move(d)) {}
+    ~Pending() {
+      if (!answered) {
+        done({}, transport_failure("in-process channel closed with request pending"));
+      }
+    }
+    Done done;
+    bool answered = false;
+  };
+
   AsyncDispatcher dispatcher_;
 };
 

@@ -112,9 +112,9 @@ SimulatorRunner make_runner(SimulatorConfig config, std::int64_t train_ms = 0) {
 
 class CountingEcho : public Connection {
  public:
-  std::vector<std::uint8_t> call(const std::vector<std::uint8_t>& req) override {
+  void send(const std::vector<std::uint8_t>& req, Done done) override {
     calls += 1;
-    return req;
+    done(req, nullptr);
   }
   int calls = 0;
 };
@@ -264,8 +264,8 @@ TEST_F(FaultsTest, BackoffJitterIsBoundedAndSeeded) {
 
 class DeadConnection : public Connection {
  public:
-  std::vector<std::uint8_t> call(const std::vector<std::uint8_t>&) override {
-    throw TransportError("dead connection");
+  void send(const std::vector<std::uint8_t>&, Done done) override {
+    done({}, std::make_exception_ptr(TransportError("dead connection")));
   }
 };
 

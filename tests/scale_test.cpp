@@ -1,8 +1,10 @@
 // Scaling-path tests: long-poll park/push dispatch, seeded client-sampling
 // determinism, hierarchical aggregation bitwise-matching flat FedAvg, and
-// the multiplexed (site_workers) simulator mode up to 256 sites.
+// the one site driver across pool sizes, transports and fault plans, up to
+// 256 sites.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <future>
@@ -489,8 +491,8 @@ TEST_F(ScaleTest, SamplingSameSeedSameCohortsAndBits) {
 }
 
 TEST_F(ScaleTest, SamplingCohortsIdenticalAcrossExecutionModes) {
-  // The cohort is a server-side draw: thread-per-site and multiplexed
-  // execution of the same seed see the same K-of-N sample every round and
+  // The cohort is a server-side draw: a worker per site and two workers for
+  // all sites see the same K-of-N sample every round for the same seed and
   // aggregate to the same bits.
   const SampledRun threads = run_sampled(33, 0);
   const SampledRun multiplexed = run_sampled(33, 2);
@@ -498,47 +500,24 @@ TEST_F(ScaleTest, SamplingCohortsIdenticalAcrossExecutionModes) {
   EXPECT_TRUE(bitwise_equal(threads.final_model, multiplexed.final_model));
 }
 
-// ---- multiplexed simulator mode -----------------------------------------
-
-TEST_F(ScaleTest, MultiplexedModeRejectsIncompatibleDecorators) {
-  SimulatorConfig config;
-  config.num_clients = 2;
-  config.num_rounds = 1;
-  config.site_workers = 2;
-  auto factory = [](std::int64_t i, const std::string& name) {
-    return std::make_shared<CohortLearner>(
-        name, static_cast<float>(i),
-        std::make_shared<CohortLearner::Recorder>());
-  };
-  {
-    SimulatorConfig tcp = config;
-    tcp.use_tcp = true;
-    SimulatorRunner runner(tcp, dict_of({0.0f}),
-                           std::make_unique<FedAvgAggregator>(true), factory);
-    EXPECT_THROW(runner.run(), ConfigError);
-  }
-  {
-    SimulatorRunner runner(config, dict_of({0.0f}),
-                           std::make_unique<FedAvgAggregator>(true), factory);
-    runner.set_fault_planner(
-        [](std::int64_t, const std::string&, std::int64_t) {
-          return std::optional<FaultPlan>{};
-        });
-    EXPECT_THROW(runner.run(), ConfigError);
-  }
-}
+// ---- the one site driver -----------------------------------------------
 
 /// Every site clips its update through a customizer filter, and site-2 is
-/// poisoned with seeded noise, so the mode-parity checks cover per-site
-/// setup as well as the protocol.
+/// poisoned with seeded noise, so the parity checks cover per-site setup as
+/// well as the protocol.
 nn::StateDict run_federation(std::int64_t num_clients, std::int64_t site_workers,
                              std::unique_ptr<Aggregator> aggregator,
-                             std::int64_t clients_per_round = 0) {
+                             std::int64_t clients_per_round = 0,
+                             bool use_tcp = false,
+                             SimulatorRunner::FaultPlanner faults = nullptr) {
   SimulatorConfig config;
   config.num_clients = num_clients;
   config.num_rounds = 3;
   config.clients_per_round = clients_per_round;
   config.site_workers = site_workers;
+  config.use_tcp = use_tcp;
+  // Loopback-scaled retries with headroom for the fault-plan case.
+  config.client_retry = {1, 20, 2.0, 8, 0.0, true};
   SimulatorRunner runner(config, dict_of(std::vector<float>(9, 0.0f)),
                          std::move(aggregator),
                          [&](std::int64_t i, const std::string& name) {
@@ -556,6 +535,7 @@ nn::StateDict run_federation(std::int64_t num_clients, std::int64_t site_workers
         plan.noise_sigma = 0.5;
         return plan;
       });
+  if (faults) runner.set_fault_planner(std::move(faults));
   const SimulationResult result = runner.run();
   EXPECT_FALSE(result.aborted) << result.abort_reason;
   EXPECT_EQ(result.history.size(), 3u);
@@ -563,12 +543,47 @@ nn::StateDict run_federation(std::int64_t num_clients, std::int64_t site_workers
   return result.final_model;
 }
 
-TEST_F(ScaleTest, MultiplexedMatchesThreadPerSiteBitwise) {
-  const nn::StateDict threads =
+TEST_F(ScaleTest, FinalsMatchAcrossPoolSizesAndTransports) {
+  // One driver runs every site: a worker per site (site_workers 0) and three
+  // workers for all eight, in-process and over loopback TCP (where the pool
+  // has a worker per site whatever site_workers says), reach the same bits.
+  const nn::StateDict reference =
       run_federation(8, 0, std::make_unique<FedAvgAggregator>(true));
-  const nn::StateDict multiplexed =
-      run_federation(8, 4, std::make_unique<FedAvgAggregator>(true));
-  EXPECT_TRUE(bitwise_equal(threads, multiplexed));
+  for (const std::int64_t workers : {0, 3}) {
+    for (const bool tcp : {false, true}) {
+      EXPECT_TRUE(bitwise_equal(
+          reference, run_federation(8, workers,
+                                    std::make_unique<FedAvgAggregator>(true), 0, tcp)))
+          << "site_workers " << workers << (tcp ? " over TCP" : " in-process");
+    }
+  }
+}
+
+TEST_F(ScaleTest, SmallPoolRunsTcpAndFaultPlansBitwiseEqualToClean) {
+  // Four sites on two workers: loopback TCP, and separately an in-process
+  // fault plan (drops on every connection plus one disconnect on site-3),
+  // each reach the clean in-process run's exact bits.
+  const nn::StateDict clean =
+      run_federation(4, 2, std::make_unique<FedAvgAggregator>(true));
+  EXPECT_TRUE(bitwise_equal(
+      clean, run_federation(4, 2, std::make_unique<FedAvgAggregator>(true), 0,
+                            /*use_tcp=*/true)));
+  // Every injected fault costs the site its connection, so the planner's
+  // reconnect count shows that the plan fired.
+  std::atomic<std::int64_t> reconnects{0};
+  const nn::StateDict faulty = run_federation(
+      4, 2, std::make_unique<FedAvgAggregator>(true), 0, /*use_tcp=*/false,
+      [&reconnects](std::int64_t i, const std::string&,
+                    std::int64_t incarnation) -> std::optional<FaultPlan> {
+        if (incarnation > 0) reconnects.fetch_add(1);
+        FaultPlan plan;
+        plan.seed = 0xfa17 + static_cast<std::uint64_t>(i * 1000 + incarnation);
+        plan.drop_prob = 0.2;
+        if (i == 2 && incarnation == 0) plan.disconnect_on_call = 3;
+        return plan;
+      });
+  EXPECT_GE(reconnects.load(), 2);
+  EXPECT_TRUE(bitwise_equal(clean, faulty));
 }
 
 TEST_F(ScaleTest, HierarchicalFederationMatchesFlatBitwise) {

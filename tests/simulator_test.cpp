@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <set>
+#include <stdexcept>
 #include <unistd.h>
 
 #include "core/logging.h"
@@ -212,6 +215,75 @@ TEST_F(SimulatorTest, PartialParticipationSamplesPerRound) {
   // distinct subsets occur for this seed).
   // All clients share the same target so the model still converges toward 4.
   EXPECT_GT(result.final_model.at("w").values[0], 3.0f);
+}
+
+/// A learner failure with a type of its own, so tests can check that the
+/// runner rethrows it unchanged.
+class LearnerCrash : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// HalfwayLearner for the sites in `crashing` (0-based); those throw
+/// LearnerCrash naming their site instead of training.
+SimulatorRunner::LearnerFactory crash_sites(std::set<std::int64_t> crashing) {
+  return [crashing](std::int64_t i, const std::string& name) -> std::shared_ptr<Learner> {
+    class Crashing : public Learner {
+     public:
+      explicit Crashing(std::string site) : site_(std::move(site)) {}
+      Dxo train(const Dxo&, const FLContext&) override {
+        throw LearnerCrash(site_ + ": learner crashed");
+      }
+      std::string site_name() const override { return site_; }
+
+     private:
+      std::string site_;
+    };
+    if (crashing.count(i) != 0) return std::make_shared<Crashing>(name);
+    return std::make_shared<HalfwayLearner>(name, 1.0f, 10);
+  };
+}
+
+TEST_F(SimulatorTest, FailedSitesListedInIndexOrderAtEveryPoolSize) {
+  for (const std::int64_t workers : {0, 2}) {
+    SimulatorConfig config;
+    config.num_clients = 4;
+    config.num_rounds = 2;
+    config.min_clients = 2;
+    config.round_deadline_ms = 200;
+    config.site_workers = workers;
+    SimulatorRunner runner(config, dict_of({0.0f}),
+                           std::make_unique<FedAvgAggregator>(true),
+                           crash_sites({1, 3}));
+    const SimulationResult result = runner.run();
+    EXPECT_FALSE(result.aborted) << result.abort_reason;
+    EXPECT_EQ(result.history.size(), 2u) << "site_workers " << workers;
+    EXPECT_EQ(result.failed_sites, (std::vector<std::string>{"site-2", "site-4"}))
+        << "site_workers " << workers;
+  }
+}
+
+TEST_F(SimulatorTest, EverySiteFailingRethrowsLowestIndexFailurePromptly) {
+  for (const std::int64_t workers : {0, 2}) {
+    SimulatorConfig config;
+    config.num_clients = 4;
+    config.num_rounds = 2;
+    config.timeout_ms = 20000;
+    config.site_workers = workers;
+    SimulatorRunner runner(config, dict_of({0.0f}),
+                           std::make_unique<FedAvgAggregator>(true),
+                           crash_sites({0, 1, 2, 3}));
+    const auto start = std::chrono::steady_clock::now();
+    try {
+      (void)runner.run();
+      ADD_FAILURE() << "run() returned although every site failed";
+    } catch (const LearnerCrash& e) {
+      EXPECT_EQ(std::string(e.what()), "site-1: learner crashed")
+          << "site_workers " << workers;
+    }
+    EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5))
+        << "site_workers " << workers;
+  }
 }
 
 TEST_F(SimulatorTest, RequiresLearnerFactory) {

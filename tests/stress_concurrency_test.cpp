@@ -2,7 +2,7 @@
 //
 // These tests exist to be run under ThreadSanitizer (the `tsan` preset):
 // they hammer the threaded hot paths — ThreadPool submit/shutdown, the
-// SimulatorRunner's one-thread-per-site federation, and TcpServer's
+// SimulatorRunner's pooled site clients, and TcpServer's
 // accept/serve/stop lifecycle — with enough contention that unsynchronized
 // state or fd-lifetime races become visible. Iteration counts are sized so
 // the whole suite stays in the tens of seconds even with TSan's ~10x
