@@ -4,6 +4,8 @@
 #
 #   1. cflint        static analysis (tools/cflint via scripts/lint.sh):
 #                    self-test, then the repo scan
+#      loc           code lines (neither blank nor comment-only) of src/ and
+#                    each src/<module> (scripts/loc.sh); printed, never fails
 #   2. build matrix  asan-ubsan build (the heavier preset compile)
 #   3. tsa           Clang -Wthread-safety over the CF_GUARDED_BY/CF_REQUIRES
 #                    annotations (compile-only; skipped loudly without clang++)
@@ -32,6 +34,9 @@ step() { echo; echo "==== $* ===="; }
 step "cflint"
 "${SCRIPT_DIR}/lint.sh" --self-test
 "${SCRIPT_DIR}/lint.sh"
+
+step "code lines (informational, not a gate)"
+"${SCRIPT_DIR}/loc.sh" || echo "!! loc.sh failed; continuing"
 
 step "asan-ubsan: build"
 cmake --preset asan-ubsan

@@ -10,7 +10,7 @@
 
 namespace cppflare::flare {
 
-void FedAvgAggregator::reset(const nn::StateDict& global, std::int64_t round) {
+void BufferingAggregator::reset(const nn::StateDict& global, std::int64_t round) {
   global_ = global;
   round_kind_.reset();
   pending_.clear();
@@ -18,7 +18,7 @@ void FedAvgAggregator::reset(const nn::StateDict& global, std::int64_t round) {
   metrics_.round = round;
 }
 
-bool FedAvgAggregator::accept(const std::string& site, const Dxo& contribution) {
+bool BufferingAggregator::accept(const std::string& site, const Dxo& contribution) {
   if (contribution.kind() == DxoKind::kMetrics) {
     LOG(warn).msg("Rejecting metrics-only contribution from " + site);
     return false;
@@ -53,7 +53,7 @@ bool FedAvgAggregator::accept(const std::string& site, const Dxo& contribution) 
   return true;
 }
 
-bool FedAvgAggregator::revoke(const std::string& site) {
+bool BufferingAggregator::revoke(const std::string& site) {
   auto it = pending_.find(site);
   if (it == pending_.end()) return false;
   metrics_.num_contributions -= 1;
@@ -63,6 +63,54 @@ bool FedAvgAggregator::revoke(const std::string& site) {
   LOG(info).msg("Contribution from " + site + " REVOKED at round " +
                 std::to_string(metrics_.round) + ".");
   return true;
+}
+
+nn::StateDict BufferingAggregator::aggregate() {
+  if (pending_.empty()) {
+    throw Error(name() + ": no contributions to aggregate");
+  }
+  LOG(info).msg("aggregating " + std::to_string(pending_.size()) +
+                " update(s) at round " + std::to_string(metrics_.round));
+  nn::StateDict out = reduce();
+  // The metric means are sequential double sums in site-name order, so
+  // neither arrival order nor a revoked contribution can move their bits.
+  double train_loss = 0.0, valid_acc = 0.0, valid_loss = 0.0;
+  double loss_weight_sum = 0.0;
+  for (const auto& [site, p] : pending_) {
+    if (!p.dxo.has_meta(Dxo::kMetaTrainLoss)) continue;
+    train_loss += p.weight * p.dxo.meta_double(Dxo::kMetaTrainLoss);
+    valid_acc += p.weight * p.dxo.meta_double(Dxo::kMetaValidAcc);
+    valid_loss += p.weight * p.dxo.meta_double(Dxo::kMetaValidLoss);
+    loss_weight_sum += p.weight;
+  }
+  if (loss_weight_sum > 0.0) {
+    metrics_.train_loss = train_loss / loss_weight_sum;
+    metrics_.valid_acc = valid_acc / loss_weight_sum;
+    metrics_.valid_loss = valid_loss / loss_weight_sum;
+  }
+  if (*round_kind_ == DxoKind::kWeightDiff) {
+    nn::StateDict next = global_;
+    next.axpy(1.0f, out);
+    return next;
+  }
+  return out;
+}
+
+std::int64_t BufferingAggregator::accepted_count() const {
+  return metrics_.num_contributions;
+}
+
+RoundMetrics BufferingAggregator::metrics() const { return metrics_; }
+
+nn::StateDict FedAvgAggregator::reduce() const {
+  nn::StateDict accum = reduce_pending();
+  // Sequential (doubles, site-name order) in every reduction mode, so the
+  // 1/weight_sum scale matches bitwise between flat and hierarchical
+  // aggregation.
+  double weight_sum = 0.0;
+  for (const auto& [site, p] : pending_) weight_sum += p.weight;
+  accum.scale(static_cast<float>(1.0 / weight_sum));
+  return accum;
 }
 
 nn::StateDict FedAvgAggregator::reduce_pending() const {
@@ -76,46 +124,5 @@ nn::StateDict FedAvgAggregator::reduce_pending() const {
   }
   return weighted_tree_sum(refs.data(), refs.size());
 }
-
-nn::StateDict FedAvgAggregator::aggregate() {
-  if (pending_.empty() || !round_kind_.has_value()) {
-    throw Error("FedAvgAggregator: no contributions to aggregate");
-  }
-  LOG(info).msg("aggregating " + std::to_string(metrics_.num_contributions) +
-                " update(s) at round " + std::to_string(metrics_.round));
-  nn::StateDict accum = reduce_pending();
-  // Scalar sums stay sequential (doubles, site-name order) in every
-  // reduction mode, so the 1/weight_sum scale matches bitwise between flat
-  // and hierarchical aggregation.
-  double weight_sum = 0.0;
-  double loss_weight_sum = 0.0;
-  for (const auto& [site, p] : pending_) {
-    weight_sum += p.weight;
-    if (p.dxo.has_meta(Dxo::kMetaTrainLoss)) {
-      metrics_.train_loss += p.weight * p.dxo.meta_double(Dxo::kMetaTrainLoss);
-      metrics_.valid_acc += p.weight * p.dxo.meta_double(Dxo::kMetaValidAcc);
-      metrics_.valid_loss += p.weight * p.dxo.meta_double(Dxo::kMetaValidLoss);
-      loss_weight_sum += p.weight;
-    }
-  }
-  accum.scale(static_cast<float>(1.0 / weight_sum));
-  if (loss_weight_sum > 0.0) {
-    metrics_.train_loss /= loss_weight_sum;
-    metrics_.valid_acc /= loss_weight_sum;
-    metrics_.valid_loss /= loss_weight_sum;
-  }
-  if (*round_kind_ == DxoKind::kWeightDiff) {
-    nn::StateDict next = global_;
-    next.axpy(1.0f, accum);
-    return next;
-  }
-  return accum;
-}
-
-std::int64_t FedAvgAggregator::accepted_count() const {
-  return metrics_.num_contributions;
-}
-
-RoundMetrics FedAvgAggregator::metrics() const { return metrics_; }
 
 }  // namespace cppflare::flare

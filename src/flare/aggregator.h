@@ -2,7 +2,7 @@
 //
 // Mirrors NVFlare's DXOAggregator/InTimeAccumulateWeightedAggregator:
 // contributions arrive one at a time during a round, are validated and
-// accumulated in-place, and `aggregate()` closes the round by producing the
+// buffered per site, and `aggregate()` closes the round by producing the
 // new global weights. Both full-weight (kWeights) and delta (kWeightDiff)
 // contributions are supported; kinds cannot be mixed within a round.
 #pragma once
@@ -67,13 +67,8 @@ class Aggregator {
 
   /// Withdraws a previously accepted contribution before aggregation — the
   /// hook the update validator uses to strip round-close norm outliers.
-  /// Returns false when the site has no buffered contribution or the
-  /// aggregator cannot un-accumulate (in-time accumulators); the caller
-  /// must then treat the contribution as irrevocably counted.
-  virtual bool revoke(const std::string& site) {
-    (void)site;
-    return false;
-  }
+  /// Returns false when the site has no buffered contribution.
+  virtual bool revoke(const std::string& site) = 0;
 
   /// Closes the round: returns the new global model. Throws if no
   /// contribution was accepted.
@@ -112,55 +107,76 @@ class MaskRecoveryCapable {
   virtual std::int64_t unmask_share_count() const = 0;
 };
 
-/// Federated averaging. With `weighted` the average is weighted by each
-/// contribution's num_samples meta (plain FedAvg); otherwise uniform —
-/// the ablation knob for the imbalanced-split experiment.
+/// The contribution buffer behind every aggregator here: FedAvg and the
+/// robust rules differ only in reduce().
 ///
 /// Contributions are buffered per site and reduced in site-name order when
-/// the round closes, so the result is independent of arrival order — a
-/// fault-injected run (retries, reconnects, delays) aggregates bit-for-bit
-/// identically to a clean one. Costs one buffered model per contributor,
-/// which is the price of reproducibility over NVFlare's in-time accumulate.
-///
-/// The weighted sum is computed as a *canonical pairwise tree* over the
-/// site-name-sorted contributions (flare/hierarchy.h): a fixed
-/// count-determined split shape, not a left fold. This is what lets the
-/// hierarchical tree-of-aggregators mode reproduce flat results bitwise —
-/// each leaf shard is an aligned subtree of the same canonical tree.
-class FedAvgAggregator : public Aggregator {
+/// the round closes — the model and the RoundMetrics means alike — so the
+/// result is independent of arrival order and of contributions revoked
+/// before it: a fault-injected run (retries, reconnects, delays) aggregates
+/// bit-for-bit identically to a clean one. Costs one buffered model per
+/// contributor, which is the price of reproducibility over NVFlare's
+/// in-time accumulate.
+class BufferingAggregator : public Aggregator {
  public:
-  explicit FedAvgAggregator(bool weighted = true) : weighted_(weighted) {}
-
   void reset(const nn::StateDict& global, std::int64_t round) override;
   bool accept(const std::string& site, const Dxo& contribution) override;
   bool revoke(const std::string& site) override;
   nn::StateDict aggregate() override;
   std::int64_t accepted_count() const override;
   RoundMetrics metrics() const override;
-  std::string name() const override {
-    return weighted_ ? "FedAvg(weighted)" : "FedAvg(uniform)";
-  }
-  bool weighted() const { return weighted_; }
 
  protected:
+  /// With `weighted` a contribution's weight is its num_samples meta (a
+  /// non-positive claim is refused); otherwise every weight is 1. Weights
+  /// scale the metric means and whatever reduce() does with them.
+  explicit BufferingAggregator(bool weighted) : weighted_(weighted) {}
+
   struct Pending {
     Dxo dxo;
     double weight = 0.0;
   };
 
-  /// Reduction hook: returns the weighted *sum* of pending_ (unscaled).
-  /// The base implementation is one canonical pairwise tree over all
-  /// contributions in site-name order; HierarchicalFedAvgAggregator
-  /// overrides it with a leaf/root split that reduces to the same bits.
-  /// Scalar bookkeeping (weight sum, metric means) stays in aggregate(),
-  /// sequential over the same order in every mode.
-  virtual nn::StateDict reduce_pending() const;
+  /// Reduces pending_ (never empty) to the round's result in the
+  /// contributions' own kind; aggregate() adds a kWeightDiff result to the
+  /// global model.
+  virtual nn::StateDict reduce() const = 0;
 
   bool weighted_;
   nn::StateDict global_;
   std::optional<DxoKind> round_kind_;
   std::map<std::string, Pending> pending_;  // site -> buffered contribution
   RoundMetrics metrics_{};
+};
+
+/// Federated averaging. With `weighted` the average is weighted by each
+/// contribution's num_samples meta (plain FedAvg); otherwise uniform —
+/// the ablation knob for the imbalanced-split experiment.
+///
+/// The weighted sum is computed as a *canonical pairwise tree* over the
+/// site-name-sorted contributions (flare/hierarchy.h): a fixed
+/// count-determined split shape, not a left fold. This is what lets the
+/// hierarchical tree-of-aggregators mode reproduce flat results bitwise —
+/// each leaf shard is an aligned subtree of the same canonical tree.
+class FedAvgAggregator : public BufferingAggregator {
+ public:
+  explicit FedAvgAggregator(bool weighted = true) : BufferingAggregator(weighted) {}
+
+  std::string name() const override {
+    return weighted_ ? "FedAvg(weighted)" : "FedAvg(uniform)";
+  }
+  bool weighted() const { return weighted_; }
+
+ protected:
+  /// reduce_pending() scaled by 1/weight_sum, the weight sum a sequential
+  /// double sum in site-name order in every reduction mode.
+  nn::StateDict reduce() const final;
+
+  /// Returns the weighted *sum* of pending_ (unscaled). The base
+  /// implementation is one canonical pairwise tree over all contributions
+  /// in site-name order; HierarchicalFedAvgAggregator overrides it with a
+  /// leaf/root split that reduces to the same bits.
+  virtual nn::StateDict reduce_pending() const;
 };
 
 }  // namespace cppflare::flare

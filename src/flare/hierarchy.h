@@ -24,7 +24,7 @@
 //
 // Scalar bookkeeping (weight sums, loss-weighted metric means) is NOT tree
 // reduced: it stays a sequential double sum over the same sorted order in
-// both modes (see FedAvgAggregator::aggregate), so the final 1/weight_sum
+// both modes (see FedAvgAggregator::reduce), so the final 1/weight_sum
 // scale matches too.
 #pragma once
 

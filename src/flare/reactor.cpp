@@ -70,7 +70,7 @@ void EpollReactor::CompletionSink::push(Completion c) {
 }
 
 EpollReactor::EpollReactor(int listen_fd, AsyncDispatcher dispatcher,
-                           ReactorOptions options)
+                           TcpServerOptions options)
     : dispatcher_(std::move(dispatcher)),
       options_(options),
       listen_fd_(listen_fd) {
@@ -251,7 +251,7 @@ void EpollReactor::conn_readable(Conn& conn) {
   // Frame reassembly: u32 little-endian length prefix, then the payload.
   // Consume every complete frame, keep the tail for the next readable event.
   std::size_t consumed = 0;
-  const std::uint32_t cap = std::min(options_.max_frame_bytes, 64u << 20);
+  const std::uint32_t cap = options_.max_frame_bytes;
   while (conn.inbuf.size() - consumed >= 4) {
     std::uint32_t len = 0;
     for (int i = 0; i < 4; ++i) {

@@ -41,29 +41,21 @@
 
 #include "core/thread_annotations.h"
 #include "core/thread_pool.h"
+#include "flare/tcp.h"
 #include "flare/transport.h"
 
 namespace cppflare::flare {
 
-struct ReactorOptions {
-  /// Idle-connection sweep deadline: a connection with no traffic and no
-  /// in-flight (or parked) request for this long is closed (0 = never).
-  /// The sweep granularity is io_timeout_ms/4 clamped to [10, 1000] ms.
-  std::int64_t io_timeout_ms = 300000;
-  /// Per-connection cap on the announced frame length; an oversized
-  /// announcement closes the connection before any payload byte is read.
-  std::uint32_t max_frame_bytes = 64u << 20;
-  /// Request-handling worker threads (0 = min(8, hardware/2, >=2)).
-  std::size_t worker_threads = 0;
-};
-
 /// The reactor behind TcpServer. Takes ownership of a bound+listening fd at
 /// construction, serves it until stop() (idempotent, thread-safe), and joins
-/// the reactor thread and worker pool before stop() returns.
+/// the reactor thread and worker pool before stop() returns. `options` come
+/// from TcpServer, which has already clamped max_frame_bytes to
+/// kMaxFrameBytes; the sweep granularity is io_timeout_ms/4 clamped to
+/// [10, 1000] ms.
 class EpollReactor {
  public:
   EpollReactor(int listen_fd, AsyncDispatcher dispatcher,
-               ReactorOptions options);
+               TcpServerOptions options);
   ~EpollReactor();
 
   EpollReactor(const EpollReactor&) = delete;
@@ -121,7 +113,7 @@ class EpollReactor {
   void close_all();
 
   AsyncDispatcher dispatcher_;
-  ReactorOptions options_;
+  TcpServerOptions options_;
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
   int event_fd_ = -1;

@@ -4,95 +4,18 @@
 #include <cmath>
 
 #include "core/error.h"
-#include "core/logging.h"
-
-#define CPPFLARE_LOG_COMPONENT "RobustAggregator"
 
 namespace cppflare::flare {
 
-void BufferingAggregator::reset(const nn::StateDict& global, std::int64_t round) {
-  global_ = global;
-  round_kind_.reset();
-  contributions_.clear();
-  metrics_ = RoundMetrics{};
-  metrics_.round = round;
-  loss_weight_sum_ = 0.0;
-}
-
-bool BufferingAggregator::accept(const std::string& site, const Dxo& contribution) {
-  if (contribution.kind() == DxoKind::kMetrics) return false;
-  if (contributions_.count(site) != 0) {
-    LOG(warn).msg("Duplicate contribution from " + site + " ignored");
-    return false;
-  }
-  if (round_kind_.has_value() && *round_kind_ != contribution.kind()) {
-    LOG(warn).msg("Mixed DXO kinds in one round; rejecting " + site);
-    return false;
-  }
-  if (!contribution.data().congruent_with(global_)) {
-    LOG(warn).msg("Incongruent model from " + site + " rejected");
-    return false;
-  }
-  round_kind_ = contribution.kind();
-  Entry entry;
-  entry.data = contribution.data();
-  entry.samples = contribution.meta_int(Dxo::kMetaNumSamples, 1);
-  metrics_.num_contributions += 1;
-  metrics_.total_samples += entry.samples;
-  if (contribution.has_meta(Dxo::kMetaTrainLoss)) {
-    const double w = static_cast<double>(entry.samples);
-    entry.has_loss = true;
-    entry.train_loss = w * contribution.meta_double(Dxo::kMetaTrainLoss);
-    entry.valid_acc = w * contribution.meta_double(Dxo::kMetaValidAcc);
-    entry.valid_loss = w * contribution.meta_double(Dxo::kMetaValidLoss);
-    metrics_.train_loss += entry.train_loss;
-    metrics_.valid_acc += entry.valid_acc;
-    metrics_.valid_loss += entry.valid_loss;
-    loss_weight_sum_ += w;
-  }
-  contributions_.emplace(site, std::move(entry));
-  return true;
-}
-
-bool BufferingAggregator::revoke(const std::string& site) {
-  auto it = contributions_.find(site);
-  if (it == contributions_.end()) return false;
-  const Entry& entry = it->second;
-  metrics_.num_contributions -= 1;
-  metrics_.total_samples -= entry.samples;
-  if (entry.has_loss) {
-    metrics_.train_loss -= entry.train_loss;
-    metrics_.valid_acc -= entry.valid_acc;
-    metrics_.valid_loss -= entry.valid_loss;
-    loss_weight_sum_ -= static_cast<double>(entry.samples);
-  }
-  contributions_.erase(it);
-  if (contributions_.empty()) round_kind_.reset();
-  LOG(info).msg("Contribution from " + site + " REVOKED at round " +
-                std::to_string(metrics_.round) + ".");
-  return true;
-}
-
-nn::StateDict BufferingAggregator::aggregate() {
-  if (contributions_.empty()) {
-    throw Error("BufferingAggregator: no contributions to aggregate");
-  }
-  if (loss_weight_sum_ > 0.0) {
-    metrics_.train_loss /= loss_weight_sum_;
-    metrics_.valid_acc /= loss_weight_sum_;
-    metrics_.valid_loss /= loss_weight_sum_;
-  }
-  LOG(info).msg("robust-aggregating " + std::to_string(contributions_.size()) +
-                " update(s) at round " + std::to_string(metrics_.round));
-
+nn::StateDict CoordinateWiseAggregator::reduce() const {
   nn::StateDict out = global_;  // structure template
-  std::vector<float> column(contributions_.size());
+  std::vector<float> column(pending_.size());
   for (auto& [name, blob] : out.entries()) {
     // Hoist the per-blob lookups out of the per-coordinate loop.
     std::vector<const std::vector<float>*> sources;
-    sources.reserve(contributions_.size());
-    for (const auto& [site, entry] : contributions_) {
-      sources.push_back(&entry.data.at(name).values);
+    sources.reserve(pending_.size());
+    for (const auto& [site, p] : pending_) {
+      sources.push_back(&p.dxo.data().at(name).values);
     }
     for (std::size_t i = 0; i < blob.values.size(); ++i) {
       for (std::size_t c = 0; c < sources.size(); ++c) {
@@ -101,19 +24,8 @@ nn::StateDict BufferingAggregator::aggregate() {
       blob.values[i] = combine(column);
     }
   }
-  if (*round_kind_ == DxoKind::kWeightDiff) {
-    nn::StateDict next = global_;
-    next.axpy(1.0f, out);
-    return next;
-  }
   return out;
 }
-
-std::int64_t BufferingAggregator::accepted_count() const {
-  return metrics_.num_contributions;
-}
-
-RoundMetrics BufferingAggregator::metrics() const { return metrics_; }
 
 namespace {
 /// operator< on floats is not a strict weak ordering once NaN appears, and

@@ -8,14 +8,15 @@
 //  * TrimmedMeanAggregator — drop the k largest and k smallest values per
 //    coordinate, average the rest.
 //
-// Both ignore sample weights (robustness and weighting conflict: a
-// malicious client could claim a huge sample count). Contributions are
-// buffered per round, so memory is O(clients * model size).
+// Both are FedAvg's BufferingAggregator with another reduce(): the same
+// validation (a non-positive sample claim is refused, as FedAvg does), the
+// same revocation, and the same site-order RoundMetrics, whose means stay
+// sample-weighted. The reduction itself ignores sample weights (robustness
+// and weighting conflict: a malicious client could claim a huge sample
+// count). Memory is O(clients * model size).
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,40 +24,18 @@
 
 namespace cppflare::flare {
 
-/// Shared buffering logic for aggregate-at-end robust rules.
-class BufferingAggregator : public Aggregator {
- public:
-  void reset(const nn::StateDict& global, std::int64_t round) override;
-  bool accept(const std::string& site, const Dxo& contribution) override;
-  bool revoke(const std::string& site) override;
-  nn::StateDict aggregate() override;
-  std::int64_t accepted_count() const override;
-  RoundMetrics metrics() const override;
-
+/// A coordinate-wise robust rule: reduce() gathers each coordinate's values
+/// across the buffered contributions (site-name order) and combines them.
+class CoordinateWiseAggregator : public BufferingAggregator {
  protected:
-  /// Combines one coordinate's sorted values into the aggregate value.
+  CoordinateWiseAggregator() : BufferingAggregator(/*weighted=*/true) {}
+
+  nn::StateDict reduce() const final;
+  /// Combines one coordinate's values (any order) into the aggregate value.
   virtual float combine(std::vector<float>& values) const = 0;
-
- private:
-  /// One buffered contribution plus the metric sums it added, so revoke()
-  /// can reverse the accounting exactly.
-  struct Entry {
-    nn::StateDict data;
-    std::int64_t samples = 0;
-    bool has_loss = false;
-    double train_loss = 0.0;
-    double valid_acc = 0.0;
-    double valid_loss = 0.0;
-  };
-
-  nn::StateDict global_;
-  std::optional<DxoKind> round_kind_;
-  std::map<std::string, Entry> contributions_;
-  RoundMetrics metrics_{};
-  double loss_weight_sum_ = 0.0;
 };
 
-class MedianAggregator : public BufferingAggregator {
+class MedianAggregator : public CoordinateWiseAggregator {
  public:
   std::string name() const override { return "CoordinateMedian"; }
 
@@ -64,7 +43,7 @@ class MedianAggregator : public BufferingAggregator {
   float combine(std::vector<float>& values) const override;
 };
 
-class TrimmedMeanAggregator : public BufferingAggregator {
+class TrimmedMeanAggregator : public CoordinateWiseAggregator {
  public:
   /// Trims `trim` values from each tail per coordinate. Requires
   /// contributions > 2*trim at aggregate time.

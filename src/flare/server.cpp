@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <ranges>
+#include <utility>
 
 #include "core/crashpoint.h"
 #include "core/error.h"
@@ -81,6 +83,7 @@ FederatedServer::FederatedServer(ServerConfig config,
   }
   if (config_.num_rounds <= 0) throw Error("FederatedServer: num_rounds must be > 0");
   mask_recovery_ = dynamic_cast<MaskRecoveryCapable*>(aggregator_.get());
+  for (const auto& [name, credential] : registry_) sites_.emplace(name, Site{});
   if (config_.secure_agg.enabled) {
     if (mask_recovery_ == nullptr) {
       throw ConfigError(
@@ -152,7 +155,7 @@ FederatedServer::~FederatedServer() {
     // ended, kNone otherwise) so no transport continuation outlives us.
     for (auto& [sender, park] : parked_) {
       ready_replies_.push_back(ReadyReply{sender, std::move(park.key),
-                                          poll_reply_locked(sender),
+                                          poll_reply_locked(sites_.at(sender)),
                                           std::move(park.respond)});
     }
     parked_.clear();
@@ -182,6 +185,9 @@ void FederatedServer::dispatch(const std::vector<std::uint8_t>& request,
                                RespondFn respond) {
   std::string sender;
   std::vector<std::uint8_t> key;
+  auto reply_error = [&](const std::string& what, ErrorCode code) {
+    respond(seal_as_server(sender, key, pack(ErrorMessage{what, code})));
+  };
   try {
     sender = peek_sender(request);
     auto cred_it = registry_.find(sender);
@@ -196,8 +202,7 @@ void FederatedServer::dispatch(const std::vector<std::uint8_t>& request,
       // The frame failed verification *before* it was trusted: a corrupted
       // or truncated envelope. That is damage in flight, not a misbehaving
       // application — tell the client to re-seal and resend.
-      respond(seal_as_server(
-          sender, key, pack(ErrorMessage{e.what(), ErrorCode::kRetryable})));
+      reply_error(e.what(), ErrorCode::kRetryable);
       return;
     }
     if (env.job_id != config_.job_id) {
@@ -207,11 +212,9 @@ void FederatedServer::dispatch(const std::vector<std::uint8_t>& request,
       // credential across jobs, so a replayed high-sequence frame from
       // another job must not poison this job's per-sender sequence state
       // (it would wedge the site's legitimate client as a false replay).
-      respond(seal_as_server(
-          sender, key,
-          pack(ErrorMessage{"frame bound to job '" + env.job_id +
-                                "' reached job '" + config_.job_id + "'",
-                            ErrorCode::kWrongJob})));
+      reply_error("frame bound to job '" + env.job_id + "' reached job '" +
+                      config_.job_id + "'",
+                  ErrorCode::kWrongJob);
       return;
     }
     try {
@@ -219,8 +222,7 @@ void FederatedServer::dispatch(const std::vector<std::uint8_t>& request,
     } catch (const std::exception& e) {
       // Replayed envelope: retryable, the client re-seals with a fresh
       // sequence and resends.
-      respond(seal_as_server(
-          sender, key, pack(ErrorMessage{e.what(), ErrorCode::kRetryable})));
+      reply_error(e.what(), ErrorCode::kRetryable);
       return;
     }
     record_liveness(sender);
@@ -230,18 +232,15 @@ void FederatedServer::dispatch(const std::vector<std::uint8_t>& request,
       respond(seal_as_server(sender, key, handle_frame(sender, env.payload)));
     }
   } catch (const UnknownSessionError& e) {
-    respond(seal_as_server(
-        sender, key, pack(ErrorMessage{e.what(), ErrorCode::kUnknownSession})));
+    reply_error(e.what(), ErrorCode::kUnknownSession);
   } catch (const TransportError& e) {
-    respond(seal_as_server(
-        sender, key, pack(ErrorMessage{e.what(), ErrorCode::kRetryable})));
+    reply_error(e.what(), ErrorCode::kRetryable);
   } catch (const std::exception& e) {
     // Errors to authenticated-but-misbehaving peers are sealed too when we
     // know the key; otherwise send a plain error envelope under an empty
     // key (the client will fail verification, which is the right outcome
     // for an unknown sender).
-    respond(seal_as_server(sender, key,
-                           pack(ErrorMessage{e.what(), ErrorCode::kFatal})));
+    reply_error(e.what(), ErrorCode::kFatal);
   }
   // The request may have advanced the round and released parked polls (or
   // staged this get_task's own reply); deliver them now that mu_ is free.
@@ -254,13 +253,10 @@ void FederatedServer::park_or_reply_get_task(const std::string& sender,
                                              RespondFn& respond) {
   core::MutexLock lock(mu_);
   CF_TRACE_SPAN_SITE("server.get_task", sender, round_);
-  auto it = sessions_.find(sender);
-  if (it == sessions_.end() || it->second != req.session_id) {
-    throw UnknownSessionError("get_task: no active session for '" + sender + "'");
-  }
+  const Site& site = session_site_locked(sender, req.session_id, "get_task");
   // A poll changes no round state: deadlines, eviction, recovery waves and
   // park expiry all belong to the ticker.
-  if (req.wait_ms > 0 && poll_parks_locked(sender)) {
+  if (req.wait_ms > 0 && poll_parks_locked(site)) {
     // Park until the answer changes (round opens/advances/stops, or mask
     // recovery wants a share) or the clamped wait expires. One park per
     // site: a newer poll means the old connection is gone, so complete its
@@ -269,7 +265,7 @@ void FederatedServer::park_or_reply_get_task(const std::string& sender,
     if (existing != parked_.end()) {
       ready_replies_.push_back(ReadyReply{sender,
                                           std::move(existing->second.key),
-                                          poll_reply_locked(sender),
+                                          poll_reply_locked(site),
                                           std::move(existing->second.respond)});
       parked_.erase(existing);
     }
@@ -283,7 +279,17 @@ void FederatedServer::park_or_reply_get_task(const std::string& sender,
     return;
   }
   ready_replies_.push_back(
-      ReadyReply{sender, key, poll_reply_locked(sender), std::move(respond)});
+      ReadyReply{sender, key, poll_reply_locked(site), std::move(respond)});
+}
+
+FederatedServer::Site& FederatedServer::session_site_locked(
+    const std::string& sender, const std::string& session_id, const char* what) {
+  Site& site = sites_.at(sender);
+  if (!site.registered() || site.session != session_id) {
+    throw UnknownSessionError(std::string(what) + ": no active session for '" +
+                              sender + "'");
+  }
+  return site;
 }
 
 std::vector<std::uint8_t> FederatedServer::handle_frame(
@@ -302,8 +308,9 @@ std::vector<std::uint8_t> FederatedServer::handle_frame(
 
 void FederatedServer::record_liveness(const std::string& sender) {
   core::MutexLock lock(mu_);
-  last_seen_[sender] = std::chrono::steady_clock::now();
-  if (evicted_.erase(sender) != 0) {
+  Site& site = sites_.at(sender);
+  site.last_seen = std::chrono::steady_clock::now();
+  if (std::exchange(site.evicted, false)) {
     LOG_AS(kClientManager, info)
         .msg("Site seen again; re-admitted to the quorum")
         .kv("site", sender)
@@ -323,26 +330,26 @@ std::vector<std::uint8_t> FederatedServer::on_register(const std::string& sender
     return pack(RegisterAck{false, "", "invalid token"});
   }
   core::MutexLock lock(mu_);
-  auto existing = sessions_.find(sender);
-  if (existing != sessions_.end()) {
+  Site& site = sites_.at(sender);
+  if (site.registered()) {
     // Idempotent re-registration: a client that reconnected resumes its
     // session (and sequence state) instead of forking a second identity.
     LOG_AS(kClientManager, info)
         .msg("Client re-registered; resuming session")
         .kv("site", sender)
-        .kv("session", existing->second);
+        .kv("session", site.session);
     return pack(RegisterAck{
-        true, existing->second,
+        true, site.session,
         "Resumed session for client:" + sender + " in project " + config_.job_id});
   }
-  const std::string session =
-      "sess-" + std::to_string(++session_counter_) + "-" + sender;
-  sessions_[sender] = session;
+  site.session = "sess-" + std::to_string(++session_counter_) + "-" + sender;
+  const std::int64_t registered =
+      std::ranges::count_if(sites_ | std::views::values, &Site::registered);
   LOG_AS(kClientManager, info)
       .msg("Client: New client " + sender + "@127.0.0.1 joined. Sent token: " +
-           cred.token + ". Total clients: " + std::to_string(sessions_.size()));
+           cred.token + ". Total clients: " + std::to_string(registered));
   if (!started_ && !finished_ && !aborted_ &&
-      static_cast<std::int64_t>(sessions_.size()) >= config_.expected_clients) {
+      registered >= config_.expected_clients) {
     started_ = true;
     events_.fire(EventType::kStartRun, make_context_locked());
     start_round_locked();
@@ -353,32 +360,32 @@ std::vector<std::uint8_t> FederatedServer::on_register(const std::string& sender
     service_parked_locked();
   }
   return pack(RegisterAck{
-      true, session,
+      true, site.session,
       "Successfully registered client:" + sender + " for project " +
           config_.job_id + ". Token:" + cred.token});
 }
 
-TaskKind FederatedServer::task_kind_locked(const std::string& sender) const {
+TaskKind FederatedServer::task_kind_locked(const Site& site) const {
   if (finished_ || aborted_) return TaskKind::kStop;
-  if (!started_ || resolved_locked(sender) || !participates_locked(sender)) {
+  if (!started_ || site.outcome != Site::Outcome::kOpen || !site.in_cohort) {
     return TaskKind::kNone;
   }
   return TaskKind::kTrain;
 }
 
-bool FederatedServer::poll_parks_locked(const std::string& sender) const {
+bool FederatedServer::poll_parks_locked(const Site& site) const {
   if (finished_ || aborted_) return false;
   // A round frozen in mask recovery has work only for share-owing survivors.
-  if (phase_ == RoundPhase::kRecovering) return unmask_pending_.count(sender) == 0;
-  return task_kind_locked(sender) == TaskKind::kNone;
+  if (phase_ == RoundPhase::kRecovering) return !site.owes_share;
+  return task_kind_locked(site) == TaskKind::kNone;
 }
 
-FederatedServer::Body FederatedServer::poll_reply_locked(const std::string& sender) {
+FederatedServer::Body FederatedServer::poll_reply_locked(const Site& site) {
   TaskMessage task;
   task.round = round_;
   task.total_rounds = config_.num_rounds;
   if (phase_ == RoundPhase::kRecovering && !finished_ && !aborted_) {
-    if (unmask_pending_.count(sender) != 0) {
+    if (site.owes_share) {
       // The skeleton lets a survivor restarted after a coordinator crash
       // (its mask filter's upload-time state gone) still derive its share.
       return body_of(
@@ -388,7 +395,7 @@ FederatedServer::Body FederatedServer::poll_reply_locked(const std::string& send
     // The round is frozen: nobody else gets work until recovery resolves.
     return body_of(pack(task));
   }
-  task.task = task_kind_locked(sender);
+  task.task = task_kind_locked(site);
   if (task.task == TaskKind::kTrain) return train_task_locked();
   return body_of(pack(task));
 }
@@ -415,15 +422,16 @@ void FederatedServer::service_parked_locked() {
   if (parked_.empty()) return;
   const auto now = std::chrono::steady_clock::now();
   for (auto it = parked_.begin(); it != parked_.end();) {
-    if (now < it->second.deadline && poll_parks_locked(it->first)) {
+    Site& site = sites_.at(it->first);
+    if (now < it->second.deadline && poll_parks_locked(site)) {
       ++it;
       continue;
     }
     // Completing a park is traffic from the site's point of view: the
     // client was waiting on us, not silent — refresh its liveness clock.
-    last_seen_[it->first] = now;
+    site.last_seen = now;
     ready_replies_.push_back(ReadyReply{it->first, std::move(it->second.key),
-                                        poll_reply_locked(it->first),
+                                        poll_reply_locked(site),
                                         std::move(it->second.respond)});
     it = parked_.erase(it);
   }
@@ -500,6 +508,7 @@ void FederatedServer::record_rejection_locked(RejectReason reason) {
       .counter(std::string(metric_names::kRejectionPrefix) +
                reject_reason_name(reason))
       .add(1);
+  round_rejections_[reject_reason_name(reason)] += 1;
   if (reason != RejectReason::kQuarantined) {
     metrics_.counter(metric_names::kServerContribRejected).add(1);
   }
@@ -521,29 +530,11 @@ void FederatedServer::record_site_metrics_locked(const std::string& site,
       .set(contribution.meta_double(Dxo::kMetaValidLoss, 0.0));
 }
 
-/// This round's rejection tally: current counters minus the round-start
-/// baseline, keyed by reason name (counter name with the prefix stripped).
-std::map<std::string, std::int64_t> FederatedServer::round_rejects_locked() const {
-  const std::string prefix = metric_names::kRejectionPrefix;
-  std::map<std::string, std::int64_t> out;
-  for (const auto& [name, value] :
-       metrics_.snapshot().counters_with_prefix(prefix)) {
-    std::int64_t base = 0;
-    auto it = reject_baseline_.find(name);
-    if (it != reject_baseline_.end()) base = it->second;
-    if (value > base) out[name.substr(prefix.size())] = value - base;
-  }
-  return out;
-}
-
 std::vector<std::uint8_t> FederatedServer::on_submit(const std::string& sender,
                                                      SubmitUpdateRequest req) {
   core::MutexLock lock(mu_);
   CF_TRACE_SPAN_SITE("server.submit", sender, round_);
-  auto it = sessions_.find(sender);
-  if (it == sessions_.end() || it->second != req.session_id) {
-    throw UnknownSessionError("submit: no active session for '" + sender + "'");
-  }
+  const Site& site = session_site_locked(sender, req.session_id, "submit");
   if (finished_) {
     return pack(SubmitAck{false, "run already finished", RejectReason::kRunOver});
   }
@@ -563,16 +554,16 @@ std::vector<std::uint8_t> FederatedServer::on_submit(const std::string& sender,
     }
     return pack(SubmitAck{false, "stale round", RejectReason::kStaleRound});
   }
-  if (submitted_.count(sender) != 0) {
+  if (site.outcome == Site::Outcome::kAccepted) {
     // At-least-once delivery: the first submit landed but its ack was lost
     // and the client resent. Dedup here; the client maps this message back
     // to success.
     return pack(SubmitAck{false, kDuplicateContribution, RejectReason::kDuplicate});
   }
-  if (rejected_acks_.count(sender) != 0) {
+  if (site.outcome == Site::Outcome::kRejected) {
     // Already resolved this round with a rejection; answer resends with
     // the same verdict (at-least-once delivery, idempotent acks).
-    return pack(rejected_acks_.at(sender));
+    return pack(site.rejected_ack);
   }
   if (phase_ == RoundPhase::kRecovering) {
     // The round is frozen mid-recovery: this site is in the dropped set,
@@ -582,7 +573,7 @@ std::vector<std::uint8_t> FederatedServer::on_submit(const std::string& sender,
     return pack(SubmitAck{false, "round frozen in mask recovery",
                           RejectReason::kRecoveryInProgress});
   }
-  if (!participates_locked(sender)) {
+  if (!site.in_cohort) {
     return pack(SubmitAck{false, "not sampled for this round",
                           RejectReason::kNotSampled});
   }
@@ -608,7 +599,7 @@ std::vector<std::uint8_t> FederatedServer::on_submit(const std::string& sender,
                                   verdict.detail, norm);
     }
     score_quarantined_locked(sender, verdict, norm);
-    ack = rejected_acks_.at(sender);
+    ack = site.rejected_ack;
   } else if (const Verdict verdict =
                  validator_.admit(*aggregator_, sender, contribution);
              !verdict.ok()) {
@@ -635,7 +626,7 @@ std::vector<std::uint8_t> FederatedServer::on_submit(const std::string& sender,
 }
 
 void FederatedServer::accept_locked(const std::string& site) {
-  submitted_.insert(site);
+  sites_[site].outcome = Site::Outcome::kAccepted;
   metrics_.counter(metric_names::kServerContribAccepted).add(1);
 }
 
@@ -647,30 +638,28 @@ void FederatedServer::reject_locked(const std::string& site, SubmitAck ack) {
         .kv("site", site)
         .kv("strikes", config_.reputation.quarantine_after);
   }
-  rejected_acks_[site] = std::move(ack);
+  Site& record = sites_[site];
+  record.outcome = Site::Outcome::kRejected;
+  record.rejected_ack = std::move(ack);
 }
 
 void FederatedServer::score_quarantined_locked(const std::string& site,
                                                Verdict verdict, double norm) {
-  scored_quarantined_[site] = ScoredUpload{std::move(verdict), norm};
   record_rejection_locked(RejectReason::kQuarantined);
-  rejected_acks_[site] = SubmitAck{
-      false, "quarantined: update scored but excluded from aggregation",
-      RejectReason::kQuarantined};
-}
-
-void FederatedServer::evict_locked(const std::string& site) {
-  evicted_.insert(site);
+  Site& record = sites_[site];
+  record.scored = std::move(verdict);
+  record.scored_norm = norm;
+  record.outcome = Site::Outcome::kRejected;
+  record.rejected_ack =
+      SubmitAck{false, "quarantined: update scored but excluded from aggregation",
+                RejectReason::kQuarantined};
 }
 
 std::vector<std::uint8_t> FederatedServer::on_unmask(const std::string& sender,
                                                      const UnmaskResponse& req) {
   core::MutexLock lock(mu_);
   CF_TRACE_SPAN_SITE("server.unmask", sender, round_);
-  auto it = sessions_.find(sender);
-  if (it == sessions_.end() || it->second != req.session_id) {
-    throw UnknownSessionError("unmask: no active session for '" + sender + "'");
-  }
+  const Site& site = session_site_locked(sender, req.session_id, "unmask");
   if (finished_) {
     return pack(SubmitAck{false, "run already finished", RejectReason::kRunOver});
   }
@@ -691,7 +680,7 @@ std::vector<std::uint8_t> FederatedServer::on_unmask(const std::string& sender,
     return pack(
         SubmitAck{false, "stale recovery wave", RejectReason::kStaleRound});
   }
-  if (unmask_pending_.count(sender) == 0) {
+  if (!site.owes_share) {
     // Duplicate delivery of a share already recorded this wave; the client
     // maps the duplicate-contribution message back to success.
     return pack(
@@ -720,14 +709,15 @@ FLContext FederatedServer::make_context_locked() const {
 }
 
 void FederatedServer::record_share_locked(const std::string& site) {
-  unmask_pending_.erase(site);
+  sites_[site].owes_share = false;
   metrics_.counter(metric_names::kServerUnmaskShares).add(1);
   LOG_AS(kSag, info)
       .msg("Unmask share recorded")
       .kv("site", site)
       .kv("round", round_)
       .kv("wave", recovery_wave_)
-      .kv("outstanding", static_cast<std::int64_t>(unmask_pending_.size()));
+      .kv("outstanding",
+          std::ranges::count(sites_ | std::views::values, true, &Site::owes_share));
 }
 
 void FederatedServer::start_round_locked() {
@@ -742,17 +732,14 @@ void FederatedServer::start_round_locked() {
   if (open_round_ == round_) {
     // Already open: rebuilt by journal replay, or opened when a replayed
     // recovery finished before the run started. Its cohort is the journaled
-    // one and the rejection baseline stays empty — this process's counters
-    // started at zero and replay re-counted exactly the rejections before
-    // the crash. Reopening would fork the round; only the clock restarts.
+    // one and replay re-counted exactly the rejections before the crash.
+    // Reopening would fork the round; only the clock restarts.
     LOG_AS(kSag, info)
         .msg("Round " + std::to_string(round_) + " resumed mid-flight.")
         .kv("accepted", aggregator_->accepted_count())
         .kv("recovering", phase_ == RoundPhase::kRecovering);
     return;
   }
-  reject_baseline_ = metrics_.snapshot().counters_with_prefix(
-      metric_names::kRejectionPrefix);
   const std::vector<std::string> cohort = sample_cohort_locked();
   if (journal_) {
     journal_->round_open(round_, cohort);
@@ -764,7 +751,14 @@ void FederatedServer::start_round_locked() {
 }
 
 void FederatedServer::open_round_locked(const std::vector<std::string>& cohort) {
-  sampled_ = std::set<std::string>(cohort.begin(), cohort.end());
+  for (auto& [name, site] : sites_) {
+    site.in_cohort =
+        cohort.empty() || std::binary_search(cohort.begin(), cohort.end(), name);
+    site.outcome = Site::Outcome::kOpen;
+    site.scored.reset();
+    site.owes_share = false;
+  }
+  round_rejections_.clear();
   open_round_ = round_;
 }
 
@@ -806,7 +800,7 @@ void FederatedServer::apply_journal_locked(const JournalReplay& replay) {
             ev.norm);
         break;
       case JournalEventType::kEviction:
-        evict_locked(ev.site);
+        sites_[ev.site].evicted = true;
         break;
       case JournalEventType::kRecoveryBegin:
         if (mask_recovery_ == nullptr) {
@@ -838,7 +832,8 @@ void FederatedServer::apply_journal_locked(const JournalReplay& replay) {
       .kv("round", round_)
       .kv("events", static_cast<std::int64_t>(replay.events.size()))
       .kv("accepted", aggregator_->accepted_count())
-      .kv("rejected", static_cast<std::int64_t>(rejected_acks_.size()))
+      .kv("rejected", std::ranges::count(sites_ | std::views::values,
+                                         Site::Outcome::kRejected, &Site::outcome))
       .kv("recovering", phase_ == RoundPhase::kRecovering)
       .kv("torn_bytes", static_cast<std::int64_t>(replay.torn_bytes));
 }
@@ -862,31 +857,30 @@ void FederatedServer::settle_round_verdicts_locked() {
         .msg("Update revoked at round close")
         .kv("site", site)
         .kv("detail", verdict.detail);
-    submitted_.erase(site);
     reject_locked(site, SubmitAck{false,
                                   "rejected: norm_outlier (" + verdict.detail + ")",
                                   RejectReason::kNormOutlier});
   }
-  // Sites whose contributions survived to aggregation were clean.
-  for (const std::string& site : submitted_) {
-    (void)reputation_.record_clean(site);
-  }
-  // Quarantined sites' scored uploads: a screening failure is a strike; a
-  // screening pass is judged against the round's norm population, and a
-  // clean verdict grows the parole streak.
-  for (const auto& [site, scored] : scored_quarantined_) {
-    Verdict verdict = scored.verdict;
-    if (verdict.ok()) verdict = validator_.judge_norm(scored.norm);
-    if (verdict.ok()) {
-      if (reputation_.record_clean(site)) {
-        LOG_AS(kSag, info)
-            .msg("Site paroled; re-admitted")
-            .kv("site", site)
-            .kv("clean_rounds", config_.reputation.parole_after)
-            .kv("from_round", round_ + 1);
-      }
-    } else {
-      (void)reputation_.record_rejection(site);
+  for (const auto& [name, site] : sites_) {
+    // Sites whose contributions survived to aggregation were clean.
+    if (site.outcome == Site::Outcome::kAccepted) {
+      (void)reputation_.record_clean(name);
+      continue;
+    }
+    // Quarantined sites' scored uploads: a screening failure is a strike; a
+    // screening pass is judged against the round's norm population, and a
+    // clean verdict grows the parole streak.
+    if (!site.scored) continue;
+    Verdict verdict = *site.scored;
+    if (verdict.ok()) verdict = validator_.judge_norm(site.scored_norm);
+    if (!verdict.ok()) {
+      (void)reputation_.record_rejection(name);
+    } else if (reputation_.record_clean(name)) {
+      LOG_AS(kSag, info)
+          .msg("Site paroled; re-admitted")
+          .kv("site", name)
+          .kv("clean_rounds", config_.reputation.parole_after)
+          .kv("from_round", round_ + 1);
     }
   }
 }
@@ -907,10 +901,11 @@ void FederatedServer::finish_round_locked(bool deadline_fired) {
     global_ = aggregator_->aggregate();
   }
   RoundMetrics metrics = aggregator_->metrics();
-  metrics.evicted_sites = static_cast<std::int64_t>(evicted_.size());
+  metrics.evicted_sites =
+      std::ranges::count(sites_ | std::views::values, true, &Site::evicted);
   metrics.deadline_fired = deadline_fired;
-  for (const auto& [reason, count] : round_rejects_locked()) {
-    metrics.rejections_by_reason[reason] = count;
+  metrics.rejections_by_reason = round_rejections_;
+  for (const auto& [reason, count] : round_rejections_) {
     if (reason != reject_reason_name(RejectReason::kQuarantined)) {
       metrics.rejected_updates += count;
     }
@@ -962,9 +957,6 @@ void FederatedServer::finish_round_locked(bool deadline_fired) {
   LOG_AS(kSag, info).msg("Round " + std::to_string(round_) + " finished.");
   events_.fire(EventType::kRoundDone, make_context_locked());
 
-  submitted_.clear();
-  rejected_acks_.clear();
-  scored_quarantined_.clear();
   task_body_.reset();  // the next round's task carries the new global model
   round_ += 1;
   if (round_ >= config_.num_rounds) {
@@ -1024,13 +1016,11 @@ void FederatedServer::close_round_locked(bool deadline_fired) {
     // Masked round: every registered site whose contribution is *not* in
     // the aggregate (crashed, evicted, rejected, or simply late) leaves
     // uncancelled masks behind. Detour into recovery when any exist.
-    std::set<std::string> accepted;
-    for (const std::string& site : mask_recovery_->accepted_sites()) {
-      accepted.insert(site);
-    }
-    std::vector<std::string> dropped;  // sorted: sessions_ is ordered
-    for (const auto& [site, session] : sessions_) {
-      if (accepted.count(site) == 0) dropped.push_back(site);
+    std::vector<std::string> dropped;  // sorted: sites_ is name-ordered
+    for (const auto& [name, site] : sites_) {
+      if (site.registered() && site.outcome != Site::Outcome::kAccepted) {
+        dropped.push_back(name);
+      }
     }
     if (!dropped.empty()) {
       // Journal the freeze before entering it: a crash anywhere in the
@@ -1068,9 +1058,9 @@ void FederatedServer::enter_recovery_locked(std::vector<std::string> dropped,
 }
 
 void FederatedServer::open_wave_locked() {
-  unmask_pending_.clear();
-  for (const std::string& site : mask_recovery_->accepted_sites()) {
-    unmask_pending_.insert(site);
+  // Survivors are exactly the accepted sites: demotion reopened the rest.
+  for (auto& [name, site] : sites_) {
+    site.owes_share = site.outcome == Site::Outcome::kAccepted;
   }
   recovery_deadline_ =
       std::chrono::steady_clock::now() +
@@ -1082,15 +1072,17 @@ void FederatedServer::open_wave_locked() {
 
 void FederatedServer::advance_recovery_locked() {
   if (phase_ != RoundPhase::kRecovering) return;
-  if (unmask_pending_.empty()) {
+  std::vector<std::string> laggards;  // sorted: sites_ is name-ordered
+  for (const auto& [name, site] : sites_) {
+    if (site.owes_share) laggards.push_back(name);
+  }
+  if (laggards.empty()) {
     finish_recovery_locked();
     return;
   }
   if (std::chrono::steady_clock::now() < recovery_deadline_) return;
   // One frame covers the whole demotion cascade, so replay re-runs it
   // atomically and a crash cannot leave a half-demoted wave.
-  const std::vector<std::string> laggards(unmask_pending_.begin(),
-                                          unmask_pending_.end());
   if (journal_) journal_->recovery_wave(recovery_wave_, laggards);
   CF_CRASHPOINT("recovery.wave.mid");
   demote_wave_locked(laggards);
@@ -1104,7 +1096,7 @@ void FederatedServer::advance_recovery_locked() {
 void FederatedServer::demote_wave_locked(const std::vector<std::string>& laggards) {
   for (const std::string& site : laggards) {
     (void)aggregator_->revoke(site);
-    submitted_.erase(site);
+    sites_[site].outcome = Site::Outcome::kOpen;
     recovery_dropped_.push_back(site);
     LOG_AS(kSag, warn)
         .msg("Survivor failed to reveal its mask share in time; demoted")
@@ -1154,7 +1146,6 @@ void FederatedServer::finish_recovery_locked() {
       .kv("waves", recovery_wave_ + 1);
   phase_ = RoundPhase::kCollecting;
   recovery_dropped_.clear();
-  unmask_pending_.clear();
   recovery_wave_ = 0;
   const bool deadline_fired = recovery_deadline_fired_;
   recovery_deadline_fired_ = false;
@@ -1164,34 +1155,29 @@ void FederatedServer::finish_recovery_locked() {
 void FederatedServer::evict_stragglers_locked() {
   if (config_.liveness_timeout_ms <= 0 || !started_) return;
   const auto now = std::chrono::steady_clock::now();
-  for (const auto& [site, session] : sessions_) {
-    if (resolved_locked(site) || evicted_.count(site) != 0 ||
-        !participates_locked(site)) {
+  for (auto& [name, site] : sites_) {
+    // Only an unresolved cohort member can stall the round. (Survivors
+    // owing a mask share are accepted: the recovery deadline judges them.)
+    if (!site.registered() || site.outcome != Site::Outcome::kOpen ||
+        site.evicted || !site.in_cohort) {
       continue;
     }
-    // A parked long-poll is the opposite of silence: the site is connected
-    // and waiting on *us*. Never evict it for not sending frames.
-    if (parked_.count(site) != 0) continue;
-    // Survivors answering an unmask request are doing recovery work for
-    // this round — exempt (they are in submitted_, but be explicit: the
-    // recovery deadline, not the liveness clock, judges them).
-    if (unmask_pending_.count(site) != 0) continue;
-    const auto seen = last_seen_.find(site);
-    if (seen == last_seen_.end()) continue;
     // Silence is measured within the round: a site that resolved round N
     // and has not yet spoken in round N+1 owes nothing until N+1 started —
     // without this, the ticker would evict last round's contributors the
     // moment a lingering round finally closes.
-    const auto silent_since = std::max(seen->second, round_start_);
+    const auto silent_since = std::max(site.last_seen, round_start_);
     const auto silent = std::chrono::duration_cast<std::chrono::milliseconds>(
                             now - silent_since)
                             .count();
-    if (silent >= config_.liveness_timeout_ms) {
-      if (journal_) journal_->evicted(site);
-      evict_locked(site);
+    // A parked long-poll is the opposite of silence: the site is connected
+    // and waiting on *us*. Never evict it for not sending frames.
+    if (silent >= config_.liveness_timeout_ms && parked_.count(name) == 0) {
+      if (journal_) journal_->evicted(name);
+      site.evicted = true;
       LOG_AS(kClientManager, warn)
           .msg("Site unseen; evicted from the quorum")
-          .kv("site", site)
+          .kv("site", name)
           .kv("silent_ms", silent)
           .kv("round", round_);
     }
@@ -1228,58 +1214,52 @@ bool FederatedServer::abort(const std::string& reason) {
 }
 
 std::vector<std::string> FederatedServer::sample_cohort_locked() const {
-  if (config_.clients_per_round <= 0 ||
-      config_.clients_per_round >= static_cast<std::int64_t>(sessions_.size())) {
-    return {};  // an empty cohort means "everyone participates"
-  }
+  if (config_.clients_per_round <= 0) return {};  // empty: everyone
   // Quarantined sites are left out of the draw: sampling one would shrink
   // the round's effective quorum for no benefit (its upload could not be
-  // aggregated anyway). They still poll and are scored when everyone
-  // participates (the unsampled path).
-  std::vector<std::string> sites;
-  sites.reserve(sessions_.size());
-  for (const auto& [site, session] : sessions_) {
-    if (!reputation_.quarantined(site)) sites.push_back(site);
+  // aggregated anyway). When the draw would take every eligible site, the
+  // cohort is every registered site, quarantined ones included so they are
+  // still scored — listed, so a site registering mid-round waits for the
+  // next draw.
+  std::vector<std::string> registered, eligible;
+  for (const auto& [name, site] : sites_) {
+    if (!site.registered()) continue;
+    registered.push_back(name);
+    if (!reputation_.quarantined(name)) eligible.push_back(name);
   }
-  if (static_cast<std::int64_t>(sites.size()) <= config_.clients_per_round) {
-    return {};
+  if (static_cast<std::int64_t>(eligible.size()) <= config_.clients_per_round) {
+    return registered;
   }
   core::Rng rng(config_.sampling_seed ^
                 (static_cast<std::uint64_t>(round_) * 0x9e3779b97f4a7c15ull));
-  rng.shuffle(sites);
-  sites.resize(static_cast<std::size_t>(config_.clients_per_round));
-  std::sort(sites.begin(), sites.end());
+  rng.shuffle(eligible);
+  eligible.resize(static_cast<std::size_t>(config_.clients_per_round));
+  std::sort(eligible.begin(), eligible.end());
   std::string names;
-  for (const std::string& s : sites) names += (names.empty() ? "" : ", ") + s;
+  for (const std::string& s : eligible) names += (names.empty() ? "" : ", ") + s;
   LOG_AS(kSag, info)
       .msg("Round sampled participants:")
       .msg(names)
       .kv("round", round_);
-  return sites;
-}
-
-bool FederatedServer::participates_locked(const std::string& site) const {
-  return sampled_.empty() || sampled_.count(site) != 0;
-}
-
-bool FederatedServer::resolved_locked(const std::string& site) const {
-  return submitted_.count(site) != 0 || rejected_acks_.count(site) != 0;
+  return eligible;
 }
 
 // Quarantined sites are excluded from every quorum count: they still poll
 // and are scored, but the round must not wait on them (and must not shrink
 // toward min_clients because of them) — an 8-site round with one
 // quarantined site closes exactly like a clean 7-site round. One pass over
-// the sessions: every get_task and submit checks the quorum under mu_, so
-// with hundreds of sites this scan is most of the time the lock is held.
+// the records: every submit and ticker pass checks the quorum under mu_,
+// so with hundreds of sites this scan is much of the time the lock is held.
 FederatedServer::Quorum FederatedServer::quorum_locked() const {
   std::int64_t participants = 0, live = 0;
   Quorum q;
-  for (const auto& [site, session] : sessions_) {
-    if (!participates_locked(site) || reputation_.quarantined(site)) continue;
+  for (const auto& [name, site] : sites_) {
+    if (!site.registered() || !site.in_cohort || reputation_.quarantined(name)) {
+      continue;
+    }
     participants += 1;
-    if (evicted_.count(site) == 0) live += 1;
-    if (resolved_locked(site)) q.resolved += 1;
+    if (!site.evicted) live += 1;
+    if (site.outcome != Site::Outcome::kOpen) q.resolved += 1;
   }
   // min_clients cannot demand more sites than this round even has.
   q.min_required = std::max<std::int64_t>(1, std::min(config_.min_clients, participants));
@@ -1334,12 +1314,16 @@ std::int64_t FederatedServer::current_round() const {
 
 std::int64_t FederatedServer::registered_clients() const {
   core::MutexLock lock(mu_);
-  return static_cast<std::int64_t>(sessions_.size());
+  return std::ranges::count_if(sites_ | std::views::values, &Site::registered);
 }
 
 std::vector<std::string> FederatedServer::evicted_sites() const {
   core::MutexLock lock(mu_);
-  return std::vector<std::string>(evicted_.begin(), evicted_.end());
+  std::vector<std::string> evicted;
+  for (const auto& [name, site] : sites_) {
+    if (site.evicted) evicted.push_back(name);
+  }
+  return evicted;
 }
 
 std::vector<std::string> FederatedServer::quarantined_sites() const {

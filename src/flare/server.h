@@ -20,7 +20,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <span>
 #include <string>
 #include <thread>
@@ -248,18 +247,49 @@ class FederatedServer {
   std::vector<std::uint8_t> on_unmask(const std::string& sender,
                                       const UnmaskResponse& req);
 
+  /// Everything the server tracks about one provisioned site (DESIGN.md
+  /// §9): one record per registry entry, built at construction, so every
+  /// authenticated sender has one.
+  struct Site {
+    std::string session;  // empty: not registered
+    std::chrono::steady_clock::time_point last_seen{};
+    /// Unseen past the liveness timeout; its next frame re-admits it.
+    bool evicted = false;
+    /// In the open round's cohort. This and every field below it are per
+    /// round: open_round_locked resets them.
+    bool in_cohort = false;
+    enum class Outcome : std::uint8_t { kOpen, kAccepted, kRejected };
+    Outcome outcome = Outcome::kOpen;
+    /// The ack a kRejected site got, so resends are answered identically
+    /// (read only while outcome is kRejected).
+    SubmitAck rejected_ack;
+    /// A quarantined site's scored upload — screening verdict and deviation
+    /// norm — judged against the round population when the round closes.
+    std::optional<Verdict> scored;
+    double scored_norm = 0.0;
+    /// Owes its mask share this recovery wave.
+    bool owes_share = false;
+
+    bool registered() const { return !session.empty(); }
+  };
+  /// The record of a sender whose session id is `session_id`; throws
+  /// UnknownSessionError (as `what`) when it has none.
+  Site& session_site_locked(const std::string& sender,
+                            const std::string& session_id, const char* what)
+      CF_REQUIRES(mu_);
+
   FLContext make_context_locked() const CF_REQUIRES(mu_);
-  /// What `sender`'s task is outside mask recovery: kStop once the run is
+  /// What `site`'s task is outside mask recovery: kStop once the run is
   /// over, kTrain while it owes this round a contribution, else kNone.
-  TaskKind task_kind_locked(const std::string& sender) const CF_REQUIRES(mu_);
-  /// True when a poll from `sender` would only get the do-nothing kNone
+  TaskKind task_kind_locked(const Site& site) const CF_REQUIRES(mu_);
+  /// True when a poll from `site` would only get the do-nothing kNone
   /// answer, which a long-poll holds instead of delivering. Decided from
   /// round state alone; nothing is packed.
-  bool poll_parks_locked(const std::string& sender) const CF_REQUIRES(mu_);
-  /// What a poll from `sender` should receive *now*: during mask recovery a
+  bool poll_parks_locked(const Site& site) const CF_REQUIRES(mu_);
+  /// What a poll from `site` should receive *now*: during mask recovery a
   /// survivor that owes its share gets an UnmaskRequest, everyone else a
   /// TaskMessage.
-  Body poll_reply_locked(const std::string& sender) CF_REQUIRES(mu_);
+  Body poll_reply_locked(const Site& site) CF_REQUIRES(mu_);
   /// This round's kTrain TaskMessage body, packed on first use and shared
   /// by every site the round hands it to.
   Body train_task_locked() CF_REQUIRES(mu_);
@@ -296,7 +326,9 @@ class FederatedServer {
   /// Journaled transitions, one helper each. The live path journals the
   /// event and then calls the helper; journal replay calls the same helper
   /// with the journaled values, so a restarted server cannot drift from the
-  /// one that crashed.
+  /// one that crashed. open_round_locked sets every record's cohort
+  /// membership (an empty cohort: everyone) and resets the per-round fields
+  /// and the rejection tally.
   void open_round_locked(const std::vector<std::string>& cohort) CF_REQUIRES(mu_);
   void accept_locked(const std::string& site) CF_REQUIRES(mu_);
   /// Also the norm-outlier revocation at round close (not journaled: it is
@@ -304,7 +336,6 @@ class FederatedServer {
   void reject_locked(const std::string& site, SubmitAck ack) CF_REQUIRES(mu_);
   void score_quarantined_locked(const std::string& site, Verdict verdict,
                                 double norm) CF_REQUIRES(mu_);
-  void evict_locked(const std::string& site) CF_REQUIRES(mu_);
   void enter_recovery_locked(std::vector<std::string> dropped,
                              bool deadline_fired) CF_REQUIRES(mu_);
   void record_share_locked(const std::string& site) CF_REQUIRES(mu_);
@@ -318,15 +349,17 @@ class FederatedServer {
   void apply_journal_locked(const JournalReplay& replay) CF_REQUIRES(mu_);
 
   void record_liveness(const std::string& sender);
-  /// This round's sampled cohort, sorted (empty = everyone participates).
+  /// This round's cohort, sorted: with clients_per_round sampling, the draw
+  /// (or every registered site when the draw would take them all); without
+  /// it, empty = everyone participates, late registrants included.
   std::vector<std::string> sample_cohort_locked() const CF_REQUIRES(mu_);
   void settle_round_verdicts_locked() CF_REQUIRES(mu_);
+  /// Bumps the registry's rejection counters and the round's tally.
   void record_rejection_locked(RejectReason reason) CF_REQUIRES(mu_);
   void record_site_metrics_locked(const std::string& site, const Dxo& contribution) CF_REQUIRES(mu_);
-  std::map<std::string, std::int64_t> round_rejects_locked() const CF_REQUIRES(mu_);
-  bool participates_locked(const std::string& site) const CF_REQUIRES(mu_);
-  bool resolved_locked(const std::string& site) const CF_REQUIRES(mu_);
-  /// The round's quorum state, counted over sampled, unquarantined sites.
+  /// The open round's quorum state, counted over registered, unquarantined
+  /// cohort members. Evaluated by every submit and by the ticker, never by
+  /// a poll.
   struct Quorum {
     /// min_clients, capped at this round's participant count (at least 1).
     std::int64_t min_required = 1;
@@ -363,32 +396,14 @@ class FederatedServer {
       CF_PT_GUARDED_BY(mu_);
   UpdateValidator validator_ CF_GUARDED_BY(mu_);
   SiteReputation reputation_ CF_GUARDED_BY(mu_);
-  std::map<std::string, std::string> sessions_
-      CF_GUARDED_BY(mu_);                        // site -> session id
-  std::set<std::string> submitted_ CF_GUARDED_BY(mu_);  // accepted this round
-  /// Sites resolved this round by a rejection (validator verdict or
-  /// quarantine scoring), mapped to the ack we sent so resends are
-  /// answered identically.
-  std::map<std::string, SubmitAck> rejected_acks_ CF_GUARDED_BY(mu_);
-  /// Quarantined sites' scored uploads: screening verdict + deviation
-  /// norm, judged against the round population when the round closes.
-  struct ScoredUpload {
-    Verdict verdict;
-    double norm = 0.0;
-  };
-  std::map<std::string, ScoredUpload> scored_quarantined_ CF_GUARDED_BY(mu_);
+  /// One record per provisioned site, in name order.
+  std::map<std::string, Site> sites_ CF_GUARDED_BY(mu_);
   /// Per-run metric registry (see metrics_registry()). Rejection tallies
-  /// live here as "server.rejections.<reason>" counters; the per-round view
-  /// in RoundMetrics is rebuilt by diffing against `reject_baseline_`,
-  /// snapshotted when the round starts.
+  /// live here as "server.rejections.<reason>" counters.
   core::MetricRegistry metrics_;  // internally synchronized
-  std::map<std::string, std::int64_t> reject_baseline_ CF_GUARDED_BY(mu_);
-  std::set<std::string> sampled_
-      CF_GUARDED_BY(mu_);                        // this round's participants
-  std::map<std::string, std::chrono::steady_clock::time_point> last_seen_
-      CF_GUARDED_BY(mu_);
-  std::set<std::string> evicted_
-      CF_GUARDED_BY(mu_);                        // unseen past the timeout
+  /// This round's rejections by reject_reason_name(), the RoundMetrics
+  /// view; journal replay rebuilds it through the same helpers.
+  std::map<std::string, std::int64_t> round_rejections_ CF_GUARDED_BY(mu_);
   std::int64_t round_ CF_GUARDED_BY(mu_) = 0;
   /// train_task_locked's cache: the packed kTrain body of round
   /// `task_body_round_` (dropped when that round closes).
@@ -418,9 +433,6 @@ class FederatedServer {
   /// aggregator's, so the same mu_ capability applies.
   MaskRecoveryCapable* mask_recovery_ = nullptr;
   std::vector<std::string> recovery_dropped_ CF_GUARDED_BY(mu_);
-  /// Survivors that still owe their mask share this wave. Exempt from
-  /// straggler eviction: they are doing protocol work for us.
-  std::set<std::string> unmask_pending_ CF_GUARDED_BY(mu_);
   std::int64_t recovery_wave_ CF_GUARDED_BY(mu_) = 0;
   std::chrono::steady_clock::time_point recovery_deadline_ CF_GUARDED_BY(mu_){};
   std::int64_t recovery_start_ns_ CF_GUARDED_BY(mu_) = 0;

@@ -135,14 +135,6 @@ int make_listener(std::uint16_t port, std::uint16_t* bound_port) {
   return fd;
 }
 
-ReactorOptions to_reactor_options(const TcpServerOptions& options) {
-  ReactorOptions out;
-  out.io_timeout_ms = options.io_timeout_ms;
-  out.max_frame_bytes = std::min(options.max_frame_bytes, kMaxFrameBytes);
-  out.worker_threads = options.worker_threads;
-  return out;
-}
-
 }  // namespace
 
 TcpServer::TcpServer(std::uint16_t port, Dispatcher dispatcher,
@@ -151,12 +143,13 @@ TcpServer::TcpServer(std::uint16_t port, Dispatcher dispatcher,
 
 TcpServer::TcpServer(std::uint16_t port, AsyncDispatcher dispatcher,
                      TcpServerOptions options) {
+  options.max_frame_bytes = std::min(options.max_frame_bytes, kMaxFrameBytes);
   const int listen_fd = make_listener(port, &port_);
   // The reactor takes ownership of the listener; from here on every fd —
   // including this one — is created and closed by the reactor thread only
   // (see the ownership model in reactor.h).
   reactor_ = std::make_unique<EpollReactor>(listen_fd, std::move(dispatcher),
-                                            to_reactor_options(options));
+                                            options);
 }
 
 TcpServer::~TcpServer() { stop(); }

@@ -2,7 +2,9 @@
 // handling.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
+#include <map>
 #include <thread>
 
 #include "core/logging.h"
@@ -114,6 +116,51 @@ TEST_F(RobustAggTest, SharedValidationRules) {
   EXPECT_FALSE(agg.accept("c", diff));                     // mixed kinds
   EXPECT_EQ(agg.accepted_count(), 1);
   EXPECT_EQ(agg.metrics().round, 3);
+}
+
+// The metric means are sums over the buffered contributions in site-name
+// order: losses that cancel catastrophically ({1e16, 1, -1e16}) give the
+// same bits in every arrival order, and a revoked contribution leaves no
+// rounding residue behind.
+TEST_F(RobustAggTest, MetricsDoNotDependOnArrivalOrderOrRevoke) {
+  auto with_loss = [](double loss) {
+    Dxo dxo = weights_dxo({1}, 1);
+    dxo.set_meta_double(Dxo::kMetaTrainLoss, loss);
+    dxo.set_meta_double(Dxo::kMetaValidAcc, loss);
+    dxo.set_meta_double(Dxo::kMetaValidLoss, loss);
+    return dxo;
+  };
+  const std::map<std::string, double> losses = {
+      {"a", 1e16}, {"b", 1.0}, {"c", -1e16}, {"d", 1e16}};
+  auto run = [&](const std::vector<std::string>& accepted,
+                 const std::vector<std::string>& revoked) {
+    MedianAggregator agg;
+    agg.reset(dict_of({0}), 0);
+    for (const std::string& site : accepted) {
+      EXPECT_TRUE(agg.accept(site, with_loss(losses.at(site))));
+    }
+    for (const std::string& site : revoked) EXPECT_TRUE(agg.revoke(site));
+    agg.aggregate();
+    return agg.metrics();
+  };
+  auto expect_bitwise_equal = [](const RoundMetrics& x, const RoundMetrics& y) {
+    EXPECT_EQ(x.num_contributions, y.num_contributions);
+    EXPECT_EQ(x.total_samples, y.total_samples);
+    for (auto field : {&RoundMetrics::train_loss, &RoundMetrics::valid_acc,
+                       &RoundMetrics::valid_loss}) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(x.*field),
+                std::bit_cast<std::uint64_t>(y.*field))
+          << x.*field << " vs " << y.*field;
+    }
+  };
+  const RoundMetrics reference = run({"a", "b", "c"}, {});
+  expect_bitwise_equal(reference, run({"a", "c", "b"}, {}));
+  expect_bitwise_equal(reference, run({"c", "b", "a"}, {}));
+  // Accept-then-revoke matches an aggregator that never saw the site.
+  const RoundMetrics never_saw_d = run({"b"}, {});
+  expect_bitwise_equal(never_saw_d, run({"b", "d"}, {"d"}));
+  expect_bitwise_equal(never_saw_d, run({"d", "b"}, {"d"}));
+  EXPECT_EQ(never_saw_d.train_loss, 1.0);
 }
 
 TEST_F(RobustAggTest, WeightDiffModeAppliesDeltaToGlobal) {

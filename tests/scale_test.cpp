@@ -408,6 +408,35 @@ TEST_F(ScaleTest, SampledOutSitesGetNoneAndParkedPollsStopOnAbort) {
   }
 }
 
+// With sampling configured the cohort is fixed when the round opens: a draw
+// that would take every registered site lists them, so a site registering
+// mid-round gets kNone and the round closes on the drawn cohort alone.
+TEST_F(ScaleTest, LateRegistrantWaitsForTheNextDraw) {
+  const auto registry = Provisioner("scale-late", 9).provision_sites(3);
+  ServerConfig config;
+  config.job_id = "scale-late";
+  config.num_rounds = 2;
+  config.min_clients = 2;
+  config.expected_clients = 2;
+  config.clients_per_round = 2;
+  FederatedServer server(config, registry, dict_of(std::vector<float>(17, 0.0f)),
+                         std::make_unique<FedAvgAggregator>(true));
+  RawSite s1(registry.at("site-1"), config.job_id, server.async_dispatcher());
+  RawSite s2(registry.at("site-2"), config.job_id, server.async_dispatcher());
+  RawSite s3(registry.at("site-3"), config.job_id, server.async_dispatcher());
+  s1.register_site();
+  s2.register_site();  // round 0 opens on {site-1, site-2}
+  s3.register_site();
+  const TaskMessage late = decode_task(s3.get_task(0).get());
+  EXPECT_EQ(late.task, TaskKind::kNone);
+  EXPECT_EQ(late.round, 0);
+  s1.submit(0);
+  s2.submit(0);
+  const std::vector<RoundMetrics> history = server.history();
+  ASSERT_EQ(history.size(), 1u);
+  EXPECT_EQ(history[0].num_contributions, 2);
+}
+
 // ---- seeded sampling determinism ----------------------------------------
 
 /// Records which (round, site) pairs actually trained — the observable
