@@ -8,6 +8,7 @@
 
 #include "core/keyed_stream_kernel.h"
 #include "core/logging.h"
+#include "core/poly1305_kernel.h"
 #include "core/sha256_kernel.h"
 #include "tensor/gemm_kernel.h"
 #include "train/experiment.h"
@@ -44,7 +45,7 @@ inline void quiet_logs() {
 }
 
 /// The host a measurement ran on, as a JSON object: usable cores, vector
-/// ISA, the SHA-256, ChaCha20 and GEMM kernels this process picked, build
+/// ISA, the SHA-256, ChaCha20, Poly1305 and GEMM kernels this process picked, build
 /// type and source revision. Numbers taken on different hosts do not compare.
 inline std::string host_context_json() {
   cpu_set_t set;
@@ -55,11 +56,13 @@ inline std::string host_context_json() {
   std::snprintf(
       out, sizeof(out),
       "{\"cores\": %d, \"avx2\": %s, \"avx512f\": %s, \"sha256_kernel\": \"%s\", "
-      "\"prg_kernel\": \"%s\", \"gemm_kernel\": \"%s\", \"build_type\": \"%s\", "
+      "\"prg_kernel\": \"%s\", \"poly1305_kernel\": \"%s\", \"gemm_kernel\": \"%s\", "
+      "\"build_type\": \"%s\", "
       "\"git_sha\": \"%s\"}",
       cores, flag(__builtin_cpu_supports("avx2")), flag(__builtin_cpu_supports("avx512f")),
       core::sha256_kernel_name(core::sha256_active_kernel()),
       core::keyed_stream_kernel_name(core::keyed_stream_active_kernel()),
+      core::poly1305_kernel_name(core::poly1305_active_kernel()),
       tensor::gemm_kernel_name(tensor::gemm_active_kernel()), CPPFLARE_BUILD_TYPE, CPPFLARE_GIT_SHA);
   return out;
 }

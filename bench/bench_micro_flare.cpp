@@ -2,10 +2,13 @@
 // crypto, aggregation, and transport round trips (google-benchmark).
 #include <benchmark/benchmark.h>
 
+#include "bench_common.h"
+#include "core/aead.h"
 #include "core/keyed_stream.h"
 #include "core/keyed_stream_kernel.h"
 #include "core/logging.h"
 #include "core/parallel.h"
+#include "core/poly1305_kernel.h"
 #include "core/sha256.h"
 #include "core/sha256_kernel.h"
 #include "flare/aggregator.h"
@@ -25,9 +28,21 @@ using namespace cppflare;
 constexpr std::int64_t kBertFloats = 2472082;
 constexpr std::int64_t kBertPayloadBytes = kBertFloats * 4;
 
+const bool kHostContext = [] {
+  benchmark::AddCustomContext("host", bench::host_context_json());
+  return true;
+}();
+
 void label_kernel(benchmark::State& state) {
   state.SetLabel(std::string("sha256=") +
                  core::sha256_kernel_name(core::sha256_active_kernel()));
+}
+
+/// The envelope's kernels: ChaCha20 (prg) and Poly1305.
+void label_envelope(benchmark::State& state) {
+  state.SetLabel(
+      std::string("prg=") + core::keyed_stream_kernel_name(core::keyed_stream_active_kernel()) +
+      " poly1305=" + core::poly1305_kernel_name(core::poly1305_active_kernel()));
 }
 
 nn::StateDict model_of_size(std::int64_t n) {
@@ -87,7 +102,7 @@ void BM_SealOpen(benchmark::State& state) {
     benchmark::DoNotOptimize(env.payload.data());
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
-  label_kernel(state);
+  label_envelope(state);
 }
 BENCHMARK(BM_SealOpen)->Arg(1024)->Arg(5 << 20)->Arg(kBertPayloadBytes);
 
@@ -109,9 +124,48 @@ void BM_TaskFrame(benchmark::State& state) {
     benchmark::DoNotOptimize(back.payload.data().at("w").values.data());
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
-  label_kernel(state);
+  label_envelope(state);
 }
 BENCHMARK(BM_TaskFrame)->Arg(kBertPayloadBytes);
+
+// Poly1305 over one BERT frame's payload, per kernel (the argument indexes
+// kAllPoly1305Kernels; unsupported kernels are skipped).
+void BM_Poly1305(benchmark::State& state) {
+  const core::Poly1305Kernel kernel =
+      core::kAllPoly1305Kernels[static_cast<std::size_t>(state.range(0))];
+  state.SetLabel(std::string("poly1305=") + core::poly1305_kernel_name(kernel));
+  if (!core::poly1305_kernel_supported(kernel)) {
+    state.SkipWithError("kernel not supported on this CPU");
+    return;
+  }
+  const std::vector<std::uint8_t> data(static_cast<std::size_t>(kBertPayloadBytes), 0xa5);
+  core::Poly1305::Key key;
+  key.fill(0x3c);
+  for (auto _ : state) {
+    core::Poly1305 poly = core::poly1305_with_kernel(kernel, key);
+    poly.update(data.data(), data.size());
+    const core::Poly1305::Tag tag = poly.finish();
+    benchmark::DoNotOptimize(tag[0]);
+  }
+  state.SetBytesProcessed(state.iterations() * kBertPayloadBytes);
+}
+BENCHMARK(BM_Poly1305)->DenseRange(0, 1)->Unit(benchmark::kMillisecond);
+
+// The envelope's AEAD alone: encrypt and tag one BERT payload in place.
+void BM_Aead(benchmark::State& state) {
+  std::vector<std::uint8_t> data(static_cast<std::size_t>(kBertPayloadBytes), 0xa5);
+  const std::vector<std::uint8_t> aad(40, 0x11);
+  core::Digest key;
+  key.fill(0x7);
+  const core::AeadNonce nonce{};
+  for (auto _ : state) {
+    const core::AeadTag tag = core::aead_seal(key, nonce, aad, data);
+    benchmark::DoNotOptimize(tag[0]);
+  }
+  state.SetBytesProcessed(state.iterations() * kBertPayloadBytes);
+  label_envelope(state);
+}
+BENCHMARK(BM_Aead)->Unit(benchmark::kMillisecond);
 
 // ChaCha20 keystream words for one BERT upload, per kernel (the argument
 // indexes kAllKeyedStreamKernels; unsupported kernels are skipped).

@@ -8,10 +8,12 @@
 #       (e.g. BM_GemmNN/512/4 = N=512 at 4 compute threads), so one run
 #       captures the 1..4-thread scaling curve: items_per_second is the
 #       ops/s figure, real_time the wall time per iteration.
-#   BENCH_protocol.json — google-benchmark output of bench_micro_flare:
-#       serialization, SHA-256 and seal+open throughput (up to the BERT
-#       payload's 9,888,328 float bytes; each crypto row is labelled with the
-#       SHA-256 kernel that ran), the ChaCha20 keystream per kernel and one
+#   BENCH_protocol.json — google-benchmark output of bench_micro_flare,
+#       stamped with the host context: serialization, SHA-256, seal+open
+#       and the envelope AEAD (up to the BERT payload's 9,888,328 float
+#       bytes; each crypto row is labelled with the SHA-256 or ChaCha20 and
+#       Poly1305 kernels that ran), Poly1305 per kernel, the ChaCha20
+#       keystream per kernel and one
 #       site's DP and mask filters on the BERT update at compute budgets 1
 #       and 4 (labelled with the PRG kernel), FedAvg and TCP round trips.
 #   BENCH_models.json — bench_table2_models latencies per model plus the

@@ -80,11 +80,13 @@ cmake --build --preset tsan -j "${JOBS}"
 # The threaded surface: the stress suite plus every test that spins up the
 # pool, the TCP transport, or a federation. kernels_test is here because a
 # GEMM's packed B panel is written by the caller and read by helper chunks;
-# its tier cases run at compute budget 4. TSAN_OPTIONS from the test
+# its tier cases run at compute budget 4. secure_channel_test seals from
+# four threads at once through the process-wide nonce source, and
+# poly1305_test covers the AEAD that source feeds. TSAN_OPTIONS from the test
 # preset already points at scripts/tsan.supp; export too for direct runs.
 export TSAN_OPTIONS="suppressions=${REPO_ROOT}/scripts/tsan.supp:history_size=7"
 ctest --preset tsan -j "${JOBS}" -R \
-  '^(stress_concurrency_test|parallel_test|kernels_test|thread_pool_test|tcp_test|simulator_test|server_client_test|integration_fl_test|cross_site_test|faults_test|secure_recovery_test|poison_test|trace_test|scale_test|journal_test|crash_recovery_test|jobs_test)$'
+  '^(stress_concurrency_test|parallel_test|kernels_test|thread_pool_test|tcp_test|simulator_test|server_client_test|integration_fl_test|cross_site_test|faults_test|secure_recovery_test|poison_test|trace_test|scale_test|journal_test|crash_recovery_test|jobs_test|secure_channel_test|poly1305_test)$'
 
 step "tsan: served TCP path (each client's run() moves across threads)"
 "${SCRIPT_DIR}/tcp_smoke.sh" build-tsan

@@ -136,13 +136,13 @@ void FederatedClient::send_next() {
   const std::shared_ptr<Connection> connection = connection_;
   connection->send(frame, [this, group = group_](std::vector<std::uint8_t> reply,
                                                  std::exception_ptr error) {
-    group->post([this, reply = std::move(reply), error = std::move(error)] {
-      on_reply(reply, error);
+    group->post([this, reply = std::move(reply), error = std::move(error)]() mutable {
+      on_reply(std::move(reply), error);
     });
   });
 }
 
-void FederatedClient::on_reply(const std::vector<std::uint8_t>& reply,
+void FederatedClient::on_reply(std::vector<std::uint8_t> reply,
                                std::exception_ptr error) {
   // Idle handling is long-poll, not timed re-polling: each get_task carries
   // a wait budget and the server parks the call until a task exists (or the
@@ -152,7 +152,7 @@ void FederatedClient::on_reply(const std::vector<std::uint8_t>& reply,
   SiteSession::Outcome outcome;
   try {
     if (error) std::rethrow_exception(error);
-    outcome = session_.on_reply(reply);
+    outcome = session_.on_reply(std::move(reply));
   } catch (const TransportError& e) {
     return retry(e);
   } catch (...) {

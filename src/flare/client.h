@@ -111,7 +111,7 @@ class FederatedClient {
   /// Seals the session's next frame and sends it, connecting first when
   /// needed; the completion posts `on_reply`.
   void send_next();
-  void on_reply(const std::vector<std::uint8_t>& reply, std::exception_ptr error);
+  void on_reply(std::vector<std::uint8_t> reply, std::exception_ptr error);
   /// Counts a transport failure, then backs off and resends (reconnecting
   /// when a factory exists), or ends the client once retries are spent.
   /// Called from the handler that caught `e`.

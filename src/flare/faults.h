@@ -41,7 +41,7 @@ struct FaultPlan {
   /// (exercises the server's replay protection).
   double duplicate_prob = 0.0;
   /// Flip one random bit of the sealed request before delivery (exercises
-  /// MAC verification and the retryable-error path).
+  /// tag verification and the retryable-error path).
   double corrupt_prob = 0.0;
   /// Stop injecting after this many faults (-1 = unlimited); lets a plan
   /// model a transient outage that heals.

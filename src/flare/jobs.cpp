@@ -59,10 +59,10 @@ AdminClient::AdminClient(std::unique_ptr<Connection> connection,
 std::string AdminClient::call(const std::string& line) {
   const std::vector<std::uint8_t> sealed =
       seal(credential_.name, credential_.secret, seq_.next(), to_bytes(line));
-  const std::vector<std::uint8_t> sealed_reply = connection_->call(sealed);
+  std::vector<std::uint8_t> sealed_reply = connection_->call(sealed);
   Envelope env;
   try {
-    env = open(sealed_reply, credential_.secret);
+    env = open(std::move(sealed_reply), credential_.secret);
   } catch (const Error& e) {
     throw TransportError(std::string("admin: reply unverifiable: ") + e.what());
   }
@@ -421,8 +421,12 @@ std::vector<std::uint8_t> JobRunner::seal_reply(
     const std::string& job_id, const std::vector<std::uint8_t>& body) {
   // Sealed from the shared pool so this sequence interleaves correctly with
   // whatever any hosted server later sends the same peer. The claimed job id
-  // is echoed so the client's own binding check accepts the reply.
-  return seal("server", key, sequences_->next(sender), body, job_id);
+  // is echoed so the client's own binding check accepts the reply. Replies
+  // under the empty key (unknown or unparseable peers) take the fixed
+  // sequence and leave the pool alone.
+  const std::uint64_t sequence =
+      key.empty() ? kUnkeyedReplySequence : sequences_->next(sender);
+  return seal("server", key, sequence, body, job_id);
 }
 
 JobRunner::Route JobRunner::resolve(const std::vector<std::uint8_t>& request) {
@@ -459,7 +463,7 @@ JobRunner::Route JobRunner::resolve(const std::vector<std::uint8_t>& request) {
     return route;
   }
   const std::vector<std::uint8_t>& key = key_it->second.secret;
-  // The routing key is unauthenticated until the MAC checks out, so a
+  // The routing key is unauthenticated until the tag checks out, so a
   // misroute must not be declared fatal on a frame that is merely damaged
   // in flight: verify first, and answer corruption with the same retryable
   // error the single-job server would have sent. The corrupted frame's ids
@@ -467,7 +471,7 @@ JobRunner::Route JobRunner::resolve(const std::vector<std::uint8_t>& request) {
   // garbage job id would trip the sender's own binding check.
   const auto wrong_job = [&](const std::string& message) {
     try {
-      (void)open(request, key);
+      verify(request, key);
     } catch (const Error&) {
       return seal_reply(
           sender, key, "",
@@ -478,7 +482,7 @@ JobRunner::Route JobRunner::resolve(const std::vector<std::uint8_t>& request) {
                       pack(ErrorMessage{message, ErrorCode::kWrongJob}));
   };
   // Registry lookup under mu_; wrong_job stays outside — it re-verifies the
-  // whole frame (a MAC over the full payload) and sealing the reply is not
+  // whole frame (a tag over the full payload) and sealing the reply is not
   // free either, so doing it under the registry lock would serialize every
   // concurrent frame's route resolution behind one bad frame.
   std::string wrong_job_msg;

@@ -8,7 +8,7 @@
 // jobs resource-aware against the process compute-thread budget
 // (core/parallel.h; jobs queue when the budget is exhausted and start when
 // capacity frees), and routes wire frames to the right job by the
-// envelope's MAC-covered `job_id`.
+// envelope's authenticated `job_id`.
 //
 // JobRunner is the only sanctioned way to construct a FederatedServer
 // outside the test tree (lint rule R14): hosting every server behind one

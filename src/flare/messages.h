@@ -2,8 +2,8 @@
 //
 // Clients drive the protocol (as in NVFlare): they register, then poll for
 // tasks and submit results. Every message is a tagged body; the secure
-// channel (secure_channel.h) wraps the tagged bytes with sender identity and
-// an HMAC before they reach a transport.
+// channel (secure_channel.h) encrypts the tagged bytes and authenticates them
+// with the sender's identity before they reach a transport.
 #pragma once
 
 #include <cstdint>
@@ -106,7 +106,7 @@ enum class ErrorCode : std::uint8_t {
   /// Application-level protocol violation (bad token, unexpected message):
   /// retrying cannot help, the client must abort.
   kFatal = 0,
-  /// The frame was damaged or replayed in flight (MAC mismatch, malformed
+  /// The frame was damaged or replayed in flight (tag mismatch, malformed
   /// envelope, sequence violation): re-seal and resend.
   kRetryable = 1,
   /// The server does not know the client's session (restart or eviction):

@@ -21,7 +21,7 @@ namespace cppflare::flare {
 struct Credential {
   std::string name;                  // e.g. "site-1"
   std::string token;                 // uuid-formatted registration token
-  std::vector<std::uint8_t> secret;  // 32-byte HMAC key for the channel
+  std::vector<std::uint8_t> secret;  // 32-byte channel secret
 };
 
 class Provisioner {

@@ -1,36 +1,138 @@
 #include "flare/secure_channel.h"
 
 #include <algorithm>
+#include <array>
 
+#include "core/aead.h"
 #include "core/bytes.h"
 #include "core/error.h"
 #include "core/sha256.h"
+#include "flare/secure_channel_nonce.h"
 
 namespace cppflare::flare {
 
 namespace {
-constexpr std::uint32_t kEnvelopeMagic = 0x46454e56;  // "FENV"
+constexpr std::uint32_t kEnvelopeMagic = 0x324e4546;    // "FEN2"
+constexpr std::uint32_t kEnvelopeMagicV1 = 0x46454e56;  // "VNEF": HMAC, plaintext
 constexpr std::size_t kMagicBytes = 4;
-constexpr std::size_t kMacBytes = std::tuple_size_v<core::Digest>;
+constexpr std::size_t kNonceBytes = std::tuple_size_v<core::AeadNonce>;
+constexpr std::size_t kTagBytes = std::tuple_size_v<core::AeadTag>;
+
+/// The envelope's AEAD key: the provisioned secret, domain-separated from
+/// its other uses. The HMAC costs four SHA-256 blocks, as much as the whole
+/// cipher pass over a small control frame, so each thread keeps the keys of
+/// the last secrets it used, direct-mapped on the secret's first byte.
+core::Digest envelope_key(const std::vector<std::uint8_t>& secret) {
+  static constexpr char kLabel[] = "cppflare/envelope/v2";
+  const auto derive = [&secret] {
+    return core::hmac_sha256(secret, reinterpret_cast<const std::uint8_t*>(kLabel),
+                             sizeof(kLabel) - 1);
+  };
+  struct Slot {
+    std::vector<std::uint8_t> secret;
+    core::Digest key;
+  };
+  thread_local std::array<Slot, 16> cache;
+  if (secret.empty()) return derive();
+  Slot& slot = cache[secret[0] % cache.size()];
+  if (slot.secret != secret) {
+    slot.key = derive();
+    slot.secret = secret;
+  }
+  return slot.key;
+}
+
+void check_magic(std::uint32_t magic) {
+  if (magic == kEnvelopeMagic) return;
+  if (magic == kEnvelopeMagicV1) {
+    throw ProtocolError("envelope: v1 (HMAC, unencrypted) frame; only v2 is accepted");
+  }
+  throw ProtocolError("envelope: bad magic");
+}
+
+/// A parsed, not yet authenticated frame.
+struct Frame {
+  std::string sender;
+  std::string job_id;
+  std::uint64_t sequence = 0;
+  core::AeadNonce nonce;
+  core::AeadTag tag;
+  std::span<const std::uint8_t> aad;         // sender through nonce
+  std::span<const std::uint8_t> ciphertext;  // the payload
+};
+
+Frame parse(const std::vector<std::uint8_t>& sealed) {
+  core::ByteReader r(sealed);
+  check_magic(r.read_u32());
+  Frame f;
+  f.sender = r.read_string();
+  f.job_id = r.read_string();
+  f.sequence = r.read_u64();
+  const std::uint64_t n = r.read_u64();
+  // Written as subtractions: `n + 28` wraps for a hostile length near 2^64
+  // and would pass the check.
+  constexpr std::size_t kFixed = kNonceBytes + kTagBytes;
+  if (r.remaining() < kFixed || r.remaining() - kFixed < n) {
+    throw ProtocolError("envelope: truncated");
+  }
+  if (r.remaining() - kFixed != n) throw ProtocolError("envelope: trailing bytes");
+  const std::span<const std::uint8_t> bytes(sealed);
+  const std::size_t payload_at = r.position() + kNonceBytes;
+  std::copy_n(bytes.begin() + static_cast<std::ptrdiff_t>(r.position()), kNonceBytes,
+              f.nonce.begin());
+  f.aad = bytes.subspan(kMagicBytes, payload_at - kMagicBytes);
+  f.ciphertext = bytes.subspan(payload_at, static_cast<std::size_t>(n));
+  const auto tag = bytes.subspan(payload_at + f.ciphertext.size(), kTagBytes);
+  std::copy(tag.begin(), tag.end(), f.tag.begin());
+  return f;
+}
+
+[[noreturn]] void reject(const Frame& f) {
+  throw ProtocolError("envelope: tag verification failed for sender '" + f.sender + "'");
+}
+
+// A frame-sized buffer freed to malloc goes back to the kernel, and the
+// next open faults it in again page by page (a BERT frame is 2,400 pages).
+// Each thread keeps the largest storage of the envelopes it dropped and
+// opens its next frame into it; growing within it zero-fills only the added
+// bytes.
+thread_local std::vector<std::uint8_t> spare_storage;
+
+std::vector<std::uint8_t> storage_for(std::size_t n) {
+  std::vector<std::uint8_t> storage;
+  storage.swap(spare_storage);
+  if (storage.capacity() < n) storage.clear();  // reallocating copies nothing
+  storage.resize(n);
+  return storage;
+}
+
+void recycle(std::vector<std::uint8_t>& storage) {
+  if (storage.capacity() > spare_storage.capacity()) spare_storage.swap(storage);
+}
+
+void take_header(Frame& f, Envelope& env) {
+  env.sender = std::move(f.sender);
+  env.job_id = std::move(f.job_id);
+  env.sequence = f.sequence;
+}
 }  // namespace
 
-// Wire layout: magic | sender | job_id | sequence | u64 length | payload |
-// MAC. The MAC covers everything between the magic and the MAC itself, so
-// both ends hash the envelope bytes in place.
-std::vector<std::uint8_t> seal_encoded(const std::string& sender,
-                                       const std::vector<std::uint8_t>& secret,
-                                       std::uint64_t sequence,
-                                       std::size_t payload_size,
-                                       const PayloadEncoder& encode,
-                                       const std::string& job_id) {
+// Wire layout: magic | sender | job_id | sequence | u64 length | nonce |
+// ciphertext | tag. The associated data is everything from the sender
+// through the nonce, so both ends authenticate the header in place.
+std::vector<std::uint8_t> seal_encoded_with_nonce(
+    const std::string& sender, const std::vector<std::uint8_t>& secret,
+    std::uint64_t sequence, std::size_t payload_size, const PayloadEncoder& encode,
+    const std::string& job_id, const core::AeadNonce& nonce) {
   core::ByteWriter w;
-  w.reserve(kMagicBytes + core::encoded_size(sender) +
-            core::encoded_size(job_id) + 8 + 8 + payload_size + kMacBytes);
+  w.reserve(kMagicBytes + core::encoded_size(sender) + core::encoded_size(job_id) +
+            8 + 8 + kNonceBytes + payload_size + kTagBytes);
   w.write_u32(kEnvelopeMagic);
   w.write_string(sender);
   w.write_string(job_id);
   w.write_u64(sequence);
   w.write_u64(payload_size);
+  w.write_raw(nonce.data(), nonce.size());
   const std::size_t payload_at = w.size();
   encode(w);
   if (w.size() - payload_at != payload_size) {
@@ -38,10 +140,24 @@ std::vector<std::uint8_t> seal_encoded(const std::string& sender,
                 std::to_string(w.size() - payload_at) + " bytes, sized for " +
                 std::to_string(payload_size));
   }
-  const core::Digest mac = core::hmac_sha256(
-      secret, w.bytes().data() + kMagicBytes, w.size() - kMagicBytes);
-  w.write_raw(mac.data(), mac.size());
-  return w.take();
+  std::vector<std::uint8_t> frame = w.take();
+  const std::span<std::uint8_t> bytes(frame);
+  const core::AeadTag tag =
+      core::aead_seal(envelope_key(secret), nonce,
+                      bytes.subspan(kMagicBytes, payload_at - kMagicBytes),
+                      bytes.subspan(payload_at));
+  frame.insert(frame.end(), tag.begin(), tag.end());  // within the reservation
+  return frame;
+}
+
+std::vector<std::uint8_t> seal_encoded(const std::string& sender,
+                                       const std::vector<std::uint8_t>& secret,
+                                       std::uint64_t sequence,
+                                       std::size_t payload_size,
+                                       const PayloadEncoder& encode,
+                                       const std::string& job_id) {
+  return seal_encoded_with_nonce(sender, secret, sequence, payload_size, encode,
+                                 job_id, core::fresh_nonce());
 }
 
 std::vector<std::uint8_t> seal(const std::string& sender,
@@ -57,44 +173,62 @@ std::vector<std::uint8_t> seal(const std::string& sender,
 
 Envelope open(const std::vector<std::uint8_t>& sealed,
               const std::vector<std::uint8_t>& secret) {
-  core::ByteReader r(sealed);
-  if (r.read_u32() != kEnvelopeMagic) throw ProtocolError("envelope: bad magic");
+  Frame f = parse(sealed);
   Envelope env;
-  env.sender = r.read_string();
-  env.job_id = r.read_string();
-  env.sequence = r.read_u64();
-  const std::uint64_t n = r.read_u64();
-  // Written as a subtraction: `n + 32` wraps for a hostile length near
-  // 2^64 and would pass the check.
-  if (r.remaining() < kMacBytes || r.remaining() - kMacBytes < n) {
-    throw ProtocolError("envelope: truncated");
+  env.storage_ = storage_for(f.ciphertext.size());
+  if (!core::aead_open(envelope_key(secret), f.nonce, f.aad, f.ciphertext, f.tag,
+                       env.storage_.data())) {
+    reject(f);
   }
-  if (r.remaining() - kMacBytes != n) throw ProtocolError("envelope: trailing bytes");
-  const std::size_t payload_at = r.position();
-  const std::size_t mac_at = payload_at + static_cast<std::size_t>(n);
-  const core::Digest expect = core::hmac_sha256(
-      secret, sealed.data() + kMagicBytes, mac_at - kMagicBytes);
-  core::Digest mac;
-  std::copy_n(sealed.begin() + static_cast<std::ptrdiff_t>(mac_at), kMacBytes,
-              mac.begin());
-  if (!core::digests_equal(mac, expect)) {
-    throw ProtocolError("envelope: MAC verification failed for sender '" +
-                        env.sender + "'");
-  }
-  env.payload = std::span<const std::uint8_t>(sealed).subspan(
-      payload_at, static_cast<std::size_t>(n));
+  take_header(f, env);
+  env.payload = env.storage_;
   return env;
+}
+
+Envelope open(std::vector<std::uint8_t>&& sealed,
+              const std::vector<std::uint8_t>& secret) {
+  Frame f = parse(sealed);
+  auto* payload = const_cast<std::uint8_t*>(f.ciphertext.data());  // sealed is ours
+  if (!core::aead_open(envelope_key(secret), f.nonce, f.aad, f.ciphertext, f.tag,
+                       payload)) {
+    reject(f);
+  }
+  Envelope env;
+  take_header(f, env);
+  env.payload = {payload, f.ciphertext.size()};
+  env.storage_ = std::move(sealed);  // the buffer, and so the view, stays put
+  return env;
+}
+
+Envelope::~Envelope() { recycle(storage_); }
+
+Envelope& Envelope::operator=(Envelope&& other) noexcept {
+  recycle(storage_);
+  sender = std::move(other.sender);
+  job_id = std::move(other.job_id);
+  sequence = other.sequence;
+  payload = other.payload;
+  storage_ = std::move(other.storage_);
+  return *this;
+}
+
+void verify(const std::vector<std::uint8_t>& sealed,
+            const std::vector<std::uint8_t>& secret) {
+  const Frame f = parse(sealed);
+  if (!core::aead_verify(envelope_key(secret), f.nonce, f.aad, f.ciphertext, f.tag)) {
+    reject(f);
+  }
 }
 
 std::string peek_sender(const std::vector<std::uint8_t>& sealed) {
   core::ByteReader r(sealed);
-  if (r.read_u32() != kEnvelopeMagic) throw ProtocolError("envelope: bad magic");
+  check_magic(r.read_u32());
   return r.read_string();
 }
 
 std::string peek_job(const std::vector<std::uint8_t>& sealed) {
   core::ByteReader r(sealed);
-  if (r.read_u32() != kEnvelopeMagic) throw ProtocolError("envelope: bad magic");
+  check_magic(r.read_u32());
   (void)r.read_string();  // sender
   return r.read_string();
 }

@@ -1,11 +1,13 @@
-// Authenticated message envelopes.
+// Authenticated, encrypted message envelopes.
 //
-// Every protocol frame is wrapped in an envelope carrying the sender name, a
-// strictly increasing sequence number, the payload, and an HMAC-SHA256 over
-// all of it keyed by the sender's provisioned secret. The receiver verifies
-// the MAC (constant time) and enforces sequence monotonicity per sender,
-// which defeats tampering and replay on an untrusted transport — the role
-// TLS plays in a production NVFlare deployment.
+// Every protocol frame is wrapped in an envelope carrying the sender name,
+// the job binding, a strictly increasing sequence number and the payload,
+// sealed with ChaCha20-Poly1305 (RFC 8439, core/aead.h) under a key derived
+// from the sender's provisioned secret. The header travels in the clear as
+// associated data; the payload is encrypted. The receiver checks the tag
+// (constant time) and enforces sequence monotonicity per sender, which
+// defeats eavesdropping, tampering and replay on an untrusted transport —
+// the role TLS plays in a production NVFlare deployment.
 #pragma once
 
 #include <cstdint>
@@ -21,16 +23,36 @@
 
 namespace cppflare::flare {
 
+/// An opened frame. Move-only: it owns the plaintext `payload` views.
 struct Envelope {
+  Envelope() = default;
+  Envelope(Envelope&&) noexcept = default;
+  Envelope& operator=(Envelope&& other) noexcept;
+  Envelope(const Envelope&) = delete;
+  Envelope& operator=(const Envelope&) = delete;
+  ~Envelope();
+
   std::string sender;
   /// Job binding (multi-job coordinator, DESIGN.md §16): the job this frame
-  /// belongs to, covered by the MAC so cross-job replays fail closed. Every
-  /// site frame carries one; only replies the router could not verify are
-  /// sealed unbound (empty).
+  /// belongs to, authenticated with the frame so cross-job replays fail
+  /// closed. Every site frame carries one; only replies the router could
+  /// not verify are sealed unbound (empty).
   std::string job_id;
   std::uint64_t sequence = 0;
-  /// View into the sealed bytes `open` verified: valid while they live.
+  /// The decrypted payload, held by this envelope: valid while it lives
+  /// (moving the envelope keeps the view valid).
   std::span<const std::uint8_t> payload;
+
+ private:
+  friend Envelope open(const std::vector<std::uint8_t>& sealed,
+                       const std::vector<std::uint8_t>& secret);
+  friend Envelope open(std::vector<std::uint8_t>&& sealed,
+                       const std::vector<std::uint8_t>& secret);
+
+  /// The payload's storage: a decrypted copy (open(const&)) or the frame
+  /// itself (open(&&)). This thread keeps it for its next open when the
+  /// envelope dies (secure_channel.cpp).
+  std::vector<std::uint8_t> storage_;
 };
 
 /// Appends exactly the payload bytes it was sized for to the envelope
@@ -39,8 +61,8 @@ using PayloadEncoder = std::function<void(core::ByteWriter&)>;
 
 /// The sealing path: writes the envelope header into one buffer reserved
 /// for the whole frame, lets `encode` append the `payload_size` payload
-/// bytes in place, then MACs the buffer in place. Throws Error when
-/// `encode` writes a different number of bytes.
+/// bytes in place, then encrypts and tags them in place under a fresh
+/// nonce. Throws Error when `encode` writes a different number of bytes.
 std::vector<std::uint8_t> seal_encoded(const std::string& sender,
                                        const std::vector<std::uint8_t>& secret,
                                        std::uint64_t sequence,
@@ -48,23 +70,33 @@ std::vector<std::uint8_t> seal_encoded(const std::string& sender,
                                        const PayloadEncoder& encode,
                                        const std::string& job_id = {});
 
-/// Wraps `payload` in a MAC'd envelope as `sender` with `sequence`, bound
-/// to `job_id` (empty = unbound; servers reject unbound site frames).
+/// Seals `payload` as `sender` with `sequence`, bound to `job_id` (empty =
+/// unbound; servers reject unbound site frames).
 std::vector<std::uint8_t> seal(const std::string& sender,
                                const std::vector<std::uint8_t>& secret,
                                std::uint64_t sequence,
                                const std::vector<std::uint8_t>& payload,
                                const std::string& job_id = {});
 
-/// Parses and verifies an envelope against `secret` without copying it:
-/// the MAC is checked in place and `Envelope::payload` views `sealed`.
-/// Throws ProtocolError on malformed input or MAC mismatch. Does NOT check
-/// the sequence; callers with per-sender state use `SequenceTracker`.
+/// Parses, verifies and decrypts an envelope against `secret` into a
+/// plaintext buffer the returned Envelope owns; `sealed` is left as it
+/// was. Throws ProtocolError on malformed input, a v1 frame or a tag
+/// mismatch (Error subtypes on truncation). Does NOT check the sequence;
+/// callers with per-sender state use `SequenceTracker`.
 Envelope open(const std::vector<std::uint8_t>& sealed,
               const std::vector<std::uint8_t>& secret);
-/// The payload would view a temporary that dies with the full expression.
+/// The in-place path for a frame the caller hands over (a received
+/// reply): decrypts inside it and keeps it as the payload's storage, so no
+/// second buffer is allocated. On a tag mismatch the decrypted bytes are
+/// wiped before the ProtocolError leaves.
 Envelope open(std::vector<std::uint8_t>&& sealed,
-              const std::vector<std::uint8_t>& secret) = delete;
+              const std::vector<std::uint8_t>& secret);
+
+/// Checks the frame's tag without decrypting its payload (the job router's
+/// wrong-job answer needs only to know the frame is authentic). Throws like
+/// `open`.
+void verify(const std::vector<std::uint8_t>& sealed,
+            const std::vector<std::uint8_t>& secret);
 
 /// Parses only the sender name (needed to look up the right secret before
 /// verification).
@@ -72,7 +104,7 @@ std::string peek_sender(const std::vector<std::uint8_t>& sealed);
 
 /// Parses only the job binding — the router's routing key. Unverified until
 /// `open` succeeds; a forged job id at worst routes the frame to a job whose
-/// MAC check then rejects it.
+/// tag check then rejects it.
 std::string peek_job(const std::vector<std::uint8_t>& sealed);
 
 /// Enforces strictly increasing sequence numbers per sender. Thread-safe.
@@ -109,9 +141,19 @@ class SequencePool {
     return ++last_[sender];
   }
 
+  /// Peers with a counter.
+  std::size_t size() const {
+    core::MutexLock lock(mu_);
+    return last_.size();
+  }
+
  private:
-  core::Mutex mu_;
+  mutable core::Mutex mu_;
   std::map<std::string, std::uint64_t> last_ CF_GUARDED_BY(mu_);
 };
+
+/// The sequence of a reply sealed under the empty key: a peer the sealer
+/// could not identify holds no counter, and no SequenceTracker accepts 0.
+inline constexpr std::uint64_t kUnkeyedReplySequence = 0;
 
 }  // namespace cppflare::flare

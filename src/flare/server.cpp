@@ -176,9 +176,12 @@ std::vector<std::uint8_t> FederatedServer::seal_as_server(
     const std::string& sender, const std::vector<std::uint8_t>& key,
     const std::vector<std::uint8_t>& body) {
   // The pool is internally synchronized (and possibly shared with the job
-  // router), so sealing no longer touches mu_.
-  return seal("server", key, outbound_seq_->next(sender), body,
-              config_.job_id);
+  // router), so sealing no longer touches mu_. A reply under the empty key
+  // goes to a peer nobody vouched for: it takes the fixed sequence, so
+  // unauthenticated names never grow the pool.
+  const std::uint64_t sequence =
+      key.empty() ? kUnkeyedReplySequence : outbound_seq_->next(sender);
+  return seal("server", key, sequence, body, config_.job_id);
 }
 
 void FederatedServer::dispatch(const std::vector<std::uint8_t>& request,

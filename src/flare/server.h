@@ -214,6 +214,7 @@ class FederatedServer {
   void share_outbound_sequences(std::shared_ptr<SequencePool> pool) {
     if (pool) outbound_seq_ = std::move(pool);
   }
+  const SequencePool& outbound_sequences() const { return *outbound_seq_; }
 
  private:
   /// A packed reply body. Shared because every site polling round r gets

@@ -57,10 +57,10 @@ std::vector<std::uint8_t> SiteSession::next_frame() {
   throw Error(name + ": session finished; no frame to send");
 }
 
-SiteSession::Outcome SiteSession::on_reply(const std::vector<std::uint8_t>& sealed) {
+SiteSession::Outcome SiteSession::on_reply(std::vector<std::uint8_t> sealed) {
   Envelope env;
   try {
-    env = open(sealed, credential_.secret);
+    env = open(std::move(sealed), credential_.secret);
   } catch (const Error& e) {
     // Corrupted in flight, or the server could not identify us (its error
     // was sealed under an empty key). The request may not have taken

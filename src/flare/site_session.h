@@ -79,9 +79,8 @@ class SiteSession {
   std::vector<std::uint8_t> next_frame();
 
   /// Opens and verifies the reply to the last frame, classifies errors (see
-  /// the header comment) and advances. The reply is only read during the
-  /// call.
-  Outcome on_reply(const std::vector<std::uint8_t>& sealed);
+  /// the header comment) and advances. The reply is decrypted in place.
+  Outcome on_reply(std::vector<std::uint8_t> sealed);
 
   Step step() const { return step_; }
   const std::string& site_name() const { return credential_.name; }

@@ -1,5 +1,5 @@
 // Drives the cflint binary (tools/cflint) over the committed fixture trees:
-// every rule R1-R16 must fire at its planted violation, the exempt-annotated
+// every rule R1-R17 must fire at its planted violation, the exempt-annotated
 // clean tree must come back spotless, and the hermetic --self-test must
 // pass. CFLINT_BINARY and CFLINT_FIXTURES are injected by the build (see
 // tests/CMakeLists.txt), so the test exercises the exact binary a plain
@@ -72,6 +72,7 @@ TEST(CflintTest, EveryRuleFiresOnViolationTree) {
       {"\"R15\"", "secure_agg.cpp"},
       // R16 covers src/tensor/ops_*.cpp only.
       {"\"R16\"", "ops_dropout.cpp"},
+      {"\"R17\"", "entropy_violation.cpp"},
   };
   for (const auto& e : expected) {
     // The finding's rule and file land in the same JSON object; with one

@@ -306,6 +306,82 @@ TEST(FuzzEnvelope, RandomGarbageNeverVerifies) {
   }
 }
 
+// Seeded mutational fuzzing of `open` over valid v2 frames: bit flips, byte
+// overwrites, inserted and erased runs, truncations, extensions and a
+// random length field. A mutant that differs from its seed frame must fail
+// with a typed error on every path (copying open, in-place open and the
+// tag-only verify); one that happens to equal its seed must open to the
+// seed's payload.
+TEST(FuzzEnvelope, MutatedV2FramesFailClosed) {
+  const std::vector<std::uint8_t> key(32, 0x6b);
+  core::Rng rng(8);
+  std::vector<std::vector<std::uint8_t>> seeds;
+  std::vector<std::vector<std::uint8_t>> payloads;
+  for (const std::size_t n : {0, 1, 15, 16, 17, 64, 200, 1000}) {
+    payloads.push_back(random_bytes(rng, n));
+    seeds.push_back(flare::seal("site-" + std::to_string(n), key, n + 1,
+                                payloads.back(), n % 2 == 0 ? "job" : ""));
+  }
+  constexpr int kExecutions = 100000;
+  int opened_unchanged = 0;
+  for (int exec = 0; exec < kExecutions; ++exec) {
+    const auto which = static_cast<std::size_t>(rng.uniform_int(0, seeds.size() - 1));
+    std::vector<std::uint8_t> m = seeds[which];
+    const int mutations = static_cast<int>(rng.uniform_int(1, 3));
+    for (int k = 0; k < mutations; ++k) {
+      const auto at = [&] {
+        return static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(m.size())));
+      };
+      switch (rng.uniform_int(0, 5)) {
+        case 0:
+          if (!m.empty()) m[at() % m.size()] ^= static_cast<std::uint8_t>(1u << rng.uniform_int(0, 7));
+          break;
+        case 1:
+          if (!m.empty()) m[at() % m.size()] = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+          break;
+        case 2: {
+          const auto bytes = random_bytes(rng, static_cast<std::size_t>(rng.uniform_int(1, 8)));
+          m.insert(m.begin() + static_cast<std::ptrdiff_t>(at()), bytes.begin(), bytes.end());
+          break;
+        }
+        case 3: {
+          const std::size_t from = at();
+          const std::size_t n = std::min<std::size_t>(m.size() - from,
+                                                      static_cast<std::size_t>(rng.uniform_int(1, 8)));
+          m.erase(m.begin() + static_cast<std::ptrdiff_t>(from),
+                  m.begin() + static_cast<std::ptrdiff_t>(from + n));
+          break;
+        }
+        case 4:
+          m.resize(at());
+          break;
+        case 5: {
+          // Overwrite the u64 length (it sits 8 bytes before the nonce).
+          const std::size_t length_at = m.size() >= 36 ? m.size() - 36 - payloads[which].size() : 0;
+          const std::uint64_t n = static_cast<std::uint64_t>(rng.uniform_int(0, 2000)) ^
+                                  (rng.uniform_int(0, 1) == 0 ? 0 : ~0ull);
+          for (int i = 0; i < 8 && length_at + i < m.size(); ++i) {
+            m[length_at + i] = static_cast<std::uint8_t>(n >> (8 * i));
+          }
+          break;
+        }
+      }
+    }
+    if (m == seeds[which]) {
+      EXPECT_TRUE(std::ranges::equal(flare::open(m, key).payload, payloads[which]));
+      ++opened_unchanged;
+      continue;
+    }
+    switch (exec % 3) {
+      case 0: EXPECT_THROW((void)flare::open(m, key), Error) << "exec " << exec; break;
+      case 1: EXPECT_THROW((void)flare::open(std::move(m), key), Error) << "exec " << exec; break;
+      case 2: EXPECT_THROW(flare::verify(m, key), Error) << "exec " << exec; break;
+    }
+  }
+  EXPECT_LT(opened_unchanged, kExecutions / 100);
+}
+
 TEST(FuzzRoundTrip, StateDictSurvivesRandomContents) {
   core::Rng rng(6);
   for (int trial = 0; trial < 50; ++trial) {

@@ -61,7 +61,7 @@ class SiteSessionTest : public ::testing::Test {
     return reply(ErrorMessage{"injected", code});
   }
 
-  /// Opens one of the session's frames (the caller keeps `frame` alive).
+  /// Opens one of the session's frames.
   Envelope opened(const std::vector<std::uint8_t>& frame) const {
     return open(frame, cred_.secret);
   }
@@ -166,8 +166,10 @@ TEST_F(SiteSessionTest, RetryableAndUnverifiableRepliesResendUnderFreshSequence)
   EXPECT_LT(opened(second).sequence, opened(third).sequence);
   EXPECT_LT(opened(third).sequence, opened(fourth).sequence);
   // Only the sequence changed: every resend carries the same request.
-  EXPECT_TRUE(std::equal(opened(first).payload.begin(), opened(first).payload.end(),
-                         opened(fourth).payload.begin(), opened(fourth).payload.end()));
+  // (Each open decrypts into its own buffer: take both ends of one view.)
+  const Envelope first_open = opened(first);
+  const Envelope fourth_open = opened(fourth);
+  EXPECT_TRUE(std::ranges::equal(first_open.payload, fourth_open.payload));
 
   EXPECT_EQ(session_.on_reply(reply(SubmitAck{true, "", RejectReason::kNone})),
             SiteSession::Outcome::kAdvanced);

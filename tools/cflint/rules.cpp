@@ -105,6 +105,7 @@ class RuleRunner {
     r14_server_via_job_runner();
     r15_privacy_keyed_stream_only();
     r16_tensor_ops_keyed_stream_only();
+    r17_unseeded_draws_only_for_nonces();
   }
 
  private:
@@ -666,6 +667,20 @@ class RuleRunner {
     }
   }
 
+  // R17: the envelope's nonces are the one unseeded draw in the runtime:
+  // core::fresh_nonce keys a ChaCha20 stream from std::random_device once
+  // per process. Anywhere else an OS entropy draw would make runs
+  // irreproducible, which core::Rng's seeding exists to prevent (§10, §12).
+  void r17_unseeded_draws_only_for_nonces() {
+    if (path_ == "src/core/aead.cpp") return;
+    for (const Token& t : toks_) {
+      if (t.kind != TokKind::kIdent) continue;
+      if (t.text != "random_device" && t.text != "getrandom") continue;
+      flag(17, t, "'" + t.text + "' outside the nonce source (src/core/aead.cpp); "
+                  "draw from a seeded core::Rng or a keyed core::KeyedStream");
+    }
+  }
+
   const std::string& path_;
   const std::vector<Token>& toks_;
   const std::map<int, std::set<int>>& exemptions_;
@@ -736,6 +751,8 @@ const char* rule_summary(int rule) {
                     "from core::KeyedStream, never Rng/MT19937/<random>";
     case 16: return "tensor ops (src/tensor/ops_*.cpp) draw from a keyed "
                     "core::KeyedStream, never bernoulli/MT19937/<random> per element";
+    case 17: return "std::random_device/getrandom only in the envelope's nonce "
+                    "source (src/core/aead.cpp)";
     default: return "";
   }
 }

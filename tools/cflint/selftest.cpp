@@ -286,6 +286,20 @@ const std::vector<Case>& cases() {
        "// R16-exempt: fixture proves the exemption path\n"
        "bool f(core::Rng& rng) { return rng.bernoulli(0.5); }\n",
        {}},
+
+      {"R17 entropy draw outside the nonce source", "src/flare/provision.cpp",
+       "// std::random_device in a comment is fine\n"
+       "const char* s = \"getrandom\";\n"
+       "unsigned f() { std::random_device d; return d(); }\n"
+       "long g(void* p) { return getrandom(p, 8, 0); }\n",
+       {{17, 3}, {17, 4}}},
+      {"R17 the nonce source may draw", "src/core/aead.cpp",
+       "unsigned f() { std::random_device d; return d(); }\n",
+       {}},
+      {"R17 exempt", "src/core/rng.cpp",
+       "// R17-exempt: fixture proves the exemption path\n"
+       "unsigned f() { std::random_device d; return d(); }\n",
+       {}},
   };
   return kCases;
 }
