@@ -161,7 +161,7 @@ inline constexpr const char* kDuplicateContribution = "duplicate contribution";
 // `encode` appends a message's full tagged frame to a writer and
 // `encoded_size` is that frame's exact byte count. `pack` puts the frame in
 // one exactly reserved buffer; `seal_message` encodes it straight into the
-// envelope buffer instead (the same wire bytes as seal(..., pack(m), job),
+// envelope buffer instead (the frame seal(..., pack(m), job) would build,
 // without the separate frame buffer). `peek_type` reads the tag; decode_*
 // read a borrowed view (a buffer or an opened envelope's payload), expect
 // the matching tag and throw ProtocolError otherwise.
