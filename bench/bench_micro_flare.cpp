@@ -92,8 +92,9 @@ void BM_Sha256(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256)->Arg(1024)->Arg(1 << 20)->Arg(kBertPayloadBytes);
 
+// The key is derived once, as a credential's holder does.
 void BM_SealOpen(benchmark::State& state) {
-  const std::vector<std::uint8_t> key(32, 0x7);
+  const flare::ChannelKey key(std::vector<std::uint8_t>(32, 0x7));
   std::vector<std::uint8_t> payload(static_cast<std::size_t>(state.range(0)), 0x3c);
   std::uint64_t seq = 0;
   for (auto _ : state) {
@@ -110,7 +111,7 @@ BENCHMARK(BM_SealOpen)->Arg(1024)->Arg(5 << 20)->Arg(kBertPayloadBytes);
 // TaskMessage, seal it for one site, open it there and decode the model.
 // The argument is the model's float bytes.
 void BM_TaskFrame(benchmark::State& state) {
-  const std::vector<std::uint8_t> key(32, 0x7);
+  const flare::ChannelKey key(std::vector<std::uint8_t>(32, 0x7));
   flare::TaskMessage task{flare::TaskKind::kTrain, 3, 10,
                           flare::Dxo(flare::DxoKind::kWeights,
                                      model_of_size(state.range(0) / 4))};

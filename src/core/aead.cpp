@@ -65,20 +65,14 @@ AeadTag tag_chunks(const KeyedStream& stream, std::span<const std::uint8_t> aad,
 }  // namespace
 
 AeadTag aead_seal(const Digest& key, const AeadNonce& nonce,
-                  std::span<const std::uint8_t> aad, std::size_t size,
-                  const AeadChunk& chunk) {
-  const KeyedStream stream(key, nonce);
-  return tag_chunks(stream, aad, size, [&](std::size_t at, std::size_t n, Poly1305& mac) {
-    std::uint8_t* p = chunk(at, n);
-    apply_keystream(stream, at, p, p, n);
-    mac.update(p, n);
-  });
-}
-
-AeadTag aead_seal(const Digest& key, const AeadNonce& nonce,
                   std::span<const std::uint8_t> aad, std::span<std::uint8_t> data) {
-  return aead_seal(key, nonce, aad, data.size(),
-                   [&data](std::size_t at, std::size_t) { return data.data() + at; });
+  const KeyedStream stream(key, nonce);
+  std::uint8_t* p = data.data();
+  return tag_chunks(stream, aad, data.size(),
+                    [&](std::size_t at, std::size_t n, Poly1305& mac) {
+                      apply_keystream(stream, at, p + at, p + at, n);
+                      mac.update(p + at, n);
+                    });
 }
 
 bool aead_open(const Digest& key, const AeadNonce& nonce,

@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <span>
 
 #include "core/keyed_stream.h"
@@ -25,17 +24,6 @@ using AeadTag = Poly1305::Tag;
 /// `aad` and the ciphertext. A (key, nonce) pair must never seal twice.
 AeadTag aead_seal(const Digest& key, const AeadNonce& nonce,
                   std::span<const std::uint8_t> aad, std::span<std::uint8_t> data);
-
-/// Returns where plaintext bytes [at, at + n) lie, writing them there first
-/// if they are not yet in place; they are encrypted there.
-using AeadChunk = std::function<std::uint8_t*(std::size_t at, std::size_t n)>;
-
-/// aead_seal over `size` plaintext bytes that `chunk` delivers one chunk at
-/// a time, so a sealer can copy a payload into its frame and encrypt it
-/// while each chunk is still in cache.
-AeadTag aead_seal(const Digest& key, const AeadNonce& nonce,
-                  std::span<const std::uint8_t> aad, std::size_t size,
-                  const AeadChunk& chunk);
 
 /// Checks `tag` over `aad` and `ciphertext` while decrypting into `out`
 /// (ciphertext.size() bytes; `out` may be ciphertext.data() itself). On a

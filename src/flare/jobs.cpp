@@ -52,17 +52,19 @@ const char* job_state_name(JobState state) {
 
 AdminClient::AdminClient(std::unique_ptr<Connection> connection,
                          Credential credential)
-    : connection_(std::move(connection)), credential_(std::move(credential)) {
+    : connection_(std::move(connection)),
+      credential_(std::move(credential)),
+      key_(credential_.secret) {
   if (!connection_) throw Error("AdminClient: connection required");
 }
 
 std::string AdminClient::call(const std::string& line) {
   const std::vector<std::uint8_t> sealed =
-      seal(credential_.name, credential_.secret, seq_.next(), to_bytes(line));
+      seal(credential_.name, key_, seq_.next(), to_bytes(line));
   std::vector<std::uint8_t> sealed_reply = connection_->call(sealed);
   Envelope env;
   try {
-    env = open(std::move(sealed_reply), credential_.secret);
+    env = open(std::move(sealed_reply), key_);
   } catch (const Error& e) {
     throw TransportError(std::string("admin: reply unverifiable: ") + e.what());
   }
@@ -102,7 +104,7 @@ std::string AdminClient::call(const std::string& line) {
 // configure outside it, and only then does the job turn routable.
 
 JobRunner::JobRunner(std::map<std::string, Credential> site_pool)
-    : site_pool_(std::move(site_pool)) {}
+    : site_pool_(std::move(site_pool)), keys_(channel_keys(site_pool_)) {}
 
 JobRunner::~JobRunner() {
   std::vector<std::unique_ptr<Job>> jobs;
@@ -417,15 +419,15 @@ bool JobRunner::wait_all(std::int64_t timeout_ms) {
 // ---- routing --------------------------------------------------------------
 
 std::vector<std::uint8_t> JobRunner::seal_reply(
-    const std::string& sender, const std::vector<std::uint8_t>& key,
-    const std::string& job_id, const std::vector<std::uint8_t>& body) {
+    const std::string& sender, const ChannelKey& key, const std::string& job_id,
+    const std::vector<std::uint8_t>& body) {
   // Sealed from the shared pool so this sequence interleaves correctly with
   // whatever any hosted server later sends the same peer. The claimed job id
   // is echoed so the client's own binding check accepts the reply. Replies
   // under the empty key (unknown or unparseable peers) take the fixed
   // sequence and leave the pool alone.
   const std::uint64_t sequence =
-      key.empty() ? kUnkeyedReplySequence : sequences_->next(sender);
+      key.unkeyed() ? kUnkeyedReplySequence : sequences_->next(sender);
   return seal("server", key, sequence, body, job_id);
 }
 
@@ -449,8 +451,8 @@ JobRunner::Route JobRunner::resolve(const std::vector<std::uint8_t>& request) {
     route.reply = handle_admin(request);
     return route;
   }
-  const auto key_it = site_pool_.find(sender);
-  if (key_it == site_pool_.end()) {
+  const auto key_it = keys_.find(sender);
+  if (key_it == keys_.end()) {
     // Unknown peer: rejected uniformly before the job registry is even
     // consulted, mirroring the single-job server's unknown-participant
     // reply. Answering per-job would let an unauthenticated peer — who can
@@ -462,7 +464,7 @@ JobRunner::Route JobRunner::resolve(const std::vector<std::uint8_t>& request) {
                           ErrorCode::kRetryable}));
     return route;
   }
-  const std::vector<std::uint8_t>& key = key_it->second.secret;
+  const ChannelKey& key = key_it->second;
   // The routing key is unauthenticated until the tag checks out, so a
   // misroute must not be declared fatal on a frame that is merely damaged
   // in flight: verify first, and answer corruption with the same retryable
@@ -538,13 +540,13 @@ AsyncDispatcher JobRunner::async_router() {
 
 std::vector<std::uint8_t> JobRunner::handle_admin(
     const std::vector<std::uint8_t>& request) {
-  const auto it = site_pool_.find("admin");
-  if (it == site_pool_.end()) {
+  const auto it = keys_.find("admin");
+  if (it == keys_.end()) {
     return seal_reply("admin", {}, "",
                       pack(ErrorMessage{"no admin identity is provisioned",
                                         ErrorCode::kFatal}));
   }
-  const std::vector<std::uint8_t>& key = it->second.secret;
+  const ChannelKey& key = it->second;
   Envelope env;
   try {
     env = open(request, key);

@@ -101,6 +101,7 @@ class AdminClient {
  private:
   std::unique_ptr<Connection> connection_;
   Credential credential_;
+  ChannelKey key_;  // credential_'s envelope key
   SequenceSource seq_;
   SequenceTracker server_seq_;
 };
@@ -206,12 +207,13 @@ class JobRunner {
   };
   Route resolve(const std::vector<std::uint8_t>& request);
   std::vector<std::uint8_t> handle_admin(const std::vector<std::uint8_t>& request);
-  std::vector<std::uint8_t> seal_reply(const std::string& sender,
-                                       const std::vector<std::uint8_t>& key,
+  std::vector<std::uint8_t> seal_reply(const std::string& sender, const ChannelKey& key,
                                        const std::string& job_id,
                                        const std::vector<std::uint8_t>& body);
 
   std::map<std::string, Credential> site_pool_;
+  /// site_pool_'s envelope keys, derived once.
+  std::map<std::string, ChannelKey> keys_;
   /// One outbound "server" sequence pool shared with every hosted server,
   /// so router errors and server replies to the same client stay strictly
   /// increasing (the client's replay check demands it).

@@ -195,12 +195,11 @@ std::vector<std::uint8_t> pack(const Message& m) {
 }
 
 template <class Message>
-std::vector<std::uint8_t> seal_message(const std::string& sender,
-                                       const std::vector<std::uint8_t>& secret,
+std::vector<std::uint8_t> seal_message(const std::string& sender, const ChannelKey& key,
                                        std::uint64_t sequence, const Message& m,
                                        const std::string& job_id = {}) {
   return seal_encoded(
-      sender, secret, sequence, encoded_size(m),
+      sender, key, sequence, encoded_size(m),
       [&m](core::ByteWriter& w) { encode(m, w); }, job_id);
 }
 

@@ -1,7 +1,6 @@
 #include "flare/secure_channel.h"
 
 #include <algorithm>
-#include <array>
 
 #include "core/aead.h"
 #include "core/bytes.h"
@@ -18,29 +17,10 @@ constexpr std::size_t kMagicBytes = 4;
 constexpr std::size_t kNonceBytes = std::tuple_size_v<core::AeadNonce>;
 constexpr std::size_t kTagBytes = std::tuple_size_v<core::AeadTag>;
 
-/// The envelope's AEAD key: the provisioned secret, domain-separated from
-/// its other uses. The HMAC costs four SHA-256 blocks, as much as the whole
-/// cipher pass over a small control frame, so each thread keeps the keys of
-/// the secrets it used last, one slot per value of the secret's first byte
-/// (a coordinator thread serves hundreds of sites).
-core::Digest envelope_key(const std::vector<std::uint8_t>& secret) {
+core::Digest derive_key(const std::vector<std::uint8_t>& secret) {
   static constexpr char kLabel[] = "cppflare/envelope/v2";
-  const auto derive = [&secret] {
-    return core::hmac_sha256(secret, reinterpret_cast<const std::uint8_t*>(kLabel),
-                             sizeof(kLabel) - 1);
-  };
-  struct Slot {
-    std::vector<std::uint8_t> secret;
-    core::Digest key;
-  };
-  thread_local std::array<Slot, 256> cache;
-  if (secret.empty()) return derive();
-  Slot& slot = cache[secret[0] % cache.size()];
-  if (slot.secret != secret) {
-    slot.key = derive();
-    slot.secret = secret;
-  }
-  return slot.key;
+  return core::hmac_sha256(secret, reinterpret_cast<const std::uint8_t*>(kLabel),
+                           sizeof(kLabel) - 1);
 }
 
 void check_magic(std::uint32_t magic) {
@@ -118,15 +98,28 @@ void take_header(Frame& f, Envelope& env) {
 }
 }  // namespace
 
+ChannelKey::ChannelKey() : ChannelKey(std::vector<std::uint8_t>{}) {}
+
+ChannelKey::ChannelKey(const std::vector<std::uint8_t>& secret)
+    : unkeyed_(secret.empty()) {
+  static const core::Digest kUnkeyed = derive_key({});
+  digest_ = unkeyed_ ? kUnkeyed : derive_key(secret);
+}
+
+std::map<std::string, ChannelKey> channel_keys(
+    const std::map<std::string, Credential>& registry) {
+  std::map<std::string, ChannelKey> keys;
+  for (const auto& [name, credential] : registry) keys.emplace(name, credential.secret);
+  return keys;
+}
+
 // Wire layout: magic | sender | job_id | sequence | u64 length | nonce |
 // ciphertext | tag. The associated data is everything from the sender
 // through the nonce, so both ends authenticate the header in place.
-namespace {
-
-/// The header, in a buffer reserved for the whole frame.
-core::ByteWriter frame_header(const std::string& sender, const std::string& job_id,
-                              std::uint64_t sequence, std::size_t payload_size,
-                              const core::AeadNonce& nonce) {
+std::vector<std::uint8_t> seal_encoded_with_nonce(
+    const std::string& sender, const ChannelKey& key, std::uint64_t sequence,
+    std::size_t payload_size, const PayloadEncoder& encode, const std::string& job_id,
+    const core::AeadNonce& nonce) {
   core::ByteWriter w;
   w.reserve(kMagicBytes + core::encoded_size(sender) + core::encoded_size(job_id) +
             8 + 8 + kNonceBytes + payload_size + kTagBytes);
@@ -136,29 +129,6 @@ core::ByteWriter frame_header(const std::string& sender, const std::string& job_
   w.write_u64(sequence);
   w.write_u64(payload_size);
   w.write_raw(nonce.data(), nonce.size());
-  return w;
-}
-
-/// Encrypts the payload that `chunk` places after the header (which ends at
-/// `payload_at`) and appends the tag. Every write stays within the
-/// reservation, so the header the associated data views stays put.
-void seal_payload(std::vector<std::uint8_t>& frame, std::size_t payload_at,
-                  std::size_t payload_size, const std::vector<std::uint8_t>& secret,
-                  const core::AeadNonce& nonce, const core::AeadChunk& chunk) {
-  const std::span<const std::uint8_t> aad(frame.data() + kMagicBytes,
-                                          payload_at - kMagicBytes);
-  const core::AeadTag tag =
-      core::aead_seal(envelope_key(secret), nonce, aad, payload_size, chunk);
-  frame.insert(frame.end(), tag.begin(), tag.end());
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> seal_encoded_with_nonce(
-    const std::string& sender, const std::vector<std::uint8_t>& secret,
-    std::uint64_t sequence, std::size_t payload_size, const PayloadEncoder& encode,
-    const std::string& job_id, const core::AeadNonce& nonce) {
-  core::ByteWriter w = frame_header(sender, job_id, sequence, payload_size, nonce);
   const std::size_t payload_at = w.size();
   encode(w);
   if (w.size() - payload_at != payload_size) {
@@ -167,50 +137,46 @@ std::vector<std::uint8_t> seal_encoded_with_nonce(
                 std::to_string(payload_size));
   }
   std::vector<std::uint8_t> frame = w.take();
-  seal_payload(frame, payload_at, payload_size, secret, nonce,
-               [&frame, payload_at](std::size_t at, std::size_t) {
-                 return frame.data() + payload_at + at;
-               });
+  // Encrypted in place; the tag lands within the reservation.
+  const std::span<std::uint8_t> bytes(frame);
+  const core::AeadTag tag = core::aead_seal(
+      key.digest(), nonce, bytes.subspan(kMagicBytes, payload_at - kMagicBytes),
+      bytes.subspan(payload_at));
+  frame.insert(frame.end(), tag.begin(), tag.end());
   return frame;
 }
 
-std::vector<std::uint8_t> seal_encoded(const std::string& sender,
-                                       const std::vector<std::uint8_t>& secret,
-                                       std::uint64_t sequence,
-                                       std::size_t payload_size,
-                                       const PayloadEncoder& encode,
-                                       const std::string& job_id) {
-  return seal_encoded_with_nonce(sender, secret, sequence, payload_size, encode,
-                                 job_id, core::fresh_nonce());
+std::vector<std::uint8_t> seal_with_nonce(const std::string& sender, const ChannelKey& key,
+                                          std::uint64_t sequence,
+                                          const std::vector<std::uint8_t>& payload,
+                                          const std::string& job_id,
+                                          const core::AeadNonce& nonce) {
+  return seal_encoded_with_nonce(
+      sender, key, sequence, payload.size(),
+      [&payload](core::ByteWriter& w) { w.write_raw(payload.data(), payload.size()); },
+      job_id, nonce);
 }
 
-std::vector<std::uint8_t> seal(const std::string& sender,
-                               const std::vector<std::uint8_t>& secret,
+std::vector<std::uint8_t> seal_encoded(const std::string& sender, const ChannelKey& key,
+                                       std::uint64_t sequence, std::size_t payload_size,
+                                       const PayloadEncoder& encode,
+                                       const std::string& job_id) {
+  return seal_encoded_with_nonce(sender, key, sequence, payload_size, encode, job_id,
+                                 core::fresh_nonce());
+}
+
+std::vector<std::uint8_t> seal(const std::string& sender, const ChannelKey& key,
                                std::uint64_t sequence,
                                const std::vector<std::uint8_t>& payload,
                                const std::string& job_id) {
-  const core::AeadNonce nonce = core::fresh_nonce();
-  std::vector<std::uint8_t> frame =
-      frame_header(sender, job_id, sequence, payload.size(), nonce).take();
-  const std::size_t payload_at = frame.size();
-  // Copies each chunk into the frame just before it is encrypted there, so
-  // the payload crosses memory once instead of being copied, then
-  // encrypted in a second pass.
-  seal_payload(frame, payload_at, payload.size(), secret, nonce,
-               [&](std::size_t at, std::size_t n) {
-                 const auto from = payload.begin() + static_cast<std::ptrdiff_t>(at);
-                 frame.insert(frame.end(), from, from + static_cast<std::ptrdiff_t>(n));
-                 return frame.data() + payload_at + at;
-               });
-  return frame;
+  return seal_with_nonce(sender, key, sequence, payload, job_id, core::fresh_nonce());
 }
 
-Envelope open(const std::vector<std::uint8_t>& sealed,
-              const std::vector<std::uint8_t>& secret) {
+Envelope open(const std::vector<std::uint8_t>& sealed, const ChannelKey& key) {
   Frame f = parse(sealed);
   Envelope env;
   env.storage_ = storage_for(f.ciphertext.size());
-  if (!core::aead_open(envelope_key(secret), f.nonce, f.aad, f.ciphertext, f.tag,
+  if (!core::aead_open(key.digest(), f.nonce, f.aad, f.ciphertext, f.tag,
                        env.storage_.data())) {
     reject(f);
   }
@@ -219,11 +185,10 @@ Envelope open(const std::vector<std::uint8_t>& sealed,
   return env;
 }
 
-Envelope open(std::vector<std::uint8_t>&& sealed,
-              const std::vector<std::uint8_t>& secret) {
+Envelope open(std::vector<std::uint8_t>&& sealed, const ChannelKey& key) {
   Frame f = parse(sealed);
   auto* payload = const_cast<std::uint8_t*>(f.ciphertext.data());  // sealed is ours
-  if (!core::aead_open(envelope_key(secret), f.nonce, f.aad, f.ciphertext, f.tag,
+  if (!core::aead_open(key.digest(), f.nonce, f.aad, f.ciphertext, f.tag,
                        payload)) {
     reject(f);
   }
@@ -246,10 +211,9 @@ Envelope& Envelope::operator=(Envelope&& other) noexcept {
   return *this;
 }
 
-void verify(const std::vector<std::uint8_t>& sealed,
-            const std::vector<std::uint8_t>& secret) {
+void verify(const std::vector<std::uint8_t>& sealed, const ChannelKey& key) {
   const Frame f = parse(sealed);
-  if (!core::aead_verify(envelope_key(secret), f.nonce, f.aad, f.ciphertext, f.tag)) {
+  if (!core::aead_verify(key.digest(), f.nonce, f.aad, f.ciphertext, f.tag)) {
     reject(f);
   }
 }

@@ -18,10 +18,36 @@
 #include <vector>
 
 #include "core/bytes.h"
+#include "core/sha256.h"
 #include "core/thread_annotations.h"
 #include "flare/provision.h"
 
 namespace cppflare::flare {
+
+/// The envelope key of one secret: HMAC-SHA256(secret,
+/// "cppflare/envelope/v2"), the provisioned secret domain-separated from its
+/// other uses. The HMAC costs four SHA-256 blocks, as much as the whole
+/// cipher pass over a small control frame, so whoever holds a credential
+/// derives its key once (`channel_keys`) and seals and opens with that; a
+/// bare secret converts implicitly and derives per call.
+class ChannelKey {
+ public:
+  /// The empty secret's key: replies to a peer nobody vouched for, which
+  /// no receiver can verify.
+  ChannelKey();
+  ChannelKey(const std::vector<std::uint8_t>& secret);
+
+  bool unkeyed() const { return unkeyed_; }
+  const core::Digest& digest() const { return digest_; }
+
+ private:
+  core::Digest digest_;
+  bool unkeyed_;
+};
+
+/// Every credential's envelope key, keyed like `registry`.
+std::map<std::string, ChannelKey> channel_keys(
+    const std::map<std::string, Credential>& registry);
 
 /// An opened frame. Move-only: it owns the plaintext `payload` views.
 struct Envelope {
@@ -45,9 +71,8 @@ struct Envelope {
 
  private:
   friend Envelope open(const std::vector<std::uint8_t>& sealed,
-                       const std::vector<std::uint8_t>& secret);
-  friend Envelope open(std::vector<std::uint8_t>&& sealed,
-                       const std::vector<std::uint8_t>& secret);
+                       const ChannelKey& key);
+  friend Envelope open(std::vector<std::uint8_t>&& sealed, const ChannelKey& key);
 
   /// The payload's storage: a decrypted copy (open(const&)) or the frame
   /// itself (open(&&)). This thread keeps it for its next open when the
@@ -64,39 +89,36 @@ using PayloadEncoder = std::function<void(core::ByteWriter&)>;
 /// bytes in place, then encrypts and tags them in place under a fresh
 /// nonce. Throws Error when `encode` writes a different number of bytes.
 std::vector<std::uint8_t> seal_encoded(const std::string& sender,
-                                       const std::vector<std::uint8_t>& secret,
+                                       const ChannelKey& key,
                                        std::uint64_t sequence,
                                        std::size_t payload_size,
                                        const PayloadEncoder& encode,
                                        const std::string& job_id = {});
 
 /// Seals `payload` as `sender` with `sequence`, bound to `job_id` (empty =
-/// unbound; servers reject unbound site frames).
-std::vector<std::uint8_t> seal(const std::string& sender,
-                               const std::vector<std::uint8_t>& secret,
+/// unbound; servers reject unbound site frames): seal_encoded with an
+/// encoder that copies `payload`.
+std::vector<std::uint8_t> seal(const std::string& sender, const ChannelKey& key,
                                std::uint64_t sequence,
                                const std::vector<std::uint8_t>& payload,
                                const std::string& job_id = {});
 
-/// Parses, verifies and decrypts an envelope against `secret` into a
+/// Parses, verifies and decrypts an envelope under `key` into a
 /// plaintext buffer the returned Envelope owns; `sealed` is left as it
 /// was. Throws ProtocolError on malformed input, a v1 frame or a tag
 /// mismatch (Error subtypes on truncation). Does NOT check the sequence;
 /// callers with per-sender state use `SequenceTracker`.
-Envelope open(const std::vector<std::uint8_t>& sealed,
-              const std::vector<std::uint8_t>& secret);
+Envelope open(const std::vector<std::uint8_t>& sealed, const ChannelKey& key);
 /// The in-place path for a frame the caller hands over (a received
 /// reply): decrypts inside it and keeps it as the payload's storage, so no
 /// second buffer is allocated. On a tag mismatch the decrypted bytes are
 /// wiped before the ProtocolError leaves.
-Envelope open(std::vector<std::uint8_t>&& sealed,
-              const std::vector<std::uint8_t>& secret);
+Envelope open(std::vector<std::uint8_t>&& sealed, const ChannelKey& key);
 
 /// Checks the frame's tag without decrypting its payload (the job router's
 /// wrong-job answer needs only to know the frame is authentic). Throws like
 /// `open`.
-void verify(const std::vector<std::uint8_t>& sealed,
-            const std::vector<std::uint8_t>& secret);
+void verify(const std::vector<std::uint8_t>& sealed, const ChannelKey& key);
 
 /// Parses only the sender name (needed to look up the right secret before
 /// verification).

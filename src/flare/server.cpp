@@ -69,6 +69,7 @@ FederatedServer::FederatedServer(ServerConfig config,
                                  std::shared_ptr<RoundJournal> journal)
     : config_(std::move(config)),
       registry_(std::move(registry)),
+      keys_(channel_keys(registry_)),
       persistor_(std::move(persistor)),
       journal_(std::move(journal)),
       global_(std::move(initial_model)),
@@ -173,31 +174,31 @@ AsyncDispatcher FederatedServer::async_dispatcher() {
 }
 
 std::vector<std::uint8_t> FederatedServer::seal_as_server(
-    const std::string& sender, const std::vector<std::uint8_t>& key,
+    const std::string& sender, const ChannelKey& key,
     const std::vector<std::uint8_t>& body) {
   // The pool is internally synchronized (and possibly shared with the job
   // router), so sealing no longer touches mu_. A reply under the empty key
   // goes to a peer nobody vouched for: it takes the fixed sequence, so
   // unauthenticated names never grow the pool.
   const std::uint64_t sequence =
-      key.empty() ? kUnkeyedReplySequence : outbound_seq_->next(sender);
+      key.unkeyed() ? kUnkeyedReplySequence : outbound_seq_->next(sender);
   return seal("server", key, sequence, body, config_.job_id);
 }
 
 void FederatedServer::dispatch(const std::vector<std::uint8_t>& request,
                                RespondFn respond) {
   std::string sender;
-  std::vector<std::uint8_t> key;
+  ChannelKey key;
   auto reply_error = [&](const std::string& what, ErrorCode code) {
     respond(seal_as_server(sender, key, pack(ErrorMessage{what, code})));
   };
   try {
     sender = peek_sender(request);
-    auto cred_it = registry_.find(sender);
-    if (cred_it == registry_.end()) {
+    auto key_it = keys_.find(sender);
+    if (key_it == keys_.end()) {
       throw ProtocolError("unknown participant '" + sender + "'");
     }
-    key = cred_it->second.secret;
+    key = key_it->second;
     Envelope env;
     try {
       env = open(request, key);
@@ -251,7 +252,7 @@ void FederatedServer::dispatch(const std::vector<std::uint8_t>& request,
 }
 
 void FederatedServer::park_or_reply_get_task(const std::string& sender,
-                                             const std::vector<std::uint8_t>& key,
+                                             const ChannelKey& key,
                                              const GetTaskRequest& req,
                                              RespondFn& respond) {
   core::MutexLock lock(mu_);

@@ -231,14 +231,13 @@ class FederatedServer {
   std::vector<std::uint8_t> handle_frame(const std::string& sender,
                                          std::span<const std::uint8_t> frame);
   std::vector<std::uint8_t> seal_as_server(const std::string& sender,
-                                           const std::vector<std::uint8_t>& key,
+                                           const ChannelKey& key,
                                            const std::vector<std::uint8_t>& body);
 
   /// get_task: parks the call (consuming `respond`) or stages an immediate
   /// reply on ready_replies_. Only moves from `respond` on success, so the
   /// caller's error paths can still answer after a throw.
-  void park_or_reply_get_task(const std::string& sender,
-                              const std::vector<std::uint8_t>& key,
+  void park_or_reply_get_task(const std::string& sender, const ChannelKey& key,
                               const GetTaskRequest& req, RespondFn& respond);
 
   std::vector<std::uint8_t> on_register(const std::string& sender,
@@ -371,12 +370,14 @@ class FederatedServer {
   };
   Quorum quorum_locked() const CF_REQUIRES(mu_);
 
-  // config_ and registry_ are immutable after construction; inbound_filters_
+  // config_, registry_ and keys_ are immutable after construction; inbound_filters_
   // and events_ are configured before the run starts and are internally
   // synchronized (EventBus) or read-only on the dispatch path — none of them
   // needs mu_. Everything below mu_ is round/run state guarded by it.
   ServerConfig config_;
   std::map<std::string, Credential> registry_;
+  /// registry_'s envelope keys, derived once.
+  std::map<std::string, ChannelKey> keys_;
   std::vector<RoundObserver> round_observers_ CF_GUARDED_BY(mu_);
   FilterChain inbound_filters_;
   EventBus events_;
@@ -449,7 +450,7 @@ class FederatedServer {
   /// A long-poll get_task waiting for its round. The RespondFn is the
   /// transport continuation; `key` re-seals without another registry lookup.
   struct ParkedPoll {
-    std::vector<std::uint8_t> key;
+    ChannelKey key;
     RespondFn respond;
     std::chrono::steady_clock::time_point deadline;
   };
@@ -457,7 +458,7 @@ class FederatedServer {
   /// (respond may re-enter the server).
   struct ReadyReply {
     std::string sender;
-    std::vector<std::uint8_t> key;
+    ChannelKey key;
     Body body;  // packed, not yet sealed
     RespondFn respond;
   };

@@ -20,6 +20,7 @@ SiteSession::SiteSession(Credential credential, std::string job_id,
                          std::int64_t long_poll_ms,
                          std::shared_ptr<Learner> learner)
     : credential_(std::move(credential)),
+      key_(credential_.secret),
       job_id_(std::move(job_id)),
       long_poll_ms_(std::max<std::int64_t>(1, long_poll_ms)),
       learner_(std::move(learner)) {
@@ -36,21 +37,20 @@ std::vector<std::uint8_t> SiteSession::next_frame() {
   // router can dispatch it (a cross-job replay fails the other job's check).
   const std::uint64_t seq = seq_.next();
   const auto& name = credential_.name;
-  const auto& secret = credential_.secret;
   switch (step_) {
     case Step::kRegister:
-      return seal_message(name, secret, seq,
+      return seal_message(name, key_, seq,
                           RegisterRequest{name, credential_.token}, job_id_);
     case Step::kPoll:
-      return seal_message(name, secret, seq,
+      return seal_message(name, key_, seq,
                           GetTaskRequest{session_id_, long_poll_ms_}, job_id_);
     case Step::kSubmit:
       // A re-registration may have changed the session id since training.
       submit_.session_id = session_id_;
-      return seal_message(name, secret, seq, submit_, job_id_);
+      return seal_message(name, key_, seq, submit_, job_id_);
     case Step::kUnmask:
       unmask_.session_id = session_id_;
-      return seal_message(name, secret, seq, unmask_, job_id_);
+      return seal_message(name, key_, seq, unmask_, job_id_);
     case Step::kDone:
       break;
   }
@@ -60,7 +60,7 @@ std::vector<std::uint8_t> SiteSession::next_frame() {
 SiteSession::Outcome SiteSession::on_reply(std::vector<std::uint8_t> sealed) {
   Envelope env;
   try {
-    env = open(std::move(sealed), credential_.secret);
+    env = open(std::move(sealed), key_);
   } catch (const Error& e) {
     // Corrupted in flight, or the server could not identify us (its error
     // was sealed under an empty key). The request may not have taken

@@ -101,6 +101,7 @@ class SiteSession {
   void train(const TaskMessage& task);
 
   Credential credential_;
+  ChannelKey key_;  // credential_'s envelope key
   std::string job_id_;
   std::int64_t long_poll_ms_;
   std::shared_ptr<Learner> learner_;
