@@ -224,6 +224,24 @@ TEST(SecureChannel, SealEncodedMatchesSealAndChecksTheDeclaredSize) {
   EXPECT_THROW((void)seal_encoded("site-2", key_a(), 5, 5, write), Error);
 }
 
+// A key derived once and the bare secret it came from seal the same bytes
+// and open each other's frames; the default key is the empty secret's.
+TEST(SecureChannel, ChannelKeyIsItsSecretDerivedOnce) {
+  const ChannelKey key(key_a());
+  const std::vector<std::uint8_t> payload = {3, 1, 4};
+  const auto sealed = seal("site-1", key, 2, payload, "job");
+  EXPECT_EQ(seal_with_nonce("site-1", key_a(), 2, payload, "job", nonce_in(sealed)), sealed);
+  EXPECT_TRUE(std::ranges::equal(open(sealed, key_a()).payload, payload));
+  EXPECT_TRUE(std::ranges::equal(open(seal("site-1", key_a(), 3, payload), key).payload,
+                                 payload));
+  EXPECT_FALSE(key.unkeyed());
+  EXPECT_TRUE(ChannelKey().unkeyed());
+  EXPECT_EQ(ChannelKey().digest(), ChannelKey(std::vector<std::uint8_t>{}).digest());
+  EXPECT_THROW(open(sealed, ChannelKey()), ProtocolError);
+  const auto keys = channel_keys({{"site-1", Credential{"site-1", "tok", key_a()}}});
+  EXPECT_EQ(keys.at("site-1").digest(), key.digest());
+}
+
 TEST(SecureChannel, EmptyPayloadAllowed) {
   const auto sealed = seal("s", key_a(), 1, {});
   EXPECT_TRUE(open(sealed, key_a()).payload.empty());
