@@ -18,6 +18,7 @@
 #include "flare/secure_agg.h"
 #include "flare/secure_channel.h"
 #include "flare/tcp.h"
+#include "flare/validator.h"
 
 namespace {
 
@@ -245,7 +246,32 @@ void BM_FedAvgRound(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 8 * params);
 }
-BENCHMARK(BM_FedAvgRound)->Arg(100000)->Arg(1300000);
+BENCHMARK(BM_FedAvgRound)
+    ->Arg(100000)
+    ->Arg(1300000)
+    ->Arg(kBertFloats)
+    ->Unit(benchmark::kMillisecond);
+
+// The server's screen of one BERT update against the global model: schema,
+// finite scan and deviation norm (one fused pass), as the validator runs it
+// on every upload.
+void BM_ValidatorScreen(benchmark::State& state) {
+  core::LogConfig::instance().set_threshold(core::LogLevel::kOff);
+  const nn::StateDict global = model_of_size(kBertFloats);
+  nn::StateDict update = model_of_size(kBertFloats);
+  for (float& v : update.at("w").values) v += 0.001f;
+  const flare::Dxo dxo(flare::DxoKind::kWeights, std::move(update));
+  flare::UpdateValidator validator;
+  validator.reset(global, 0);
+  for (auto _ : state) {
+    double norm = 0.0;
+    const flare::Verdict verdict = validator.score("site-1", dxo, &norm);
+    benchmark::DoNotOptimize(verdict.reason);
+    benchmark::DoNotOptimize(norm);
+  }
+  state.SetBytesProcessed(state.iterations() * kBertPayloadBytes);
+}
+BENCHMARK(BM_ValidatorScreen)->Unit(benchmark::kMillisecond);
 
 void BM_Provisioning(benchmark::State& state) {
   for (auto _ : state) {

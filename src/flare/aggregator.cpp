@@ -4,7 +4,6 @@
 
 #include "core/error.h"
 #include "core/logging.h"
-#include "flare/hierarchy.h"
 
 #define CPPFLARE_LOG_COMPONENT "DXOAggregator"
 
@@ -88,11 +87,6 @@ nn::StateDict BufferingAggregator::aggregate() {
     metrics_.valid_acc = valid_acc / loss_weight_sum;
     metrics_.valid_loss = valid_loss / loss_weight_sum;
   }
-  if (*round_kind_ == DxoKind::kWeightDiff) {
-    nn::StateDict next = global_;
-    next.axpy(1.0f, out);
-    return next;
-  }
   return out;
 }
 
@@ -103,26 +97,32 @@ std::int64_t BufferingAggregator::accepted_count() const {
 RoundMetrics BufferingAggregator::metrics() const { return metrics_; }
 
 nn::StateDict FedAvgAggregator::reduce() const {
-  nn::StateDict accum = reduce_pending();
   // Sequential (doubles, site-name order) in every reduction mode, so the
   // 1/weight_sum scale matches bitwise between flat and hierarchical
   // aggregation.
   double weight_sum = 0.0;
   for (const auto& [site, p] : pending_) weight_sum += p.weight;
-  accum.scale(static_cast<float>(1.0 / weight_sum));
-  return accum;
+  FoldTail tail;
+  tail.scale = static_cast<float>(1.0 / weight_sum);
+  if (*round_kind_ == DxoKind::kWeightDiff) tail.base = &global_;
+  return reduce_pending(tail);
 }
 
-nn::StateDict FedAvgAggregator::reduce_pending() const {
+std::vector<FoldLeaf> FedAvgAggregator::pending_leaves() const {
   // Reduce in site-name order (std::map iteration), never arrival order:
   // floating-point sums then come out bit-for-bit identical no matter how
   // retries or stragglers shuffled the submissions.
-  std::vector<WeightedRef> refs;
-  refs.reserve(pending_.size());
+  std::vector<FoldLeaf> leaves;
+  leaves.reserve(pending_.size());
   for (const auto& [site, p] : pending_) {
-    refs.push_back(WeightedRef{static_cast<float>(p.weight), &p.dxo.data()});
+    leaves.push_back(FoldLeaf{&p.dxo.data(), static_cast<float>(p.weight)});
   }
-  return weighted_tree_sum(refs.data(), refs.size());
+  return leaves;
+}
+
+nn::StateDict FedAvgAggregator::reduce_pending(const FoldTail& tail) const {
+  const std::vector<FoldLeaf> leaves = pending_leaves();
+  return fold_tree(leaves.data(), leaves.size(), tail);
 }
 
 }  // namespace cppflare::flare

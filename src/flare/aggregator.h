@@ -16,6 +16,7 @@
 
 #include "flare/dxo.h"
 #include "flare/fl_context.h"
+#include "flare/fold_kernels.h"
 
 namespace cppflare::flare {
 
@@ -137,9 +138,8 @@ class BufferingAggregator : public Aggregator {
     double weight = 0.0;
   };
 
-  /// Reduces pending_ (never empty) to the round's result in the
-  /// contributions' own kind; aggregate() adds a kWeightDiff result to the
-  /// global model.
+  /// Reduces pending_ (never empty) to the round's new global model: a
+  /// kWeightDiff round's reduction is added to global_.
   virtual nn::StateDict reduce() const = 0;
 
   bool weighted_;
@@ -157,7 +157,9 @@ class BufferingAggregator : public Aggregator {
 /// site-name-sorted contributions (flare/hierarchy.h): a fixed
 /// count-determined split shape, not a left fold. This is what lets the
 /// hierarchical tree-of-aggregators mode reproduce flat results bitwise —
-/// each leaf shard is an aligned subtree of the same canonical tree.
+/// each leaf shard is an aligned subtree of the same canonical tree. The
+/// tree, the 1/weight_sum scale and a kWeightDiff round's add to the global
+/// model run as one pass over the contributions (flare/fold_kernels.h).
 class FedAvgAggregator : public BufferingAggregator {
  public:
   explicit FedAvgAggregator(bool weighted = true) : BufferingAggregator(weighted) {}
@@ -168,15 +170,19 @@ class FedAvgAggregator : public BufferingAggregator {
   bool weighted() const { return weighted_; }
 
  protected:
-  /// reduce_pending() scaled by 1/weight_sum, the weight sum a sequential
-  /// double sum in site-name order in every reduction mode.
+  /// reduce_pending() with the tail {1/weight_sum, global_ for a
+  /// kWeightDiff round}, the weight sum a sequential double sum in
+  /// site-name order in every reduction mode.
   nn::StateDict reduce() const final;
 
-  /// Returns the weighted *sum* of pending_ (unscaled). The base
+  /// Returns the weighted *sum* of pending_ passed through `tail`. The base
   /// implementation is one canonical pairwise tree over all contributions
   /// in site-name order; HierarchicalFedAvgAggregator overrides it with a
   /// leaf/root split that reduces to the same bits.
-  virtual nn::StateDict reduce_pending() const;
+  virtual nn::StateDict reduce_pending(const FoldTail& tail) const;
+
+  /// The pending contributions as tree leaves, in site-name order.
+  std::vector<FoldLeaf> pending_leaves() const;
 };
 
 }  // namespace cppflare::flare

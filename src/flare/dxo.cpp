@@ -1,6 +1,5 @@
 #include "flare/dxo.h"
 
-#include <cmath>
 #include <sstream>
 
 #include "core/error.h"
@@ -14,15 +13,6 @@ const char* dxo_kind_name(DxoKind kind) {
     case DxoKind::kMetrics: return "METRICS";
   }
   return "?";
-}
-
-bool Dxo::all_finite() const {
-  for (const auto& [name, blob] : data_.entries()) {
-    for (const float v : blob.values) {
-      if (!std::isfinite(v)) return false;
-    }
-  }
-  return true;
 }
 
 void Dxo::set_meta(const std::string& key, const std::string& value) {

@@ -33,10 +33,6 @@ class Dxo {
   const nn::StateDict& data() const { return data_; }
   nn::StateDict& data() { return data_; }
 
-  /// True iff every payload value is finite (no NaN/Inf). A metrics-only
-  /// DXO is trivially finite.
-  bool all_finite() const;
-
   // ---- meta ------------------------------------------------------------
   void set_meta(const std::string& key, const std::string& value);
   void set_meta_int(const std::string& key, std::int64_t value);

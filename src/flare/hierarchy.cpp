@@ -1,6 +1,7 @@
 #include "flare/hierarchy.h"
 
-#include <utility>
+#include <algorithm>
+#include <vector>
 
 #include "core/error.h"
 #include "core/logging.h"
@@ -12,50 +13,9 @@ namespace cppflare::flare {
 
 namespace {
 
-/// Largest power of two strictly below n (n >= 2).
-std::size_t canonical_split(std::size_t n) {
-  std::size_t p = 1;
-  while (p * 2 < n) p *= 2;
-  return p;
-}
-
 bool is_pow2(std::int64_t v) { return v > 0 && (v & (v - 1)) == 0; }
 
 }  // namespace
-
-nn::StateDict weighted_tree_sum(const WeightedRef* items, std::size_t n) {
-  if (n == 0) throw Error("weighted_tree_sum: empty reduction");
-  if (n == 1) {
-    nn::StateDict leaf = items[0].data->zeros_like();
-    leaf.axpy(items[0].weight, *items[0].data);
-    return leaf;
-  }
-  const std::size_t p = canonical_split(n);
-  nn::StateDict left = weighted_tree_sum(items, p);
-  const nn::StateDict right = weighted_tree_sum(items + p, n - p);
-  left.axpy(1.0f, right);
-  return left;
-}
-
-nn::StateDict tree_combine(std::vector<nn::StateDict> parts) {
-  if (parts.empty()) throw Error("tree_combine: empty reduction");
-  // Iterative bottom-up pass with the same shape as the recursive canonical
-  // tree: combining adjacent pairs left-to-right, repeatedly, computes
-  // exactly the canonical pairwise tree because its split point (largest
-  // power of two below n) is where the pairing rounds align.
-  while (parts.size() > 1) {
-    std::vector<nn::StateDict> next;
-    next.reserve((parts.size() + 1) / 2);
-    for (std::size_t i = 0; i < parts.size(); i += 2) {
-      if (i + 1 < parts.size()) {
-        parts[i].axpy(1.0f, parts[i + 1]);
-      }
-      next.push_back(std::move(parts[i]));
-    }
-    parts = std::move(next);
-  }
-  return std::move(parts.front());
-}
 
 HierarchicalFedAvgAggregator::HierarchicalFedAvgAggregator(bool weighted,
                                                            std::int64_t fanout)
@@ -73,15 +33,12 @@ std::string HierarchicalFedAvgAggregator::name() const {
          ",fanout=" + std::to_string(fanout_) + ")";
 }
 
-nn::StateDict HierarchicalFedAvgAggregator::reduce_pending() const {
-  std::vector<WeightedRef> refs;
-  refs.reserve(pending_.size());
-  for (const auto& [site, p] : pending_) {
-    refs.push_back(WeightedRef{static_cast<float>(p.weight), &p.dxo.data()});
-  }
+nn::StateDict HierarchicalFedAvgAggregator::reduce_pending(
+    const FoldTail& tail) const {
+  const std::vector<FoldLeaf> leaves = pending_leaves();
   const std::size_t block = static_cast<std::size_t>(fanout_);
-  const std::size_t num_blocks = (refs.size() + block - 1) / block;
-  if (num_blocks <= 1) return weighted_tree_sum(refs.data(), refs.size());
+  const std::size_t num_blocks = (leaves.size() + block - 1) / block;
+  if (num_blocks <= 1) return fold_tree(leaves.data(), leaves.size(), tail);
 
   // Leaf level: each power-of-two-aligned block is an independent shard —
   // exactly what a leaf aggregator would hold. Blocks write disjoint slots,
@@ -93,14 +50,19 @@ nn::StateDict HierarchicalFedAvgAggregator::reduce_pending() const {
                          const std::size_t begin =
                              static_cast<std::size_t>(b) * block;
                          const std::size_t len =
-                             std::min(block, refs.size() - begin);
+                             std::min(block, leaves.size() - begin);
                          partials[static_cast<std::size_t>(b)] =
-                             weighted_tree_sum(refs.data() + begin, len);
+                             fold_tree(leaves.data() + begin, len);
                        }
                      });
-  // Root level: canonical combine of the leaf partials reproduces the flat
-  // tree bit for bit (block-subtree property, see header).
-  return tree_combine(std::move(partials));
+  // Root level: the canonical tree over the leaf partials reproduces the
+  // flat tree bit for bit (block-subtree property, see header).
+  std::vector<FoldLeaf> roots;
+  roots.reserve(num_blocks);
+  for (const nn::StateDict& partial : partials) {
+    roots.push_back(FoldLeaf{&partial, 1.0f, /*partial=*/true});
+  }
+  return fold_tree(roots.data(), roots.size(), tail);
 }
 
 }  // namespace cppflare::flare

@@ -26,31 +26,18 @@
 // reduced: it stays a sequential double sum over the same sorted order in
 // both modes (see FedAvgAggregator::reduce), so the final 1/weight_sum
 // scale matches too.
+//
+// Both levels run flare/fold_kernels.h's fold_tree: a block's partial is the
+// tree over its contributions, and the root is the tree over the partials
+// (taken as leaves as they are) with FedAvg's tail folded into its pass.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "flare/aggregator.h"
 
 namespace cppflare::flare {
-
-/// One leaf of a weighted tree reduction: weight * (*data).
-struct WeightedRef {
-  float weight = 0.0f;
-  const nn::StateDict* data = nullptr;
-};
-
-/// Canonical pairwise tree over `items[0..n)`: split at the largest power of
-/// two strictly below n, recurse, add. Leaf = zeros_like + axpy(weight, x).
-/// Throws if n == 0.
-nn::StateDict weighted_tree_sum(const WeightedRef* items, std::size_t n);
-
-/// Canonical pairwise tree over already-reduced partials (same split rule,
-/// combine = elementwise add). Consumes `parts`. Throws if empty.
-nn::StateDict tree_combine(std::vector<nn::StateDict> parts);
 
 /// Two-level FedAvg: contributions are split into name-sorted blocks of
 /// `fanout` sites, each block is reduced by a "leaf aggregator" (the blocks
@@ -71,7 +58,7 @@ class HierarchicalFedAvgAggregator : public FedAvgAggregator {
   std::int64_t fanout() const { return fanout_; }
 
  protected:
-  nn::StateDict reduce_pending() const override;
+  nn::StateDict reduce_pending(const FoldTail& tail) const override;
 
  private:
   std::int64_t fanout_;

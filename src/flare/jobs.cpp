@@ -93,15 +93,17 @@ std::string AdminClient::call(const std::string& line) {
 // server.mu_ -> runner.mu_. Every other runner method therefore resolves
 // what it needs under mu_ (copying the raw server pointer, which stays
 // valid because jobs are never erased), releases, and only then calls into
-// a server. Constructing a *new* server under mu_ is fine — nothing else
-// can hold its lock before its ticker thread starts at the tail of the
-// ctor — and so is subscribing to its events (EventBus never holds its own
-// lock while running handlers). But once the ticker is live, anything that
-// takes the server's round lock (the configure hook's observer/filter
-// registrations) must run with mu_ released: the ticker can fire kEndRun
-// at any moment, and on_job_end wants mu_. Hence two-phase admission —
-// start_job_locked builds and subscribes under mu_, finalize_started runs
-// configure outside it, and only then does the job turn routable.
+// a server. That includes building one: the constructor replays an open
+// journal round under the new server's round lock. Hence staged admission —
+// schedule_locked picks the jobs and holds their slots under mu_ (they stay
+// kQueued, marked `starting`, so nothing routes to them or counts them
+// twice); start_jobs builds each server with mu_ released, subscribes to
+// its kEndRun before the server is visible to any other runner method (so
+// an admin abort can never race past the subscription), installs it under
+// mu_, runs the configure hook outside it (the hook takes the server's
+// round lock), and only then does the job turn routable. An abort that
+// arrives while a job is starting is parked on the job and delivered once
+// its server is installed.
 
 JobRunner::JobRunner(std::map<std::string, Credential> site_pool)
     : site_pool_(std::move(site_pool)), keys_(channel_keys(site_pool_)) {}
@@ -152,7 +154,7 @@ std::string JobRunner::submit(JobSpec spec) {
     started = schedule_locked();
     cv_.notify_all();
   }
-  finalize_started(started);
+  start_jobs(std::move(started));
   return id;
 }
 
@@ -166,87 +168,113 @@ std::vector<JobRunner::Job*> JobRunner::schedule_locked() {
       std::max<std::int64_t>(1, core::compute_threads());
   std::int64_t used = 0;
   for (const auto& job : jobs_) {
-    if (job->phase == JobState::kRunning && !job->terminal) used += job->slots;
+    if (job->starting || (job->phase == JobState::kRunning && !job->terminal)) {
+      used += job->slots;
+    }
   }
   std::vector<Job*> started;
   for (const auto& job : jobs_) {
-    if (job->phase != JobState::kQueued) continue;
+    if (job->phase != JobState::kQueued || job->starting) continue;
     // Clamp so a job demanding more than the machine still runs — alone.
     const std::int64_t want = std::min(job->slots, budget);
     // Strict FIFO: a job that does not fit blocks everything behind it,
     // keeping admission order (and thus scheduling) deterministic.
     if (used + want > budget) break;
     job->slots = want;
-    start_job_locked(*job);
-    if (job->server) started.push_back(job.get());
-    // A job that failed to start, or resumed already terminal, holds no
-    // slots — don't let it shadow capacity from the jobs behind it.
-    if (job->phase == JobState::kRunning && !job->terminal) used += want;
+    job->starting = true;
+    started.push_back(job.get());
+    used += want;
   }
   return started;
 }
 
-void JobRunner::start_job_locked(Job& job) {
-  try {
-    std::shared_ptr<ModelPersistor> persistor;
-    std::optional<Checkpoint> resume;
-    if (!job.spec.persist_path.empty()) {
-      persistor = std::make_shared<ModelPersistor>(job.spec.persist_path);
-      if (job.spec.resume) resume = persistor->load();
-    }
-    std::shared_ptr<RoundJournal> journal;
-    if (job.spec.journal) {
-      const std::string path = job.spec.journal_path.empty()
-                                   ? job.spec.persist_path + ".journal"
-                                   : job.spec.journal_path;
-      journal = std::make_shared<RoundJournal>(path, job.spec.journal_sync);
-    }
-    job.server = std::make_unique<FederatedServer>(
-        job.spec.server, site_pool_, std::move(job.spec.initial_model),
-        std::move(job.spec.aggregator), std::move(persistor), std::move(resume),
-        std::move(journal));
-  } catch (const Error& e) {
-    // A job that cannot start (bad config, corrupt journal) must not wedge
-    // the queue behind it: record the failure as an abort and move on.
-    job.phase = JobState::kAborted;
-    job.cancel_reason = std::string("failed to start: ") + e.what();
-    LOG(warn).msg("job failed to start").kv("job", job.id).kv("error", e.what());
-    return;
+namespace {
+
+/// Builds a job's server from its spec (moving the model and aggregator
+/// out): checkpoint resume, journal and its replay included.
+std::unique_ptr<FederatedServer> build_server(
+    JobSpec& spec, const std::map<std::string, Credential>& site_pool) {
+  std::shared_ptr<ModelPersistor> persistor;
+  std::optional<Checkpoint> resume;
+  if (!spec.persist_path.empty()) {
+    persistor = std::make_shared<ModelPersistor>(spec.persist_path);
+    if (spec.resume) resume = persistor->load();
   }
-  job.server->share_outbound_sequences(sequences_);
-  const std::string id = job.id;
-  // Subscribing here — before mu_ is ever released — means kEndRun can
-  // never fire unobserved, even for a job aborted the instant it is
-  // admitted. Safe under mu_: EventBus drops its own lock before running
-  // handlers, so no path leads from the subscription back into this mutex.
-  // The configure hook is NOT safe here (it takes the server's now-shared
-  // round lock) and waits for finalize_started.
-  job.server->events().subscribe(
-      EventType::kEndRun, [this, id](const FLContext&) { on_job_end(id); });
-  job.phase = JobState::kRunning;
-  // A job resumed from an already-complete checkpoint is born terminal and
-  // never fires kEndRun, so the subscription above would leave its slots
-  // counted as used forever — wedging the strict-FIFO queue and wait_all().
-  // born_terminal() is immutable and lock-free, so this never takes the
-  // server's lock inside mu_ (which would invert the documented order).
-  if (job.server->born_terminal()) {
-    job.terminal = true;
-    LOG(info)
-        .msg("job terminal at admission (resumed past its last round)")
-        .kv("job", job.id);
-    return;
+  std::shared_ptr<RoundJournal> journal;
+  if (spec.journal) {
+    const std::string path = spec.journal_path.empty()
+                                 ? spec.persist_path + ".journal"
+                                 : spec.journal_path;
+    journal = std::make_shared<RoundJournal>(path, spec.journal_sync);
   }
-  LOG(info).msg("job admitted").kv("job", job.id).kv("slots", job.slots);
+  return std::make_unique<FederatedServer>(
+      spec.server, site_pool, std::move(spec.initial_model),
+      std::move(spec.aggregator), std::move(persistor), std::move(resume),
+      std::move(journal));
 }
 
-void JobRunner::finalize_started(const std::vector<Job*>& started) {
-  for (Job* job : started) {
-    // No lock needed to touch spec/server here: both were written by this
-    // very thread inside schedule_locked, and nothing else mutates them
-    // once a job has left kQueued.
-    if (job->spec.configure) job->spec.configure(*job->server);
+}  // namespace
+
+void JobRunner::start_jobs(std::vector<Job*> jobs) {
+  // Indexed: a job that fails to start or is terminal on arrival frees its
+  // slots, and the jobs that admits are appended and started here too.
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    Job& job = *jobs[i];
+    // No lock needed to read the spec: only the thread that marked the job
+    // starting touches it until the job leaves kQueued.
+    std::unique_ptr<FederatedServer> server;
+    std::string failure;
+    try {
+      server = build_server(job.spec, site_pool_);
+    } catch (const Error& e) {
+      failure = e.what();
+    }
+    if (server) {
+      server->share_outbound_sequences(sequences_);
+      const std::string id = job.id;
+      server->events().subscribe(
+          EventType::kEndRun, [this, id](const FLContext&) { on_job_end(id); });
+    }
+    std::optional<std::string> pending_abort;
+    {
+      core::MutexLock lock(mu_);
+      job.starting = false;
+      if (!server) {
+        // A job that cannot start (bad config, corrupt journal) must not
+        // wedge the queue behind it: record the failure as an abort.
+        job.phase = JobState::kAborted;
+        job.cancel_reason = "failed to start: " + failure;
+        LOG(warn).msg("job failed to start").kv("job", job.id).kv("error", failure);
+      } else {
+        job.server = std::move(server);
+        job.phase = JobState::kRunning;
+        pending_abort = std::move(job.pending_abort);
+        // A job resumed from an already-complete checkpoint is born
+        // terminal and never fires kEndRun; without this its slots would
+        // stay counted as used forever — wedging the strict-FIFO queue and
+        // wait_all(). born_terminal() is immutable and lock-free.
+        if (job.server->born_terminal()) {
+          job.terminal = true;
+          LOG(info)
+              .msg("job terminal at admission (resumed past its last round)")
+              .kv("job", job.id);
+        } else {
+          LOG(info).msg("job admitted").kv("job", job.id).kv("slots", job.slots);
+        }
+      }
+      // Failed, born terminal, or ended before it was installed: its slots
+      // are free now, so admit the jobs behind it.
+      if (!job.server || job.terminal) {
+        std::vector<Job*> more = schedule_locked();
+        jobs.insert(jobs.end(), more.begin(), more.end());
+      }
+      cv_.notify_all();
+    }
+    if (!job.server) continue;
+    if (pending_abort) job.server->abort(*pending_abort);
+    if (job.spec.configure) job.spec.configure(*job.server);
     core::MutexLock lock(mu_);
-    job->routable = true;
+    job.routable = true;
     cv_.notify_all();
   }
 }
@@ -266,7 +294,7 @@ void JobRunner::on_job_end(const std::string& job_id) {
   }
   // Still under the finishing server's round lock — but these are
   // *different*, newly admitted servers; the finishing one is not touched.
-  finalize_started(started);
+  start_jobs(std::move(started));
 }
 
 JobRunner::Job* JobRunner::find_locked(const std::string& job_id) const {
@@ -365,6 +393,12 @@ bool JobRunner::abort(const std::string& job_id, const std::string& reason) {
     core::MutexLock lock(mu_);
     Job* job = find_locked(job_id);
     if (job == nullptr) return false;
+    if (job->phase == JobState::kQueued && job->starting) {
+      // Its server is being built outside mu_; start_jobs aborts it once
+      // it is installed.
+      job->pending_abort = reason.empty() ? "aborted by admin" : reason;
+      return true;
+    }
     if (job->phase == JobState::kQueued) {
       job->phase = JobState::kAborted;
       job->cancel_reason =
@@ -381,7 +415,7 @@ bool JobRunner::abort(const std::string& job_id, const std::string& reason) {
     }
   }
   if (cancelled_queued) {
-    finalize_started(started);
+    start_jobs(std::move(started));
     return true;
   }
   // The server settles the race under its own lock: abort() refuses once

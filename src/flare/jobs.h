@@ -26,6 +26,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -173,22 +174,25 @@ class JobRunner {
                                          // server owns its terminal state
     bool terminal = false;               // kEndRun observed
     bool routable = false;               // configure hook done; frames may
-                                         // dispatch (see finalize_started)
+                                         // dispatch (see start_jobs)
+    bool starting = false;               // picked, slots held; its server is
+                                         // being built outside mu_
+    std::optional<std::string> pending_abort;  // abort while starting
     std::string cancel_reason;           // cancelled-while-queued
     std::unique_ptr<FederatedServer> server;
   };
 
-  /// Admits queued jobs (FIFO) while the compute budget allows. Returns the
-  /// jobs it gave servers to; the caller must hand them to
-  /// finalize_started() once mu_ is released.
+  /// Picks queued jobs (FIFO) while the compute budget allows, marks them
+  /// starting and holds their slots. The caller must hand them to
+  /// start_jobs() once mu_ is released.
   [[nodiscard]] std::vector<Job*> schedule_locked() CF_REQUIRES(mu_);
-  void start_job_locked(Job& job) CF_REQUIRES(mu_);
-  /// Runs each started job's configure hook and marks it routable. The hook
-  /// registers observers/filters, which take the new server's lock — and by
-  /// then that server's ticker is live and can fire kEndRun (deadline
-  /// abort), whose on_job_end handler takes mu_. Holding mu_ across the
-  /// hook would therefore deadlock; this step must run outside it.
-  void finalize_started(const std::vector<Job*>& started) CF_EXCLUDES(mu_);
+  /// Builds each picked job's server, installs it, runs the configure hook
+  /// and marks the job routable. The constructor (journal replay) and the
+  /// hook (observer/filter registration) take the new server's lock, and
+  /// once its ticker is live it can fire kEndRun, whose on_job_end handler
+  /// takes mu_. Holding mu_ across either would invert the lock order; only
+  /// the install and the routable flag run under it.
+  void start_jobs(std::vector<Job*> jobs) CF_EXCLUDES(mu_);
   /// kEndRun observer: frees the job's slots and admits successors. Runs
   /// under the finishing server's lock — must never call back into it.
   void on_job_end(const std::string& job_id);

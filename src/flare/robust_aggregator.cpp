@@ -8,7 +8,8 @@
 namespace cppflare::flare {
 
 nn::StateDict CoordinateWiseAggregator::reduce() const {
-  nn::StateDict out = global_;  // structure template
+  nn::StateDict out = global_;  // structure template; a diff adds to it
+  const bool diff = *round_kind_ == DxoKind::kWeightDiff;
   std::vector<float> column(pending_.size());
   for (auto& [name, blob] : out.entries()) {
     // Hoist the per-blob lookups out of the per-coordinate loop.
@@ -21,7 +22,8 @@ nn::StateDict CoordinateWiseAggregator::reduce() const {
       for (std::size_t c = 0; c < sources.size(); ++c) {
         column[c] = (*sources[c])[i];
       }
-      blob.values[i] = combine(column);
+      const float combined = combine(column);
+      blob.values[i] = diff ? blob.values[i] + combined : combined;
     }
   }
   return out;

@@ -172,7 +172,7 @@ std::int64_t MaskedFedAvgAggregator::unmask_share_count() const {
   return static_cast<std::int64_t>(shares_.size());
 }
 
-nn::StateDict MaskedFedAvgAggregator::reduce_pending() const {
+nn::StateDict MaskedFedAvgAggregator::reduce_pending(const FoldTail& tail) const {
   // Word-wise modular sum of the masked contributions. Order-independent
   // by construction (modular addition commutes), but iterate site-name
   // order anyway to mirror the float path.
@@ -198,7 +198,8 @@ nn::StateDict MaskedFedAvgAggregator::reduce_pending() const {
       v = dequantize(std::bit_cast<std::uint32_t>(v), frac_bits_);
     }
   }
-  return accum;
+  const FoldLeaf sum{&accum, 1.0f, /*partial=*/true};
+  return fold_tree(&sum, 1, tail);
 }
 
 std::shared_ptr<SecureAggMaskFilter> make_secure_agg_mask_filter(

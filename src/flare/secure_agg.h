@@ -145,8 +145,8 @@ class MaskedFedAvgAggregator : public FedAvgAggregator,
 
  protected:
   /// Modular word sum over pending_ minus recorded shares, decoded to the
-  /// float sum StateDict FedAvg's aggregate() tail expects.
-  nn::StateDict reduce_pending() const override;
+  /// float sum and passed through FedAvg's tail.
+  nn::StateDict reduce_pending(const FoldTail& tail) const override;
 
  private:
   std::int64_t frac_bits_;

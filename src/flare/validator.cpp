@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/logging.h"
+#include "flare/fold_kernels.h"
 
 #define CPPFLARE_LOG_COMPONENT "UpdateValidator"
 
@@ -33,38 +34,44 @@ void UpdateValidator::reset(const nn::StateDict& global, std::int64_t round) {
   norms_.clear();
 }
 
-double UpdateValidator::deviation_norm(const Dxo& dxo) const {
-  // The statistic is the distance *from the global model* (for kWeights)
-  // or the magnitude of the delta (kWeightDiff), not the raw weight norm:
-  // a sign-flipped model has exactly the honest norm but roughly twice the
-  // honest deviation, so only the deviation catches it.
-  double sq = 0.0;
-  const bool diff = dxo.kind() == DxoKind::kWeightDiff;
-  for (const auto& [name, blob] : dxo.data().entries()) {
-    const auto* base = diff ? nullptr : &global_.at(name).values;
-    for (std::size_t i = 0; i < blob.values.size(); ++i) {
-      const double d = static_cast<double>(blob.values[i]) -
-                       (base ? static_cast<double>((*base)[i]) : 0.0);
-      sq += d * d;
-    }
-  }
-  return std::sqrt(sq);
-}
-
 Verdict UpdateValidator::screen(const Dxo& dxo, double* norm_out) const {
   if (norm_out != nullptr) *norm_out = 0.0;
   if (!config_.enabled) return Verdict{};
+  const bool model = dxo.kind() != DxoKind::kMetrics;
+  const bool diff = dxo.kind() == DxoKind::kWeightDiff;
+  const bool congruent = model && dxo.data().congruent_with(global_);
   if (config_.check_schema) {
-    if (dxo.kind() == DxoKind::kMetrics) {
+    if (!model) {
       return Verdict{RejectReason::kSchemaMismatch,
                      "metrics-only payload cannot update the model"};
     }
-    if (!dxo.data().congruent_with(global_)) {
+    if (!congruent) {
       return Verdict{RejectReason::kSchemaMismatch,
                      "keys/shapes incongruent with the global model"};
     }
   }
-  if (config_.check_finite && !dxo.all_finite()) {
+  // The schema check may be off while the norm pass is on; a kWeights
+  // payload that is not congruent has no deviation from the global model.
+  //
+  // The statistic is the distance *from the global model* (for kWeights)
+  // or the magnitude of the delta (kWeightDiff), not the raw weight norm:
+  // a sign-flipped model has exactly the honest norm but roughly twice the
+  // honest deviation, so only the deviation catches it.
+  const bool want_norm = norm_out != nullptr && (diff || congruent);
+  ScreenSums sums;
+  if (config_.check_finite || want_norm) {
+    // One pass per tensor gives the finite flag and the sum of squares;
+    // congruent maps walk in step, so the global tensor needs no lookup.
+    const bool against_global = want_norm && !diff;
+    auto global_it = global_.entries().begin();
+    for (const auto& [name, blob] : dxo.data().entries()) {
+      const float* base =
+          against_global ? (global_it++)->second.values.data() : nullptr;
+      screen_tensor(blob.values.data(), base, blob.values.size(), sums);
+      if (config_.check_finite && !sums.finite) break;
+    }
+  }
+  if (config_.check_finite && !sums.finite) {
     return Verdict{RejectReason::kNonFinite, "payload contains NaN or Inf"};
   }
   if (config_.check_round_freshness && dxo.has_meta(Dxo::kMetaRound)) {
@@ -88,13 +95,7 @@ Verdict UpdateValidator::screen(const Dxo& dxo, double* norm_out) const {
                          std::to_string(config_.max_sample_count)};
     }
   }
-  // The schema check may be off while the norm pass is on; a payload that
-  // is not congruent cannot produce a meaningful deviation norm, so guard.
-  if (norm_out != nullptr && dxo.kind() != DxoKind::kMetrics &&
-      (dxo.kind() == DxoKind::kWeightDiff ||
-       dxo.data().congruent_with(global_))) {
-    *norm_out = deviation_norm(dxo);
-  }
+  if (want_norm) *norm_out = std::sqrt(sums.sum_of_squares());
   return Verdict{};
 }
 

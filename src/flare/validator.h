@@ -17,6 +17,13 @@
 //                         flags scale/sign-flip/noise attacks; flagged
 //                         contributions are revoked from the aggregator.
 //
+// The finite scan and the deviation norm share one pass over the payload
+// (flare/fold_kernels.h screen_tensor), so the norm's summation order is
+// fixed: element i of a tensor (counted from the tensor's start) adds its
+// squared deviation, in double, to lane i mod 8; the lanes carry across
+// tensors in map order, and the norm is the square root of
+// ((l0 + l1) + l2) + ... + l7. Every build computes the same bits.
+//
 // The outlier pass runs over the *complete* set of admitted norms rather
 // than a running estimate, so verdicts are independent of arrival order and
 // defended runs stay bit-for-bit reproducible (the same contract FedAvg's
@@ -107,7 +114,6 @@ class UpdateValidator {
 
  private:
   Verdict screen(const Dxo& dxo, double* norm_out) const;
-  double deviation_norm(const Dxo& dxo) const;
   bool round_stats(double* median, double* scale) const;
 
   ValidatorConfig config_;

@@ -33,6 +33,7 @@
 #include "core/parallel.h"
 #include "flare/client.h"
 #include "flare/jobs.h"
+#include "flare/journal.h"
 #include "flare/messages.h"
 #include "flare/observability.h"
 #include "flare/provision.h"
@@ -644,6 +645,41 @@ TEST_F(JobsTest, ResumedCompleteJobIsTerminalAtAdmissionAndFreesItsSlots) {
     EXPECT_TRUE(restarted.wait_all(10000));
   }
   core::set_compute_threads(old_budget);
+}
+
+// Resume: a job whose journal holds an open round replays it while the
+// runner admits it. The replay takes the new server's round lock, and an
+// abort fires kEndRun under that lock into on_job_end, which takes the
+// runner's lock — so the server must be built with the runner's lock
+// released, or the two paths take the pair in opposite orders (TSan reports
+// a lock-order inversion; jobs_test runs in the TSan subset of ci.sh).
+TEST_F(JobsTest, ResumedOpenRoundJobAbortsWithoutLockInversion) {
+  const auto pool = make_pool(2);
+  const std::string persist = (root_ / "open.bin").string();
+  {
+    // What a coordinator that died mid-round leaves: round 0 open, one
+    // contribution accepted, no checkpoint yet.
+    RoundJournal journal(persist + ".journal", core::WalSyncPolicy::kEveryRecord);
+    (void)journal.open("job-open");
+    journal.round_open(0, {});
+    Dxo update(DxoKind::kWeights, jobs_harness::dict_of({1.0f, 2.0f, 3.0f}));
+    update.set_meta_int(Dxo::kMetaNumSamples, 10);
+    journal.accepted("site-1", update);
+  }
+  JobRunner runner(pool);
+  JobSpec spec = make_spec("job-open", 5, 2);
+  spec.persist_path = persist;
+  spec.resume = true;
+  spec.journal = true;
+  runner.submit(std::move(spec));
+  ASSERT_EQ(runner.status("job-open").state, JobState::kRunning);
+  EXPECT_EQ(runner.server("job-open").current_round(), 0);
+
+  EXPECT_TRUE(runner.abort("job-open", "operator requested"));
+  EXPECT_TRUE(runner.wait_all(10000));
+  const JobStatus status = runner.status("job-open");
+  EXPECT_EQ(status.state, JobState::kAborted);
+  EXPECT_NE(status.abort_reason.find("operator requested"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@
 #include <unistd.h>
 
 #include "core/logging.h"
+#include "core/rng.h"
 #include "flare/poison.h"
 #include "flare/provision.h"
 #include "flare/robust_aggregator.h"
@@ -24,6 +25,8 @@
 #include "flare/server.h"
 #include "flare/simulator.h"
 #include "flare/validator.h"
+#include "models/lstm_classifier.h"
+#include "models/model_config.h"
 
 namespace cppflare::flare {
 namespace {
@@ -920,6 +923,159 @@ TEST_F(PoisonTest, MedianAggregatorSurvivesNaNAttackEvenUndefended) {
   // NaN values sort past every finite one (nan_last_less): with 1 poisoned
   // site of 5 the elementwise median stays finite.
   EXPECT_FALSE(any_non_finite(result.final_model));
+}
+
+// ---- the fused screen against the two-pass rule ---------------------------
+
+/// The screen as two passes — a finite scan, then the deviation norm as
+/// one sequential sum, here in long double — with the verdicts in the
+/// validator's order. The fused pass must give the same reason and detail,
+/// and the same norm up to its last bits.
+Verdict two_pass_rule(const ValidatorConfig& config, const nn::StateDict& global,
+                      std::int64_t round, const Dxo& dxo, long double* norm) {
+  *norm = 0.0L;
+  const bool congruent = dxo.data().congruent_with(global);
+  if (config.check_schema) {
+    if (dxo.kind() == DxoKind::kMetrics) {
+      return Verdict{RejectReason::kSchemaMismatch,
+                     "metrics-only payload cannot update the model"};
+    }
+    if (!congruent) {
+      return Verdict{RejectReason::kSchemaMismatch,
+                     "keys/shapes incongruent with the global model"};
+    }
+  }
+  if (config.check_finite) {
+    for (const auto& [name, blob] : dxo.data().entries()) {
+      for (const float v : blob.values) {
+        if (!std::isfinite(v)) {
+          return Verdict{RejectReason::kNonFinite, "payload contains NaN or Inf"};
+        }
+      }
+    }
+  }
+  if (config.check_round_freshness && dxo.has_meta(Dxo::kMetaRound)) {
+    const std::int64_t claimed = dxo.meta_int(Dxo::kMetaRound, round);
+    if (claimed != round) {
+      return Verdict{RejectReason::kStaleRound,
+                     "update stamped for round " + std::to_string(claimed) +
+                         ", round " + std::to_string(round) + " is open"};
+    }
+  }
+  const bool diff = dxo.kind() == DxoKind::kWeightDiff;
+  long double sq = 0.0L;
+  for (const auto& [name, blob] : dxo.data().entries()) {
+    const auto* base = diff ? nullptr : &global.at(name).values;
+    for (std::size_t i = 0; i < blob.values.size(); ++i) {
+      const long double d = static_cast<long double>(blob.values[i]) -
+                            (base ? static_cast<long double>((*base)[i]) : 0.0L);
+      sq += d * d;
+    }
+  }
+  *norm = std::sqrt(sq);
+  return Verdict{};
+}
+
+std::uint64_t mix(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+/// `shape`'s keys and shapes, values uniform in [-scale, scale) from `seed`.
+nn::StateDict seeded_like(const nn::StateDict& shape, std::uint64_t seed,
+                          float scale) {
+  nn::StateDict out = shape;
+  std::uint64_t state = seed;
+  for (auto& [name, blob] : out.entries()) {
+    for (float& v : blob.values) {
+      v = scale * static_cast<float>(static_cast<double>(mix(state) >> 40) * 0x1p-23 - 1.0);
+    }
+  }
+  return out;
+}
+
+/// The paper's BERT layer names and shapes: 2,472,082 floats in 200 tensors.
+nn::StateDict bert_shape() {
+  core::Rng rng(1);
+  return models::make_classifier(models::ModelConfig::bert(335, 64), rng)
+      ->state_dict();
+}
+
+TEST(UpdateValidator, FusedScreenMatchesTheTwoPassRule) {
+  core::LogConfig::instance().set_threshold(core::LogLevel::kOff);
+  // The first and the last tensor (in map order) end in a 3-element tail
+  // past their last full group of 8.
+  nn::StateDict shape;
+  const std::int64_t sizes[] = {1027, 5, 64, 2051};
+  for (std::size_t t = 0; t < 4; ++t) {
+    shape.insert("t" + std::to_string(t),
+                 {{sizes[t]}, std::vector<float>(static_cast<std::size_t>(sizes[t]))});
+  }
+  const nn::StateDict global = seeded_like(shape, 7, 1.0f);
+  const std::vector<std::string> ends = {shape.entries().begin()->first,
+                                         shape.entries().rbegin()->first};
+  const float bad_values[] = {std::nanf(""), INFINITY, -INFINITY};
+  for (const DxoKind kind : {DxoKind::kWeights, DxoKind::kWeightDiff}) {
+    for (const bool check_finite : {true, false}) {
+      ValidatorConfig config;
+      config.check_finite = check_finite;
+      UpdateValidator validator(config);
+      validator.reset(global, 3);
+      for (const std::string& tensor : ends) {
+        const std::size_t n = shape.at(tensor).values.size();
+        for (const std::size_t pos : {std::size_t{0}, n / 2, n - 1, n - n % 8}) {
+          for (const float bad : bad_values) {
+            for (const std::int64_t stamp : {3, 2}) {
+              Dxo dxo(kind, seeded_like(shape, 11, 0.5f));
+              dxo.data().at(tensor).values[pos] = bad;
+              dxo.set_meta_int(Dxo::kMetaRound, stamp);
+              long double expected_norm = 0.0L;
+              const Verdict expected =
+                  two_pass_rule(config, global, 3, dxo, &expected_norm);
+              double norm = -1.0;
+              const Verdict got = validator.score("site-1", dxo, &norm);
+              SCOPED_TRACE(tensor + "[" + std::to_string(pos) + "]=" +
+                           std::to_string(bad) + " finite_check=" +
+                           std::to_string(check_finite));
+              EXPECT_EQ(got.reason, expected.reason);
+              EXPECT_EQ(got.detail, expected.detail);
+              if (got.ok()) {
+                EXPECT_FALSE(std::isfinite(norm));
+              } else {
+                EXPECT_EQ(norm, 0.0);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+
+  // Finite payloads: the norm against the long double reference, and a
+  // pinned golden on the BERT-shaped payload (the lane order is part of
+  // the contract; every build must give these bits).
+  const nn::StateDict bert = bert_shape();
+  ASSERT_EQ(bert.total_numel(), 2472082);
+  const nn::StateDict bert_global = seeded_like(bert, 501, 0.1f);
+  const double golden[] = {0x1.00c4f7a2e68e7p+7, 0x1.6b2af14570a99p+6};
+  std::size_t k = 0;
+  for (const DxoKind kind : {DxoKind::kWeights, DxoKind::kWeightDiff}) {
+    UpdateValidator validator;
+    validator.reset(bert_global, 0);
+    const Dxo dxo(kind, seeded_like(bert, 502, 0.1f));
+    long double expected_norm = 0.0L;
+    ASSERT_TRUE(two_pass_rule(validator.config(), bert_global, 0, dxo,
+                              &expected_norm)
+                    .ok());
+    double norm = 0.0;
+    ASSERT_TRUE(validator.score("site-1", dxo, &norm).ok());
+    EXPECT_LE(std::fabs(static_cast<long double>(norm) - expected_norm),
+              1e-12L * expected_norm);
+    EXPECT_EQ(norm, golden[k++]);
+  }
+  core::LogConfig::instance().set_threshold(core::LogLevel::kInfo);
 }
 
 }  // namespace
