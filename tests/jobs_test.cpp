@@ -20,6 +20,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <future>
 #include <map>
 #include <memory>
 #include <string>
@@ -678,6 +679,49 @@ TEST_F(JobsTest, ResumedOpenRoundJobAbortsWithoutLockInversion) {
   EXPECT_TRUE(runner.abort("job-open", "operator requested"));
   EXPECT_TRUE(runner.wait_all(10000));
   const JobStatus status = runner.status("job-open");
+  EXPECT_EQ(status.state, JobState::kAborted);
+  EXPECT_NE(status.abort_reason.find("operator requested"), std::string::npos);
+}
+
+/// FedAvg whose first reset — the one the server's constructor makes —
+/// announces itself and waits to be released, holding a job mid-build.
+class GatedAggregator : public FedAvgAggregator {
+ public:
+  GatedAggregator(std::promise<void>* entered, std::shared_future<void> release)
+      : FedAvgAggregator(false), entered_(entered), release_(std::move(release)) {}
+
+  void reset(const nn::StateDict& global, std::int64_t round) override {
+    if (entered_ != nullptr) {
+      std::exchange(entered_, nullptr)->set_value();
+      release_.wait();
+    }
+    FedAvgAggregator::reset(global, round);
+  }
+
+ private:
+  std::promise<void>* entered_;
+  std::shared_future<void> release_;
+};
+
+TEST_F(JobsTest, AbortWhileTheServerIsBeingBuiltIsDeliveredOnceInstalled) {
+  const auto pool = make_pool(2);
+  JobRunner runner(pool);
+  std::promise<void> entered;
+  std::promise<void> release;
+  JobSpec spec = make_spec("job-slow", 5, 2);
+  spec.aggregator =
+      std::make_unique<GatedAggregator>(&entered, release.get_future().share());
+  std::thread submitter([&runner, &spec] { runner.submit(std::move(spec)); });
+  entered.get_future().wait();
+  // The runner's lock is free while the server is built: the job still
+  // reads as queued, and an abort is parked rather than lost.
+  EXPECT_EQ(runner.status("job-slow").state, JobState::kQueued);
+  EXPECT_TRUE(runner.abort("job-slow", "operator requested"));
+  release.set_value();
+  submitter.join();
+
+  EXPECT_TRUE(runner.wait_all(10000));
+  const JobStatus status = runner.status("job-slow");
   EXPECT_EQ(status.state, JobState::kAborted);
   EXPECT_NE(status.abort_reason.find("operator requested"), std::string::npos);
 }
